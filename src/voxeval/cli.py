@@ -69,6 +69,8 @@ class ToolConfig:
 
 
 def _build_from_keys(cls, raw: dict, what: str):
+    if not isinstance(raw, dict):
+        raise ValidationError(f"config: {what} must be a JSON object, got {raw!r}")
     allowed = set(cls.__dataclass_fields__)
     unknown = set(raw) - allowed
     if unknown:
@@ -105,7 +107,13 @@ def load_config(path: str | None) -> ToolConfig:
     policy = _build_from_keys(
         SpecialCasePolicy, raw.get("special_case_policy", {}), "special_case_policy"
     )
-    threshold = float(raw.get("probability_threshold", 0.5))
+    try:
+        threshold = float(raw.get("probability_threshold", 0.5))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"config {path}: probability_threshold must be a number, "
+            f"got {raw['probability_threshold']!r}"
+        )
     return ToolConfig(coding=coding, threshold=threshold, policy=policy)
 
 
@@ -541,9 +549,36 @@ def _load_store(path: Path) -> dict:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise FormatError(f"leaderboard store {path}: invalid JSON ({exc})")
-    if not isinstance(raw, dict) or "submissions" not in raw:
-        raise FormatError(f"leaderboard store {path}: missing 'submissions'")
+    if not isinstance(raw, dict) or not isinstance(raw.get("submissions"), list):
+        raise FormatError(f"leaderboard store {path}: expected a 'submissions' list")
+    for n, submission in enumerate(raw["submissions"]):
+        if not _is_store_submission(submission):
+            raise FormatError(
+                f"leaderboard store {path}: submission {n} needs a string "
+                "'algorithm_id' and 'metrics' mapping case -> region -> "
+                "{dice, hd95, special_case}"
+            )
     return raw
+
+
+def _is_store_submission(submission) -> bool:
+    special_cases = tuple(case.value for case in SpecialCase)
+    return (
+        isinstance(submission, dict)
+        and isinstance(submission.get("algorithm_id"), str)
+        and isinstance(submission.get("metrics"), dict)
+        and all(
+            isinstance(regions, dict)
+            and all(
+                isinstance(entry, dict)
+                and isinstance(entry.get("dice"), (int, float))
+                and isinstance(entry.get("hd95"), (int, float))
+                and entry.get("special_case", "none") in special_cases
+                for entry in regions.values()
+            )
+            for regions in submission["metrics"].values()
+        )
+    )
 
 
 def _store_records(store: dict) -> dict[str, dict[str, list[MetricRecord]]]:
@@ -676,7 +711,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=None, help="worker processes")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("rank", parents=[common], help="rank metrics files")
+    p = sub.add_parser("rank", help="rank metrics files")
     p.add_argument("metrics", nargs="+", metavar="NAME=PATH")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_rank)
@@ -716,14 +751,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=_cmd_ensemble)
 
-    p = sub.add_parser(
-        "stability", parents=[common], help="jackknife leave-one-out flip report"
-    )
+    p = sub.add_parser("stability", help="jackknife leave-one-out flip report")
     p.add_argument("metrics", nargs="+", metavar="NAME=PATH")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_stability)
 
-    p = sub.add_parser("leaderboard", parents=[common], help="persistent ranking store")
+    p = sub.add_parser("leaderboard", help="persistent ranking store")
     p.add_argument("action", choices=["add", "recompute"])
     p.add_argument("--store", required=True)
     p.add_argument("--metrics")

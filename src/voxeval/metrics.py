@@ -10,6 +10,7 @@ same worst pair, since neither metric is otherwise defined there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,6 +42,22 @@ class SpecialCasePolicy:
     worst_dice: float = 0.0
     perfect_dice: float = 1.0
     perfect_hd95: float = 0.0
+
+    def __post_init__(self) -> None:
+        # The same bounds MetricTable enforces, so a policy cannot write
+        # scores that ranking later refuses.
+        dices = (self.worst_dice, self.perfect_dice)
+        hd95s = (self.worst_hd95, self.perfect_hd95)
+        try:
+            finite = all(math.isfinite(v) for v in dices + hd95s)
+        except (TypeError, OverflowError):
+            finite = False
+        if not finite:
+            raise ValidationError(f"special-case policy values must be finite: {self}")
+        if not all(0.0 <= v <= 1.0 for v in dices):
+            raise ValidationError(f"special-case policy Dice must lie in [0, 1]: {self}")
+        if min(hd95s) < 0.0:
+            raise ValidationError(f"special-case policy HD95 must be nonnegative: {self}")
 
 
 DEFAULT_POLICY = SpecialCasePolicy()

@@ -19,10 +19,6 @@ from .errors import ValidationError
 from .metrics import MetricRecord
 from .volume import REGIONS, _freeze
 
-#: Metric columns per (case, region): name and ranking direction.
-_METRICS = (("dice", "higher_better"), ("hd95", "lower_better"))
-
-
 @dataclass(frozen=True, eq=False)
 class MetricTable:
     """Fully populated scores of N algorithms on M shared cases.
@@ -164,17 +160,23 @@ def rank_column(values, direction: str) -> np.ndarray:
         raise ValidationError(
             f"direction must be 'higher_better' or 'lower_better', got {direction!r}"
         )
-    order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    ranks = np.empty(arr.size, dtype=np.float64)
-    start = 0
-    while start < arr.size:
-        stop = start + 1
-        while stop < arr.size and sorted_key[stop] == sorted_key[start]:
-            stop += 1
-        # positions start+1 .. stop share their mean rank
-        ranks[order[start:stop]] = (start + stop + 1) / 2.0
-        start = stop
+    return _ranks(key[:, None])[:, 0]
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Fractional ranks down each column of an (N, C) key array, lowest first.
+
+    An entry's rank is 1 + the number of strictly lower keys in its column
+    + half the number of other equal keys, so tied entries share the mean
+    of the positions they span.  Ranks are half-integers, which makes any
+    sum of them exact whatever the summation order.
+    """
+    ranks = np.empty(keys.shape)
+    # One row at a time keeps every temporary at (N, C), not (N, N, C).
+    for i, row in enumerate(keys):
+        lower = np.count_nonzero(keys < row, axis=0)
+        equal = np.count_nonzero(keys == row, axis=0)  # counts the entry itself
+        ranks[i] = lower + (equal + 1) / 2.0
     return ranks
 
 
@@ -221,20 +223,10 @@ def brats_ranking(table: MetricTable) -> RankResult:
     (higher better) and on HD95 (lower better).  Each algorithm's ranks
     are averaged over all columns and normalized by the pool size.
     """
+    # Dice is negated so that a lower key is better in every column.
     n_alg = len(table.algorithms)
-    n_cases = len(table.cases)
-    n_regions = len(table.regions)
-    ranks = np.empty((n_alg, n_cases * n_regions * len(_METRICS)))
-    col = 0
-    for j in range(n_cases):
-        for k in range(n_regions):
-            for name, direction in _METRICS:
-                values = getattr(table, name)[:, j, k]
-                ranks[:, col] = rank_column(values, direction)
-                col += 1
-    # np.mean uses pairwise summation, so the aggregate does not depend on
-    # any evaluation order beyond the fixed column layout built above.
-    mean_rank = np.mean(ranks, axis=1)
+    keys = np.stack([-table.dice, table.hd95], axis=-1).reshape(n_alg, -1)
+    mean_rank = np.mean(_ranks(keys), axis=1)
     return RankResult(table.algorithms, mean_rank, mean_rank / n_alg)
 
 
@@ -264,12 +256,12 @@ class StabilityReport:
     rank_ranges: Mapping[str, tuple[float, float]]
 
 
-def _relation(score_a: float, score_b: float) -> str:
-    if score_a < score_b:
-        return "better"
-    if score_a > score_b:
-        return "worse"
-    return "tied"
+_RELATIONS = ("better", "tied", "worse")
+
+
+def _relations(score: np.ndarray) -> np.ndarray:
+    """Index 1 + sign(a - b) into ``_RELATIONS`` for every pair of scores (a, b)."""
+    return np.sign(np.subtract.outer(score, score)).astype(np.intp) + 1
 
 
 def jackknife_stability(table: MetricTable) -> StabilityReport:
@@ -284,26 +276,31 @@ def jackknife_stability(table: MetricTable) -> StabilityReport:
     compare once one algorithm is removed.
     """
     ids = table.algorithms
-    if len(ids) < 3:
+    n_alg = len(ids)
+    if n_alg < 3:
         raise ValidationError(
             "jackknife stability needs at least 3 algorithms; removing one "
-            f"of {len(ids)} leaves no pair to compare"
+            f"of {n_alg} leaves no pair to compare"
         )
     full = brats_ranking(table)
+    full_relations = _relations(full.score)
     leave_one_out: dict[str, RankResult] = {}
     flips: list[RankFlip] = []
-    positions: dict[str, list[float]] = {alg: [] for alg in ids}
-    for removed in ids:
+    # positions[r, i]: position of algorithm i in the pool without r (NaN at i == r).
+    positions = np.full((n_alg, n_alg), np.nan)
+    for r, removed in enumerate(ids):
+        keep = np.arange(n_alg) != r
         sub = brats_ranking(table.without(removed))
         leave_one_out[removed] = sub
-        pos = rank_column(sub.score, "lower_better")
-        for alg, p in zip(sub.algorithms, pos):
-            positions[alg].append(float(p))
-        for i, alg_a in enumerate(sub.algorithms):
-            for alg_b in sub.algorithms[i + 1 :]:
-                before = _relation(full.score_of(alg_a), full.score_of(alg_b))
-                after = _relation(sub.score_of(alg_a), sub.score_of(alg_b))
-                if before != after:
-                    flips.append(RankFlip(removed, alg_a, alg_b, before, after))
-    ranges = {alg: (min(p), max(p)) for alg, p in positions.items()}
+        positions[r, keep] = rank_column(sub.score, "lower_better")
+        before = full_relations[np.ix_(keep, keep)]
+        after = _relations(sub.score)
+        # np.nonzero walks row-major: flips come out in the pool's (a, b) pair order.
+        for a, b in zip(*np.nonzero(np.triu(before != after, k=1))):
+            pair = (sub.algorithms[a], sub.algorithms[b])
+            relations = (_RELATIONS[before[a, b]], _RELATIONS[after[a, b]])
+            flips.append(RankFlip(removed, *pair, *relations))
+    lows = np.nanmin(positions, axis=0)
+    highs = np.nanmax(positions, axis=0)
+    ranges = {alg: (float(lo), float(hi)) for alg, lo, hi in zip(ids, lows, highs)}
     return StabilityReport(full, leave_one_out, tuple(flips), ranges)

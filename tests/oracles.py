@@ -3,7 +3,8 @@
 Each oracle deliberately takes a different route from the library code:
 surfaces via padded shifts instead of erosion, distances via exhaustive
 pairwise computation instead of a distance transform, percentiles by hand
-instead of numpy, ranks via scipy.stats.rankdata.
+instead of numpy, ranks via scipy.stats.rankdata, and the challenge
+ranking and jackknife as plain loops over columns, pools and pairs.
 """
 
 from __future__ import annotations
@@ -70,3 +71,69 @@ def rank_oracle(values, direction: str) -> np.ndarray:
     if direction == "higher_better":
         return rankdata(-arr, method="average")
     return rankdata(arr, method="average")
+
+
+def brats_ranking_oracle(dice, hd95) -> tuple[list[float], list[float]]:
+    """Mean ranks and scores of (N, M, R) score arrays, one column at a time.
+
+    Every (case, region) gives a Dice column (higher better) and an HD95
+    column (lower better); an algorithm's mean rank is the mean of its
+    ``rank_oracle`` ranks over all of them, and its score is that mean / N.
+    """
+    dice = np.asarray(dice, dtype=float)
+    hd95 = np.asarray(hd95, dtype=float)
+    n_alg, n_cases, n_regions = dice.shape
+    totals = [0.0] * n_alg
+    columns = 0
+    for j in range(n_cases):
+        for k in range(n_regions):
+            for values, direction in (
+                (dice[:, j, k], "higher_better"),
+                (hd95[:, j, k], "lower_better"),
+            ):
+                for i, rank in enumerate(rank_oracle(values, direction)):
+                    totals[i] += float(rank)
+                columns += 1
+    mean_rank = [total / columns for total in totals]
+    return mean_rank, [m / n_alg for m in mean_rank]
+
+
+def jackknife_oracle(algorithms, dice, hd95) -> dict:
+    """Leave-one-out scores, flips and position ranges by brute force.
+
+    Each pool without one algorithm is re-ranked with
+    ``brats_ranking_oracle``; every pair (a, b), a listed before b, is
+    compared with ``<`` and ``>`` in the full pool and in that pool.
+    """
+    dice = np.asarray(dice, dtype=float)
+    hd95 = np.asarray(hd95, dtype=float)
+
+    def relation(score_a, score_b):
+        if score_a < score_b:
+            return "better"
+        if score_a > score_b:
+            return "worse"
+        return "tied"
+
+    full = dict(zip(algorithms, brats_ranking_oracle(dice, hd95)[1]))
+    scores: dict[str, list[float]] = {}
+    flips: list[tuple[str, str, str, str, str]] = []
+    positions: dict[str, list[float]] = {alg: [] for alg in algorithms}
+    for r, removed in enumerate(algorithms):
+        rows = [i for i in range(len(algorithms)) if i != r]
+        pool = [algorithms[i] for i in rows]
+        scores[removed] = brats_ranking_oracle(dice[rows], hd95[rows])[1]
+        sub = dict(zip(pool, scores[removed]))
+        for alg, position in zip(pool, rank_oracle(scores[removed], "lower_better")):
+            positions[alg].append(float(position))
+        for i, a in enumerate(pool):
+            for b in pool[i + 1 :]:
+                before = relation(full[a], full[b])
+                after = relation(sub[a], sub[b])
+                if before != after:
+                    flips.append((removed, a, b, before, after))
+    return {
+        "leave_one_out": scores,
+        "flips": flips,
+        "rank_ranges": {alg: (min(p), max(p)) for alg, p in positions.items()},
+    }

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from voxeval import (
     write_label_volume,
     write_volume,
 )
+import voxeval.cli
 from voxeval.cli import (
     CONFIG_ENV,
     Manifest,
@@ -449,6 +454,37 @@ def test_leaderboard_add_requires_flags(tmp_path, capsys):
     assert "needs --metrics" in json.loads(capsys.readouterr().err)["error"]["message"]
 
 
+@pytest.mark.parametrize("action", ["add", "recompute"])
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"submissions": "x", "ranking": None},
+        {"submissions": [{"algorithm_id": "A", "timestamp": "t"}], "ranking": None},
+        {
+            "submissions": [
+                {"algorithm_id": "A", "metrics": {"c1": {"WT": {"dice": "x", "hd95": 1.0}}}}
+            ]
+        },
+    ],
+    ids=["submissions-not-a-list", "submission-without-metrics", "dice-not-a-number"],
+)
+def test_leaderboard_malformed_store_is_format_error(tmp_path, capsys, action, document):
+    strong, _ = dominance_metrics(tmp_path)
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps(document))
+    before = store.read_bytes()
+    args = ["leaderboard", action, "--store", str(store)]
+    if action == "add":
+        args += ["--metrics", str(strong), "--algorithm", "B"]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "format"
+    assert str(store) in error["message"]
+    assert store.read_bytes() == before
+
+
 # --------------------------------------------------------------------------
 # configuration
 
@@ -521,6 +557,64 @@ def test_config_partial_policy(tmp_path):
     assert config.policy.worst_dice == 0.0
 
 
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"probability_threshold": "abc"},
+        {"probability_threshold": None},
+        {"label_coding": 5},
+        {"special_case_policy": 0.5},
+        {"special_case_policy": {"worst_hd95": float("nan"), "worst_dice": 5}},
+        {"special_case_policy": {"worst_hd95": float("inf")}},
+        {"special_case_policy": {"worst_hd95": "far"}},
+        {"special_case_policy": {"perfect_hd95": -1.0}},
+        {"special_case_policy": {"worst_dice": 5}},
+        {"special_case_policy": {"perfect_dice": -0.5}},
+    ],
+    ids=[
+        "threshold-text",
+        "threshold-null",
+        "coding-not-object",
+        "policy-not-object",
+        "policy-nan-hd95-and-dice-5",
+        "policy-infinite-hd95",
+        "policy-text-hd95",
+        "policy-negative-hd95",
+        "policy-dice-above-1",
+        "policy-negative-dice",
+    ],
+)
+def test_config_bad_values_exit_three(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(document))
+    out = tmp_path / "metrics.csv"
+    manifest = perfect_manifest(tmp_path)
+    args = ["evaluate", "--config", str(config), "--manifest", str(manifest), "--out-metrics", str(out)]
+    assert main(args + ["--jobs", "1"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["category"] == "validation"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["rank", "stability", "leaderboard"])
+def test_config_flag_is_rejected_where_no_config_is_read(tmp_path, command):
+    paths = flip_metrics_files(tmp_path)
+    named = [f"{name}={path}" for name, path in paths.items()]
+    args = {
+        "rank": ["rank", *named, "--out", str(tmp_path / "rank.json")],
+        "stability": ["stability", *named, "--out", str(tmp_path / "flips.csv")],
+        "leaderboard": [
+            "leaderboard", "add", "--store", str(tmp_path / "store.json"),
+            "--metrics", str(paths["A"]), "--algorithm", "A",
+        ],
+    }[command]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["--config", str(tmp_path / "does_not_exist.json")])
+    assert exc.value.code == 2
+    assert main(args) == 0
+
+
 def test_config_invalid_json_is_format_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")
@@ -563,3 +657,17 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert code == 5
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["category"] == "io"
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # Importing scipy.stats costs about half a second and 40 MB, which would
+    # show in every subcommand's start-up time and memory.
+    src = str(Path(voxeval.cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, voxeval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -12,7 +12,7 @@ from voxeval import (
     jackknife_stability,
     rank_column,
 )
-from oracles import rank_oracle
+from oracles import brats_ranking_oracle, jackknife_oracle, rank_oracle
 
 # Frozen jackknife fixture: found by randomized search (seed 12345, trial 58
 # of 3-algorithm/2-case tables). In the full pool A beats B beats C, but with
@@ -310,3 +310,46 @@ def test_frozen_flip_fixture_reports_reversal():
     # with C removed, B overtakes A
     sub = report.leave_one_out["C"]
     assert sub.ordering == ("B", "A")
+
+
+# -- against the loop oracles --------------------------------------------------
+
+
+def tie_heavy_table(rng):
+    """N 3..12, M 1..6, scores from a few levels; some cases carry no ET.
+
+    On a case without ET every algorithm scores the empty-region pair
+    (1, 0) or the false-positive pair (0, 373.13) there.
+    """
+    n = int(rng.integers(3, 13))
+    m = int(rng.integers(1, 7))
+    dice = rng.choice([0.0, 0.25, 0.5, 0.8, 1.0], size=(n, m, 3))
+    hd95 = rng.choice([0.0, 1.0, 2.5, 10.0, 373.13], size=(n, m, 3))
+    for j in np.flatnonzero(rng.random(m) < 0.4):
+        false_positive = rng.random(n) < 0.5
+        dice[:, j, 2] = np.where(false_positive, 0.0, 1.0)
+        hd95[:, j, 2] = np.where(false_positive, 373.13, 0.0)
+    return MetricTable(
+        tuple(f"alg{i}" for i in range(n)), tuple(f"case{j}" for j in range(m)), dice, hd95
+    )
+
+
+def test_ranking_and_jackknife_match_loop_oracles_on_tie_heavy_tables():
+    rng = np.random.default_rng(68)
+    for _ in range(100):
+        table = tie_heavy_table(rng)
+        mean_rank, score = brats_ranking_oracle(table.dice, table.hd95)
+        result = brats_ranking(table)
+        assert result.mean_rank.tolist() == mean_rank
+        assert result.score.tolist() == score
+
+        expected = jackknife_oracle(table.algorithms, table.dice, table.hd95)
+        report = jackknife_stability(table)
+        flips = [
+            (f.removed, f.algorithm_a, f.algorithm_b, f.full_relation, f.jackknife_relation)
+            for f in report.flips
+        ]
+        assert flips == expected["flips"]
+        assert report.rank_ranges == expected["rank_ranges"]
+        for removed, scores in expected["leave_one_out"].items():
+            assert report.leave_one_out[removed].score.tolist() == scores
