@@ -24,17 +24,25 @@ import csv
 import json
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from io import StringIO
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .ensemble import two_level_ensemble
 from .errors import FormatError, ValidationError
-from .io import read_label_volume, read_probability_volume, write_label_volume
+from .io import (
+    VOLUME_SUFFIXES,
+    read_label_volume,
+    read_probability_volume,
+    volume_suffix,
+    write_atomic,
+    write_label_volume,
+)
 from .metrics import (
     DEFAULT_POLICY,
     MetricRecord,
@@ -93,7 +101,7 @@ def load_config(path: str | None) -> ToolConfig:
         return ToolConfig()
     try:
         raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict):
         raise FormatError(f"config {path}: expected a JSON object")
@@ -110,9 +118,11 @@ def load_config(path: str | None) -> ToolConfig:
     try:
         threshold = float(raw.get("probability_threshold", 0.5))
     except (TypeError, ValueError, OverflowError):
+        threshold = None
+    if threshold is None or not 0.0 < threshold < 1.0:
         raise ValidationError(
-            f"config {path}: probability_threshold must be a number, "
-            f"got {raw['probability_threshold']!r}"
+            f"config {path}: probability_threshold must be a number strictly "
+            f"between 0 and 1, got {raw['probability_threshold']!r}"
         )
     return ToolConfig(coding=coding, threshold=threshold, policy=policy)
 
@@ -138,14 +148,40 @@ class Manifest:
 _PROB_COLUMNS = {"wt_prob_path": "WT", "tc_prob_path": "TC", "et_prob_path": "ET"}
 
 
-def _resolve(base: Path, value: str, row_num: int, column: str) -> Path:
+def _csv_rows(path: Path, required: Sequence[str], what: str) -> Iterator[tuple[str, str, dict]]:
+    """Yield ``(where, stripped case_id, row)`` for each data row of a CSV file.
+
+    ``where`` reads "<what> <path> row <n>" (the header is row 1) and
+    prefixes every row error.  Missing columns, an empty case_id and a
+    file without data rows are rejected here.
+    """
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in required if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValidationError(f"{what} {path}: missing columns {missing}")
+            row_num = 1
+            for row_num, row in enumerate(reader, start=2):
+                where = f"{what} {path} row {row_num}"
+                case_id = (row.get("case_id") or "").strip()
+                if not case_id:
+                    raise ValidationError(f"{where}: empty case_id")
+                yield where, case_id, row
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{what} {path}: not a readable CSV file ({exc})") from None
+    if row_num == 1:
+        raise ValidationError(f"{what} {path}: no data rows")
+
+
+def _resolve(base: Path, value: str | None, where: str, column: str) -> Path:
+    if not value:
+        raise ValidationError(f"{where}: empty {column}")
     path = Path(value)
     if not path.is_absolute():
         path = base / path
     if not path.is_file():
-        raise ValidationError(
-            f"manifest row {row_num}: {column} {str(path)!r} does not exist"
-        )
+        raise ValidationError(f"{where}: {column} {str(path)!r} does not exist")
     return path
 
 
@@ -156,39 +192,24 @@ def parse_manifest(path) -> Manifest:
     per-region probability columns (wt_prob_path, tc_prob_path,
     et_prob_path) are optional.  Relative paths are resolved against the
     manifest's directory, every referenced file must exist, and case ids
-    must be unique.  Errors name the offending row number.
+    must be unique.  Errors name the manifest and the offending row number.
     """
     path = Path(path)
-    base = path.parent
     rows: list[ManifestRow] = []
     seen: set[str] = set()
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = ("case_id", "reference_path", "prediction_path")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValidationError(f"manifest {path}: missing columns {missing}")
-        prob_columns = {c: r for c, r in _PROB_COLUMNS.items() if c in header}
-        for row_num, row in enumerate(reader, start=2):
-            case_id = (row.get("case_id") or "").strip()
-            if not case_id:
-                raise ValidationError(f"manifest row {row_num}: empty case_id")
-            if case_id in seen:
-                raise ValidationError(
-                    f"manifest row {row_num}: duplicate case_id {case_id!r}"
-                )
-            seen.add(case_id)
-            ref = _resolve(base, row["reference_path"], row_num, "reference_path")
-            pred = _resolve(base, row["prediction_path"], row_num, "prediction_path")
-            probs = {
-                region: _resolve(base, row[column], row_num, column)
-                for column, region in prob_columns.items()
-                if row.get(column)
-            }
-            rows.append(ManifestRow(case_id, ref, pred, probs))
-    if not rows:
-        raise ValidationError(f"manifest {path}: no data rows")
+    required = ("case_id", "reference_path", "prediction_path")
+    for where, case_id, row in _csv_rows(path, required, "manifest"):
+        if case_id in seen:
+            raise ValidationError(f"{where}: duplicate case_id {case_id!r}")
+        seen.add(case_id)
+        ref = _resolve(path.parent, row["reference_path"], where, "reference_path")
+        pred = _resolve(path.parent, row["prediction_path"], where, "prediction_path")
+        probs = {
+            region: _resolve(path.parent, row[column], where, column)
+            for column, region in _PROB_COLUMNS.items()
+            if row.get(column)
+        }
+        rows.append(ManifestRow(case_id, ref, pred, probs))
     return Manifest(tuple(rows))
 
 
@@ -201,14 +222,15 @@ def _format_float(value: float) -> str:
 
 
 def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    text = StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_atomic(path, text.getvalue().encode())
 
 
 def _write_json(path, document) -> None:
-    Path(path).write_text(json.dumps(document, indent=2) + "\n")
+    write_atomic(path, (json.dumps(document, indent=2) + "\n").encode())
 
 
 def _default_jobs() -> int:
@@ -219,10 +241,15 @@ def _default_jobs() -> int:
 
 
 def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
-    ref_path, pred_path, coding, policy = task
-    ref = read_label_volume(ref_path, coding)
-    pred = read_label_volume(pred_path, coding)
-    records = evaluate_case(ref, pred, policy)
+    case_id, ref_path, pred_path, coding, policy = task
+    try:
+        ref = read_label_volume(ref_path, coding)
+        pred = read_label_volume(pred_path, coding)
+        records = evaluate_case(ref, pred, policy)
+    except ValidationError as exc:
+        raise ValidationError(
+            f"case {case_id!r} (reference {ref_path}, prediction {pred_path}): {exc}"
+        ) from None
     return [(r.region, r.dice, r.hd95, r.special_case.value) for r in records]
 
 
@@ -236,14 +263,17 @@ def evaluate_manifest(
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
     tasks = [
-        (str(row.reference_path), str(row.prediction_path), config.coding, config.policy)
+        (row.case_id, str(row.reference_path), str(row.prediction_path), config.coding, config.policy)
         for row in manifest.rows
     ]
     if jobs == 1:
         results = [_evaluate_row(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_evaluate_row, tasks))
+        try:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                results = list(pool.map(_evaluate_row, tasks))
+        except BrokenProcessPool as exc:
+            raise OSError(f"evaluate: a worker process died ({exc})") from None
     return [(row.case_id, result) for row, result in zip(manifest.rows, results)]
 
 
@@ -277,46 +307,27 @@ def _summary_rows(results) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
+def _record(where: str, region, dice, hd95, special) -> MetricRecord:
+    """Build one region's record from values read from a file; errors name ``where``."""
+    try:
+        return MetricRecord(region, float(dice), float(hd95), SpecialCase(special))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
 def read_metrics_csv(path) -> dict[str, list[MetricRecord]]:
     """Read a metrics.csv produced by `evaluate` back into records."""
-    path = Path(path)
     per_case: dict[str, list[MetricRecord]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = ("case_id", "region", "dice", "hd95")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValidationError(f"metrics file {path}: missing columns {missing}")
-        for row_num, row in enumerate(reader, start=2):
-            case_id = (row.get("case_id") or "").strip()
-            if not case_id:
-                raise ValidationError(f"{path} row {row_num}: empty case_id")
-            try:
-                special = SpecialCase(row.get("special_case") or "none")
-            except ValueError:
-                raise ValidationError(
-                    f"{path} row {row_num}: unknown special_case "
-                    f"{row.get('special_case')!r}"
-                )
-            try:
-                record = MetricRecord(
-                    region=row["region"],
-                    dice=float(row["dice"]),
-                    hd95=float(row["hd95"]),
-                    special_case=special,
-                )
-            except (TypeError, ValueError) as exc:
-                if isinstance(exc, ValidationError):
-                    raise
-                raise ValidationError(f"{path} row {row_num}: {exc}")
-            per_case.setdefault(case_id, []).append(record)
-    if not per_case:
-        raise ValidationError(f"metrics file {path}: no data rows")
+    required = ("case_id", "region", "dice", "hd95")
+    for where, case_id, row in _csv_rows(Path(path), required, "metrics file"):
+        record = _record(
+            where, row["region"], row["dice"], row["hd95"], row.get("special_case") or "none"
+        )
+        per_case.setdefault(case_id, []).append(record)
     return per_case
 
 
-def _parse_named_metrics(pairs: Sequence[str]) -> dict[str, dict[str, list[MetricRecord]]]:
+def _named_metrics_table(pairs: Sequence[str]) -> MetricTable:
     per_algorithm: dict[str, dict[str, list[MetricRecord]]] = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
@@ -327,7 +338,7 @@ def _parse_named_metrics(pairs: Sequence[str]) -> dict[str, dict[str, list[Metri
         if name in per_algorithm:
             raise ValidationError(f"duplicate algorithm id {name!r}")
         per_algorithm[name] = read_metrics_csv(value)
-    return per_algorithm
+    return MetricTable.from_records(per_algorithm)
 
 
 def _rank_result_document(result: RankResult) -> dict:
@@ -360,10 +371,9 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    per_algorithm = _parse_named_metrics(args.metrics)
-    if len(per_algorithm) < 2:
+    table = _named_metrics_table(args.metrics)
+    if len(table.algorithms) < 2:
         raise ValidationError("rank needs at least two NAME=PATH metrics files")
-    table = MetricTable.from_records(per_algorithm)
     result = brats_ranking(table)
     _write_json(args.out, _rank_result_document(result))
     return 0
@@ -414,14 +424,6 @@ def _cmd_optimize_postprocess(args) -> int:
     return 0
 
 
-def _volume_extension(path: Path) -> str:
-    name = path.name.lower()
-    for ext in (".nii.gz", ".nii", ".rv1"):
-        if name.endswith(ext):
-            return ext
-    raise FormatError(f"{path}: unsupported file extension")
-
-
 def _cmd_apply_postprocess(args) -> int:
     config = load_config(args.config)
     manifest = parse_manifest(args.manifest)
@@ -431,7 +433,7 @@ def _cmd_apply_postprocess(args) -> int:
     for row in manifest.rows:
         pred = read_label_volume(row.prediction_path, config.coding)
         cleaned = apply_et_threshold(pred, threshold)
-        out_path = out_dir / (row.case_id + _volume_extension(row.prediction_path))
+        out_path = out_dir / (row.case_id + volume_suffix(row.prediction_path))
         write_label_volume(out_path, cleaned)
     return 0
 
@@ -443,33 +445,17 @@ def parse_ensemble_manifest(path) -> dict[str, dict[str, list[dict[str, Path]]]]
     ensemble member.  Configurations and members keep file order.
     """
     path = Path(path)
-    base = path.parent
     cases: dict[str, dict[str, list[dict[str, Path]]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        required = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValidationError(f"ensemble manifest {path}: missing columns {missing}")
-        for row_num, row in enumerate(reader, start=2):
-            case_id = (row.get("case_id") or "").strip()
-            configuration = (row.get("configuration") or "").strip()
-            if not case_id or not configuration:
-                raise ValidationError(
-                    f"ensemble manifest row {row_num}: empty case_id or configuration"
-                )
-            member = {
-                region: _resolve(base, row[column], row_num, column)
-                for column, region in (
-                    ("wt_path", "WT"),
-                    ("tc_path", "TC"),
-                    ("et_path", "ET"),
-                )
-            }
-            cases.setdefault(case_id, {}).setdefault(configuration, []).append(member)
-    if not cases:
-        raise ValidationError(f"ensemble manifest {path}: no data rows")
+    required = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
+    for where, case_id, row in _csv_rows(path, required, "ensemble manifest"):
+        configuration = (row.get("configuration") or "").strip()
+        if not configuration:
+            raise ValidationError(f"{where}: empty configuration")
+        member = {
+            region: _resolve(path.parent, row[column], where, column)
+            for column, region in (("wt_path", "WT"), ("tc_path", "TC"), ("et_path", "ET"))
+        }
+        cases.setdefault(case_id, {}).setdefault(configuration, []).append(member)
     return cases
 
 
@@ -507,8 +493,7 @@ def _cmd_ensemble(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    per_algorithm = _parse_named_metrics(args.metrics)
-    table = MetricTable.from_records(per_algorithm)
+    table = _named_metrics_table(args.metrics)
     report = jackknife_stability(table)
     rows = [
         [f.removed, f.algorithm_a, f.algorithm_b, f.full_relation, f.jackknife_relation]
@@ -542,86 +527,65 @@ def _timestamp() -> str:
     )
 
 
-def _load_store(path: Path) -> dict:
+def _load_store(path: Path) -> tuple[dict, dict[str, dict[str, list[MetricRecord]]]]:
+    """Return the store document and its records per algorithm id.
+
+    Any malformed submission, including a repeated algorithm id, raises
+    :class:`FormatError` naming the store and the submission.
+    """
     if not path.exists():
-        return {"submissions": [], "ranking": None}
+        return {"submissions": [], "ranking": None}, {}
     try:
         raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError(f"leaderboard store {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict) or not isinstance(raw.get("submissions"), list):
         raise FormatError(f"leaderboard store {path}: expected a 'submissions' list")
-    for n, submission in enumerate(raw["submissions"]):
-        if not _is_store_submission(submission):
-            raise FormatError(
-                f"leaderboard store {path}: submission {n} needs a string "
-                "'algorithm_id' and 'metrics' mapping case -> region -> "
-                "{dice, hd95, special_case}"
-            )
-    return raw
-
-
-def _is_store_submission(submission) -> bool:
-    special_cases = tuple(case.value for case in SpecialCase)
-    return (
-        isinstance(submission, dict)
-        and isinstance(submission.get("algorithm_id"), str)
-        and isinstance(submission.get("metrics"), dict)
-        and all(
-            isinstance(regions, dict)
-            and all(
-                isinstance(entry, dict)
-                and isinstance(entry.get("dice"), (int, float))
-                and isinstance(entry.get("hd95"), (int, float))
-                and entry.get("special_case", "none") in special_cases
-                for entry in regions.values()
-            )
-            for regions in submission["metrics"].values()
-        )
-    )
-
-
-def _store_records(store: dict) -> dict[str, dict[str, list[MetricRecord]]]:
     per_algorithm: dict[str, dict[str, list[MetricRecord]]] = {}
-    for submission in store["submissions"]:
-        per_case = {}
-        for case_id, regions in submission["metrics"].items():
-            per_case[case_id] = [
-                MetricRecord(
-                    region=region,
-                    dice=float(entry["dice"]),
-                    hd95=float(entry["hd95"]),
-                    special_case=SpecialCase(entry.get("special_case", "none")),
-                )
-                for region, entry in regions.items()
-            ]
-        per_algorithm[submission["algorithm_id"]] = per_case
-    return per_algorithm
-
-
-def _write_store(path: Path, store: dict) -> None:
-    # Single-writer discipline: build the whole document, then rename into
-    # place so readers never observe a half-written store.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(json.dumps(store, indent=2) + "\n")
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+        for n, submission in enumerate(raw["submissions"]):
+            where = f"leaderboard store {path}: submission {n}"
+            if not (
+                isinstance(submission, dict)
+                and isinstance(submission.get("algorithm_id"), str)
+                and isinstance(submission.get("metrics"), dict)
+                and all(isinstance(regions, dict) for regions in submission["metrics"].values())
+            ):
+                raise ValidationError(
+                    f"{where} needs a string 'algorithm_id' and 'metrics' mapping "
+                    "case -> region -> {dice, hd95, special_case}"
+                )
+            algorithm_id = submission["algorithm_id"]
+            if algorithm_id in per_algorithm:
+                raise ValidationError(f"{where}: duplicate algorithm_id {algorithm_id!r}")
+            per_case = per_algorithm[algorithm_id] = {}
+            for case_id, regions in submission["metrics"].items():
+                at = f"{where} case {case_id}"
+                per_case[case_id] = []
+                for region, entry in regions.items():
+                    if not isinstance(entry, dict) or not all(
+                        isinstance(entry.get(key), (int, float)) for key in ("dice", "hd95")
+                    ):
+                        raise ValidationError(f"{at}: region {region!r} needs numeric dice and hd95")
+                    special = entry.get("special_case", "none")
+                    per_case[case_id].append(
+                        _record(at, region, entry["dice"], entry["hd95"], special)
+                    )
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from None
+    return raw, per_algorithm
 
 
-def _recompute_ranking(store: dict) -> None:
-    per_algorithm = _store_records(store)
+def _save_ranked(path: Path, store: dict, per_algorithm: dict) -> dict:
+    """Rank ``per_algorithm`` into the store, empty it to free memory, rewrite the store."""
     if not per_algorithm:
         raise ValidationError("leaderboard store has no submissions")
     table = MetricTable.from_records(per_algorithm)
     store["ranking"] = _rank_result_document(brats_ranking(table))
+    per_algorithm.clear()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(path, store)
+    return store
 
 
 def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
@@ -633,13 +597,12 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
     is left untouched.
     """
     store_path = Path(store_path)
-    store = _load_store(store_path)
-    ids = [s["algorithm_id"] for s in store["submissions"]]
-    if algorithm_id in ids:
+    store, per_algorithm = _load_store(store_path)
+    if algorithm_id in per_algorithm:
         raise ValidationError(f"algorithm id {algorithm_id!r} already in store")
     per_case = read_metrics_csv(metrics_path)
-    if store["submissions"]:
-        existing = set(store["submissions"][0]["metrics"])
+    if per_algorithm:
+        existing = set(next(iter(per_algorithm.values())))
         incoming = set(per_case)
         if existing != incoming:
             differing = sorted(existing ^ incoming)
@@ -664,18 +627,14 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
             "metrics": metrics_doc,
         }
     )
-    _recompute_ranking(store)
-    _write_store(store_path, store)
-    return store
+    per_algorithm[algorithm_id] = per_case
+    return _save_ranked(store_path, store, per_algorithm)
 
 
 def leaderboard_recompute(store_path) -> dict:
     """Recompute the stored ranking from the stored submissions."""
     store_path = Path(store_path)
-    store = _load_store(store_path)
-    _recompute_ranking(store)
-    _write_store(store_path, store)
-    return store
+    return _save_ranked(store_path, *_load_store(store_path))
 
 
 def _cmd_leaderboard(args) -> int:
@@ -746,7 +705,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--format",
         default=".nii.gz",
-        choices=[".nii", ".nii.gz", ".rv1"],
+        choices=VOLUME_SUFFIXES,
         help="output volume format",
     )
     p.set_defaults(func=_cmd_ensemble)

@@ -5,8 +5,9 @@ The NIfTI-1 support is deliberately narrow: single-file .nii or .nii.gz,
 ignored except the voxel spacing in pixdim.  Evaluation only needs voxel
 grids and spacing, and reference and prediction grids must match exactly
 anyway.  Files are written byte-exactly: 348-byte little-endian header,
-vox_offset 352, magic "n+1\\0", gzip applied iff the path ends in ".gz"
-(with zeroed mtime so identical volumes give identical bytes).
+vox_offset 352, magic "n+1\\0", gzip applied iff the name ends in ".nii.gz"
+(with zeroed mtime so identical volumes give identical bytes).  Suffixes
+match case-insensitively, and every file is written atomically.
 
 RV1 is a trivial sidecar format for fixtures that must not depend on the
 NIfTI parser: one ASCII header line ``RV1 nx ny nz dx dy dz dtype`` then
@@ -16,6 +17,7 @@ the raw little-endian payload in C order.
 from __future__ import annotations
 
 import gzip
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -40,6 +42,44 @@ _DTYPES = {
     "float64": (64, 64, np.dtype(np.float64)),
 }
 _CODE_TO_TAG = {code: tag for tag, (code, _, _) in _DTYPES.items()}
+
+#: Volume file suffixes, matched against the lower-cased file name.
+VOLUME_SUFFIXES = (".nii", ".nii.gz", ".rv1")
+
+
+def volume_suffix(path) -> str:
+    """Return the volume format of ``path``: ".nii", ".nii.gz" or ".rv1"."""
+    name = Path(path).name.lower()
+    for suffix in VOLUME_SUFFIXES:
+        if name.endswith(suffix):
+            return suffix
+    raise FormatError(
+        f"{path}: unsupported file extension, expected one of {', '.join(VOLUME_SUFFIXES)}"
+    )
+
+
+def write_atomic(path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` so that no partial file is ever seen there.
+
+    The bytes go to a temporary file in the target's directory, created with
+    mode 0o666 less the umask as ``open()`` would, which is then renamed over
+    ``path``.  On any failure the temporary file is removed and ``path``
+    keeps its previous contents.  Nothing is fsynced: this guards against
+    crashes of the program, not against power loss.
+    """
+    path = Path(path)
+    tmp = path.with_name(f"tmp{os.urandom(6).hex()}.tmp")  # fixed length: fits any target name
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 @dataclass(frozen=True)
@@ -80,18 +120,13 @@ class VolumeHeader:
         )
 
 
-def _read_bytes(path: Path) -> bytes:
+def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
     raw = path.read_bytes()
-    if path.name.endswith(".gz"):
+    if volume_suffix(path) == ".nii.gz":
         try:
             raw = gzip.decompress(raw)
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise FormatError(f"{path}: not a valid gzip stream ({exc})")
-    return raw
-
-
-def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
-    raw = _read_bytes(path)
     if len(raw) < _HEADER_SIZE:
         raise FormatError(
             f"{path}: truncated header, {len(raw)} bytes < {_HEADER_SIZE}"
@@ -207,14 +242,9 @@ def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
         The parsed :class:`VolumeHeader` and the 3-D array.
     """
     path = Path(path)
-    name = path.name.lower()
-    if name.endswith(".rv1"):
+    if volume_suffix(path) == ".rv1":
         return _read_rv1(path)
-    if name.endswith(".nii") or name.endswith(".nii.gz"):
-        return _read_nifti(path)
-    raise FormatError(
-        f"{path}: unsupported file extension, expected .nii, .nii.gz or .rv1"
-    )
+    return _read_nifti(path)
 
 
 def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
@@ -223,7 +253,7 @@ def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
     The payload must be exactly representable in the header's datatype;
     values that would be clipped, wrapped or rounded raise instead of
     being silently quantized.  NIfTI output is always little-endian with
-    a 348-byte header and vox_offset 352; a ``.gz`` suffix gzips the
+    a 348-byte header and vox_offset 352; a ``.nii.gz`` suffix gzips the
     stream with zeroed timestamp so equal volumes produce equal bytes.
     """
     path = Path(path)
@@ -247,14 +277,15 @@ def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
                 f"as {header.dtype}; refusing to quantize silently"
             )
 
-    name = path.name.lower()
-    if name.endswith(".rv1"):
-        _write_rv1(path, header, payload_arr, np_dtype)
-        return
-    if not (name.endswith(".nii") or name.endswith(".nii.gz")):
-        raise FormatError(
-            f"{path}: unsupported file extension, expected .nii, .nii.gz or .rv1"
+    suffix = volume_suffix(path)
+    if suffix == ".rv1":
+        line = "RV1 {} {} {} {} {} {} {}\n".format(
+            *header.dims, *(repr(s) for s in header.spacing.as_tuple()), header.dtype
         )
+        stream = line.encode("ascii")
+        stream += payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="C")
+        write_atomic(path, stream)
+        return
 
     hdr = bytearray(_HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, _HEADER_SIZE)
@@ -269,18 +300,9 @@ def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
     stream = bytes(hdr)
     stream += b"\0\0\0\0"  # no header extensions
     stream += payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="F")
-    if name.endswith(".gz"):
+    if suffix == ".nii.gz":
         stream = gzip.compress(stream, compresslevel=9, mtime=0)
-    path.write_bytes(stream)
-
-
-def _write_rv1(path: Path, header: VolumeHeader, payload_arr: np.ndarray, np_dtype) -> None:
-    line = "RV1 {} {} {} {} {} {} {}\n".format(
-        *header.dims, *(repr(s) for s in header.spacing.as_tuple()), header.dtype
-    )
-    stream = line.encode("ascii")
-    stream += payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="C")
-    path.write_bytes(stream)
+    write_atomic(path, stream)
 
 
 def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume:

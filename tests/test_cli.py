@@ -201,6 +201,48 @@ def test_evaluate_shape_mismatch_leaves_no_partial_output(tmp_path, capsys):
     assert "shape" in err["error"]["message"]
 
 
+def _die(task):
+    os._exit(1)
+
+
+def test_evaluate_worker_crash_exits_five(tmp_path, capsys, monkeypatch):
+    manifest = perfect_manifest(tmp_path)
+    out = tmp_path / "metrics.csv"
+    monkeypatch.setattr(voxeval.cli, "_evaluate_row", _die)
+    code = main(["evaluate", "--manifest", str(manifest), "--out-metrics", str(out), "--jobs", "2"])
+    assert code == 5
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "io"
+    assert "worker process died" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mismatch", ["shape", "spacing", "label"])
+def test_evaluate_errors_name_case_and_both_files(tmp_path, capsys, mismatch):
+    ref = write_case(tmp_path, "ref", nested_labels())
+    if mismatch == "shape":
+        pred = write_case(tmp_path, "pred", nested_labels((5, 6, 6)))
+    elif mismatch == "spacing":
+        pred = write_case(tmp_path, "pred", nested_labels(), spacing=Spacing(2.0, 1.0, 1.0))
+    else:
+        data = nested_labels()
+        data[data == 4] = 3
+        pred = write_case(tmp_path, "pred", data, coding=LabelCoding(enhancing=3))
+    manifest = write_manifest(tmp_path / "m.csv", [["case7", ref.name, pred.name]])
+    out = tmp_path / "metrics.csv"
+    code = main(["evaluate", "--manifest", str(manifest), "--out-metrics", str(out), "--jobs", "1"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert "'case7'" in message
+    assert str(ref) in message and str(pred) in message
+    assert mismatch in message
+    assert not out.exists()
+
+
 def test_metrics_csv_roundtrip(tmp_path):
     manifest = perfect_manifest(tmp_path)
     out = tmp_path / "metrics.csv"
@@ -485,6 +527,97 @@ def test_leaderboard_malformed_store_is_format_error(tmp_path, capsys, action, d
     assert store.read_bytes() == before
 
 
+def store_submission(algorithm_id, regions=("WT", "TC", "ET")):
+    scores = {region: {"dice": 1.0, "hd95": 0.0} for region in regions}
+    return {"algorithm_id": algorithm_id, "metrics": {"c1": scores, "c2": scores}}
+
+
+@pytest.mark.parametrize("action", ["add", "recompute"])
+@pytest.mark.parametrize(
+    "submissions, needle",
+    [
+        ([store_submission("A"), store_submission("A")], "submission 1: duplicate algorithm_id 'A'"),
+        ([store_submission("A", ("WT", "TC", "XX"))], "submission 0 case c1: unknown region 'XX'"),
+    ],
+    ids=["duplicate-algorithm-id", "unknown-region"],
+)
+def test_leaderboard_store_entry_errors_name_store_and_submission(
+    tmp_path, capsys, action, submissions, needle
+):
+    strong, _ = dominance_metrics(tmp_path)
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"submissions": submissions, "ranking": None}))
+    before = store.read_bytes()
+    args = ["leaderboard", action, "--store", str(store)]
+    if action == "add":
+        args += ["--metrics", str(strong), "--algorithm", "B"]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "format"
+    assert f"leaderboard store {store}: {needle}" in error["message"]
+    assert store.read_bytes() == before
+
+
+# --------------------------------------------------------------------------
+# CSV inputs
+
+
+MANIFEST_HEADER = "case_id,reference_path,prediction_path\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, code, needle",
+    [
+        ("evaluate", MANIFEST_HEADER + "c1,ref.nii,ref.nii\nc1,ref.nii,ref.nii\n", 3, " row 3: duplicate case_id 'c1'"),
+        ("evaluate", MANIFEST_HEADER + " ,ref.nii,ref.nii\n", 3, " row 2: empty case_id"),
+        ("evaluate", MANIFEST_HEADER + "c1,ref.nii\n", 3, " row 2: empty prediction_path"),
+        ("evaluate", MANIFEST_HEADER + "c1,ref.nii,absent.nii\n", 3, " row 2: prediction_path"),
+        ("evaluate", MANIFEST_HEADER, 3, ": no data rows"),
+        ("evaluate", MANIFEST_HEADER + 'c1,ref.nii,"' + "x" * 200_000 + "\n", 4, "not a readable CSV file"),
+        (
+            "ensemble",
+            "case_id,configuration,wt_path,tc_path,et_path\nc1, ,ref.nii,ref.nii,ref.nii\n",
+            3,
+            " row 2: empty configuration",
+        ),
+        ("rank", "case_id,region,dice,hd95\nc1,XX,1.0,0.0\n", 3, " row 2: unknown region 'XX'"),
+        ("rank", "case_id,region,dice,hd95\nc1,WT,high,0.0\n", 3, " row 2: could not convert"),
+        ("rank", "case_id,region,dice,hd95,special_case\nc1,WT,1.0,0.0,odd\n", 3, " row 2: 'odd'"),
+        ("rank", "case_id,region,dice,hd95\nc\udcff1,WT,1.0,0.0\n", 4, "not a readable CSV file"),
+    ],
+    ids=[
+        "manifest-duplicate-case",
+        "manifest-empty-case",
+        "manifest-short-row",
+        "manifest-missing-file",
+        "manifest-no-rows",
+        "manifest-field-too-large",
+        "ensemble-empty-configuration",
+        "metrics-unknown-region",
+        "metrics-text-dice",
+        "metrics-unknown-special-case",
+        "metrics-not-utf8",
+    ],
+)
+def test_csv_input_errors_name_file_and_row(tmp_path, capsys, command, text, code, needle):
+    write_case(tmp_path, "ref", nested_labels())
+    path = tmp_path / "input.csv"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    args = {
+        "evaluate": ["evaluate", "--manifest", str(path), "--out-metrics", str(tmp_path / "o.csv"), "--jobs", "1"],
+        "ensemble": ["ensemble", "--manifest", str(path), "--out-dir", str(tmp_path / "labels")],
+        "rank": ["rank", f"A={path}", f"B={path}", "--out", str(tmp_path / "o.json")],
+    }[command]
+    assert main(args) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert str(path) in message
+    assert needle in message
+
+
 # --------------------------------------------------------------------------
 # configuration
 
@@ -570,6 +703,10 @@ def test_config_partial_policy(tmp_path):
         {"special_case_policy": {"perfect_hd95": -1.0}},
         {"special_case_policy": {"worst_dice": 5}},
         {"special_case_policy": {"perfect_dice": -0.5}},
+        {"probability_threshold": 0},
+        {"probability_threshold": 1},
+        {"probability_threshold": 5},
+        {"probability_threshold": -0.1},
     ],
     ids=[
         "threshold-text",
@@ -582,6 +719,10 @@ def test_config_partial_policy(tmp_path):
         "policy-negative-hd95",
         "policy-dice-above-1",
         "policy-negative-dice",
+        "threshold-zero",
+        "threshold-one",
+        "threshold-five",
+        "threshold-negative",
     ],
 )
 def test_config_bad_values_exit_three(tmp_path, capsys, document):
@@ -624,6 +765,23 @@ def test_config_invalid_json_is_format_error(tmp_path, capsys):
     )
     assert code == 4
     assert json.loads(capsys.readouterr().err)["error"]["category"] == "format"
+
+
+@pytest.mark.parametrize("source", ["config", "store"])
+def test_non_utf8_json_input_is_format_error(tmp_path, capsys, source):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"submissions": [], "note": "\xff"}')
+    if source == "config":
+        args = ["evaluate", "--config", str(bad), "--manifest", str(perfect_manifest(tmp_path)),
+                "--out-metrics", str(tmp_path / "o.csv")]
+    else:
+        args = ["leaderboard", "recompute", "--store", str(bad)]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "format"
+    assert str(bad) in error["message"]
 
 
 # --------------------------------------------------------------------------

@@ -1,5 +1,10 @@
+import ast
 import gzip
+import os
+import re
+import stat
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +21,9 @@ from voxeval import (
     write_label_volume,
     write_volume,
 )
+import voxeval
+from voxeval.cli import _write_csv, _write_json, leaderboard_add
+from voxeval.io import write_atomic
 
 DTYPES = ["uint8", "int16", "int32", "float32", "float64"]
 
@@ -306,3 +314,92 @@ def test_write_label_volume_roundtrip(tmp_path):
     back = read_label_volume(path)
     assert np.array_equal(back.data, data)
     assert back.spacing == vol.spacing
+
+
+@pytest.mark.parametrize("suffix", [".NII", ".NII.GZ", ".RV1"])
+def test_upper_case_suffix_roundtrip(tmp_path, suffix):
+    data = np.zeros((4, 3, 2), dtype=np.uint8)
+    data[1:3, 1:2, :] = 2
+    volume = LabelVolume(data, Spacing(0.5, 1.0, 2.0))
+    path = tmp_path / f"X{suffix}"
+    write_label_volume(path, volume)
+    back = read_label_volume(path)
+    assert np.array_equal(back.data, data)
+    assert back.spacing == volume.spacing
+    assert (path.read_bytes()[:2] == b"\x1f\x8b") == (suffix == ".NII.GZ")
+
+
+# --------------------------------------------------------------------------
+# atomic writes
+
+
+class Unprintable:
+    def __str__(self):
+        raise RuntimeError("cell cannot be rendered")
+
+
+def _fail_rename(src, dst):
+    raise OSError("rename failed")
+
+
+@pytest.mark.parametrize("failure", ["payload", "write", "rename"])
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path, monkeypatch, failure):
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"previous\n")
+    if failure == "payload":
+        with pytest.raises(RuntimeError, match="cannot be rendered"):
+            _write_csv(out, ["a"], [[Unprintable()]])
+    elif failure == "write":
+        with pytest.raises(TypeError):
+            write_atomic(out, "text is not bytes")
+    else:
+        monkeypatch.setattr(os, "replace", _fail_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            _write_csv(out, ["a"], [["1"]])
+    assert out.read_bytes() == b"previous\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
+
+@pytest.mark.parametrize("kind", ["csv", "json", "volume", "store"])
+def test_new_output_mode_follows_umask(tmp_path, kind):
+    metrics = tmp_path / "metrics.csv"
+    rows = [["c1", region, "1.0", "0.0", "none"] for region in ("WT", "TC", "ET")]
+    _write_csv(metrics, ["case_id", "region", "dice", "hd95", "special_case"], rows)
+    out = tmp_path / "out"
+    old = os.umask(0o027)
+    try:
+        if kind == "csv":
+            _write_csv(out, ["a"], [["1"]])
+        elif kind == "json":
+            _write_json(out, {"a": 1})
+        elif kind == "volume":
+            out = tmp_path / "out.nii.gz"
+            write_label_volume(out, LabelVolume(np.zeros((2, 2, 2), np.uint8), Spacing()))
+        else:
+            leaderboard_add(out, metrics, "A")
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o027
+
+
+#: A call that writes a file: pathlib's write helpers, a low-level or
+#: temporary-file open, or open() with a mode that writes.
+_FILE_WRITE = re.compile(
+    r"\.write_(text|bytes)\(|\bos\.(open|fdopen)\(|\btempfile\b"
+    r"|\bopen\((?:[^,()]+,\s*)?(?:mode\s*=\s*)?[\"'][rbt]*[wax+]"
+)
+
+
+def test_sources_write_files_only_through_write_atomic():
+    package = Path(voxeval.__file__).parent
+    offenders = []
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        allowed = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name == "write_atomic":
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        for number, line in enumerate(source.splitlines(), start=1):
+            if _FILE_WRITE.search(line) and number not in allowed:
+                offenders.append(f"{path.name}:{number}: {line.strip()}")
+    assert offenders == []
