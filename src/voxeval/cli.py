@@ -50,7 +50,12 @@ from .metrics import (
     SpecialCasePolicy,
     evaluate_case,
 )
-from .postprocess import apply_et_threshold, optimize_threshold, sweep_thresholds
+from .postprocess import (
+    apply_et_threshold,
+    optimize_threshold,
+    sweep_thresholds,
+    validate_threshold,
+)
 from .ranking import MetricTable, RankResult, brats_ranking, jackknife_stability
 from .aggregate import summarize
 from .volume import DEFAULT_CODING, REGIONS, LabelCoding, RegionProbSet, regions_to_labels
@@ -240,6 +245,13 @@ def _default_jobs() -> int:
         return os.cpu_count() or 1
 
 
+def _case_error(case_id: str, ref_path, pred_path, exc: ValidationError) -> ValidationError:
+    """``exc`` prefixed with the case id and both of its files."""
+    return ValidationError(
+        f"case {case_id!r} (reference {ref_path}, prediction {pred_path}): {exc}"
+    )
+
+
 def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
     case_id, ref_path, pred_path, coding, policy = task
     try:
@@ -247,9 +259,7 @@ def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
         pred = read_label_volume(pred_path, coding)
         records = evaluate_case(ref, pred, policy)
     except ValidationError as exc:
-        raise ValidationError(
-            f"case {case_id!r} (reference {ref_path}, prediction {pred_path}): {exc}"
-        ) from None
+        raise _case_error(case_id, ref_path, pred_path, exc) from None
     return [(r.region, r.dice, r.hd95, r.special_case.value) for r in records]
 
 
@@ -382,13 +392,6 @@ def _cmd_rank(args) -> int:
 def _cmd_optimize_postprocess(args) -> int:
     config = load_config(args.config)
     manifest = parse_manifest(args.manifest)
-    pairs = [
-        (
-            read_label_volume(row.reference_path, config.coding),
-            read_label_volume(row.prediction_path, config.coding),
-        )
-        for row in manifest.rows
-    ]
     candidates = None
     if args.candidates:
         try:
@@ -400,7 +403,25 @@ def _cmd_optimize_postprocess(args) -> int:
             )
         if not candidates:
             raise ValidationError("--candidates produced no values")
-    sweep = sweep_thresholds(pairs, candidates, config.policy)
+    current = None  # the row being read or scored
+
+    def pairs():
+        nonlocal current
+        for row in manifest.rows:
+            current = row
+            yield (
+                read_label_volume(row.reference_path, config.coding),
+                read_label_volume(row.prediction_path, config.coding),
+            )
+        current = None
+
+    try:
+        sweep = sweep_thresholds(pairs(), candidates, config.policy)
+    except ValidationError as exc:
+        row = current
+        if row is None:
+            raise
+        raise _case_error(row.case_id, row.reference_path, row.prediction_path, exc) from None
     rows = [
         [
             _format_float(threshold),
@@ -426,8 +447,8 @@ def _cmd_optimize_postprocess(args) -> int:
 
 def _cmd_apply_postprocess(args) -> int:
     config = load_config(args.config)
+    threshold = validate_threshold(args.threshold_mm3)
     manifest = parse_manifest(args.manifest)
-    threshold = float(args.threshold_mm3)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in manifest.rows:

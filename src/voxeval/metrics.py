@@ -188,25 +188,10 @@ def hd95(a, b, spacing: Spacing) -> float:
     return max(percentile(d_ab, 95.0), percentile(d_ba, 95.0))
 
 
-def evaluate_case(
-    ref: LabelVolume,
-    pred: LabelVolume,
-    policy: SpecialCasePolicy = DEFAULT_POLICY,
-) -> tuple[MetricRecord, MetricRecord, MetricRecord]:
-    """Score a prediction against its reference on WT, TC and ET.
+def check_pair(ref: LabelVolume, pred: LabelVolume) -> None:
+    """Raise :class:`ValidationError` unless two volumes can be compared.
 
-    Per region: if both masks are empty the policy's perfect pair is
-    recorded; if exactly one side is empty the worst pair is recorded,
-    tagged with which side was empty; otherwise Dice and HD95 are computed
-    from the masks.
-
-    Args:
-        ref: reference segmentation.
-        pred: predicted segmentation; shape, spacing and coding must match.
-        policy: substitute scores for empty-region cases.
-
-    Returns:
-        Three :class:`MetricRecord` in canonical region order (WT, TC, ET).
+    They must share shape, spacing and label coding.
     """
     if ref.shape != pred.shape:
         raise ValidationError(
@@ -220,41 +205,79 @@ def evaluate_case(
     if ref.coding != pred.coding:
         raise ValidationError("reference and prediction use different label codings")
 
+
+def empty_region_record(
+    name: str, ref_empty: bool, pred_empty: bool, policy: SpecialCasePolicy
+) -> MetricRecord | None:
+    """The policy's record for a region that is empty on either side.
+
+    Both empty scores the perfect pair; exactly one side empty scores the
+    worst pair, tagged with which side was empty.  Returns None when both
+    sides are nonempty, so the region needs Dice and HD95.
+    """
+    if ref_empty and pred_empty:
+        return MetricRecord(
+            name, policy.perfect_dice, policy.perfect_hd95, SpecialCase.BOTH_EMPTY
+        )
+    if ref_empty:
+        return MetricRecord(
+            name, policy.worst_dice, policy.worst_hd95, SpecialCase.REF_EMPTY_PRED_NONEMPTY
+        )
+    if pred_empty:
+        return MetricRecord(
+            name, policy.worst_dice, policy.worst_hd95, SpecialCase.REF_NONEMPTY_PRED_EMPTY
+        )
+    return None
+
+
+def score_region(
+    name: str,
+    mask_ref: np.ndarray,
+    mask_pred: np.ndarray,
+    spacing: Spacing,
+    policy: SpecialCasePolicy = DEFAULT_POLICY,
+) -> MetricRecord:
+    """Score one region of one case: the empty-region rule, else Dice and HD95."""
+    record = empty_region_record(name, not mask_ref.any(), not mask_pred.any(), policy)
+    if record is not None:
+        return record
+    return MetricRecord(
+        name,
+        dice(mask_ref, mask_pred),
+        hd95(mask_ref, mask_pred, spacing),
+        SpecialCase.NONE,
+    )
+
+
+def evaluate_case(
+    ref: LabelVolume,
+    pred: LabelVolume,
+    policy: SpecialCasePolicy = DEFAULT_POLICY,
+) -> tuple[MetricRecord, MetricRecord, MetricRecord]:
+    """Score a prediction against its reference on WT, TC and ET.
+
+    Each region is scored by :func:`score_region`: if both masks are empty
+    the policy's perfect pair is recorded; if exactly one side is empty the
+    worst pair is recorded, tagged with which side was empty; otherwise
+    Dice and HD95 are computed from the masks.
+
+    Args:
+        ref: reference segmentation.
+        pred: predicted segmentation; shape, spacing and coding must match.
+        policy: substitute scores for empty-region cases.
+
+    Returns:
+        Three :class:`MetricRecord` in canonical region order (WT, TC, ET).
+    """
+    check_pair(ref, pred)
     ref_regions = labels_to_regions(ref)
     pred_regions = labels_to_regions(pred)
-    records = []
-    for name in REGIONS:
-        mask_ref = ref_regions.region(name)
-        mask_pred = pred_regions.region(name)
-        ref_empty = not mask_ref.any()
-        pred_empty = not mask_pred.any()
-        if ref_empty and pred_empty:
-            rec = MetricRecord(
-                name, policy.perfect_dice, policy.perfect_hd95, SpecialCase.BOTH_EMPTY
-            )
-        elif ref_empty:
-            rec = MetricRecord(
-                name,
-                policy.worst_dice,
-                policy.worst_hd95,
-                SpecialCase.REF_EMPTY_PRED_NONEMPTY,
-            )
-        elif pred_empty:
-            rec = MetricRecord(
-                name,
-                policy.worst_dice,
-                policy.worst_hd95,
-                SpecialCase.REF_NONEMPTY_PRED_EMPTY,
-            )
-        else:
-            rec = MetricRecord(
-                name,
-                dice(mask_ref, mask_pred),
-                hd95(mask_ref, mask_pred, ref.spacing),
-                SpecialCase.NONE,
-            )
-        records.append(rec)
-    return tuple(records)  # type: ignore[return-value]
+    return tuple(  # type: ignore[return-value]
+        score_region(
+            name, ref_regions.region(name), pred_regions.region(name), ref.spacing, policy
+        )
+        for name in REGIONS
+    )
 
 
 def soft_dice(probs, refs, mode: str = "sample", smooth: float = 1e-5) -> float:

@@ -15,13 +15,20 @@ pseudo-algorithm; callers pick whichever suits their deployment.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import DEFAULT_POLICY, SpecialCasePolicy, evaluate_case
+from .metrics import (
+    DEFAULT_POLICY,
+    SpecialCasePolicy,
+    check_pair,
+    empty_region_record,
+    score_region,
+)
 from .ranking import MetricTable, brats_ranking
 from .volume import LabelVolume, _freeze, region_volume_mm3
 
@@ -29,7 +36,28 @@ from .volume import LabelVolume, _freeze, region_volume_mm3
 #: sweep contains a threshold just above every achievable removal pattern.
 DEFAULT_EPSILON_MM3 = 0.5
 
-_ET_INDEX = 2  # position of ET in canonical region order
+
+def validate_threshold(threshold_mm3) -> float:
+    """Return a removal threshold as a float; it must be finite and nonnegative."""
+    threshold_mm3 = float(threshold_mm3)
+    if not (math.isfinite(threshold_mm3) and threshold_mm3 >= 0.0):
+        raise ValidationError(
+            f"threshold must be a finite nonnegative number of mm^3, got {threshold_mm3}"
+        )
+    return threshold_mm3
+
+
+def _removed(volume_mm3, threshold_mm3):
+    """Whether a predicted ET volume is removed at a threshold: 0 < volume < t.
+
+    The comparison is strict, so a threshold of 0 removes nothing and a
+    prediction without ET has nothing to remove.  Elementwise on arrays.
+    """
+    return (0.0 < volume_mm3) & (volume_mm3 < threshold_mm3)
+
+
+def _et_mask(volume: LabelVolume) -> np.ndarray:
+    return volume.data == volume.coding.enhancing
 
 
 def apply_et_threshold(pred: LabelVolume, threshold_mm3: float) -> LabelVolume:
@@ -37,21 +65,18 @@ def apply_et_threshold(pred: LabelVolume, threshold_mm3: float) -> LabelVolume:
 
     Args:
         pred: predicted segmentation.
-        threshold_mm3: nonnegative volume threshold in cubic millimetres.
-            The comparison is strict, so 0 never removes anything.
+        threshold_mm3: finite nonnegative volume threshold in cubic
+            millimetres.  The comparison is strict, so 0 never removes
+            anything.
 
     Returns:
         ``pred`` itself when the enhancing volume reaches the threshold
         (or there is nothing to remove); otherwise a new volume with every
         enhancing voxel relabelled to the necrosis code.
     """
-    threshold_mm3 = float(threshold_mm3)
-    if threshold_mm3 < 0.0:
-        raise ValidationError(f"threshold must be nonnegative, got {threshold_mm3}")
-    et = pred.data == pred.coding.enhancing
-    if not et.any():
-        return pred
-    if region_volume_mm3(et, pred.spacing) >= threshold_mm3:
+    threshold_mm3 = validate_threshold(threshold_mm3)
+    et = _et_mask(pred)
+    if not _removed(region_volume_mm3(et, pred.spacing), threshold_mm3):
         return pred
     relabeled = pred.data.copy()
     relabeled[et] = pred.coding.necrosis
@@ -123,6 +148,14 @@ class ThresholdChoice:
         )
 
 
+def _candidate_grid(volumes: Iterable[float], epsilon_mm3: float) -> tuple[float, ...]:
+    values = {0.0}
+    for volume in volumes:
+        values.add(volume)
+        values.add(volume + float(epsilon_mm3))
+    return tuple(sorted(values))
+
+
 def default_candidates(
     cases: Sequence[tuple[LabelVolume, LabelVolume]],
     epsilon_mm3: float = DEFAULT_EPSILON_MM3,
@@ -133,17 +166,27 @@ def default_candidates(
     and each such volume plus ``epsilon_mm3`` (just above it, so the
     corresponding prediction gets removed).
     """
-    values = {0.0}
-    for _, pred in cases:
-        et = pred.data == pred.coding.enhancing
-        volume = region_volume_mm3(et, pred.spacing)
-        values.add(volume)
-        values.add(volume + float(epsilon_mm3))
-    return tuple(sorted(values))
+    return _candidate_grid(
+        (region_volume_mm3(_et_mask(pred), pred.spacing) for _, pred in cases), epsilon_mm3
+    )
+
+
+def _et_outcomes(
+    ref: LabelVolume, pred: LabelVolume, policy: SpecialCasePolicy
+) -> tuple[float, float, float, float, float]:
+    """One case reduced to what a sweep needs: the predicted ET volume, then
+    the ET (Dice, HD95) when that ET is kept and when it is removed."""
+    check_pair(ref, pred)
+    et_ref = _et_mask(ref)
+    et_pred = _et_mask(pred)
+    kept = score_region("ET", et_ref, et_pred, ref.spacing, policy)
+    removed = empty_region_record("ET", not et_ref.any(), True, policy)
+    volume = region_volume_mm3(et_pred, pred.spacing)
+    return volume, kept.dice, kept.hd95, removed.dice, removed.hd95
 
 
 def sweep_thresholds(
-    cases: Sequence[tuple[LabelVolume, LabelVolume]],
+    cases: Iterable[tuple[LabelVolume, LabelVolume]],
     candidates: Sequence[float] | None = None,
     policy: SpecialCasePolicy = DEFAULT_POLICY,
 ) -> ThresholdSweepResult:
@@ -155,44 +198,43 @@ def sweep_thresholds(
     pseudo-algorithm on the ET columns only, yielding a ranking score per
     candidate.
 
+    A threshold changes only the ET of a prediction, and only between two
+    outcomes: kept as predicted or removed entirely.  So each pair is read
+    once and scored once, on ET only, and every candidate picks one of the
+    two outcomes per case.
+
     Args:
-        cases: (reference, prediction) pairs.
-        candidates: explicit threshold grid; deduplicated and sorted.
-            Defaults to :func:`default_candidates` over the dataset.
+        cases: (reference, prediction) pairs, any iterable; consumed once,
+            so a generator keeps only one pair in memory.
+        candidates: explicit threshold grid of finite nonnegative values;
+            deduplicated and sorted.  Defaults to
+            :func:`default_candidates` over the dataset.
         policy: empty-region scoring policy, also defines the perfect and
             worst score pairs being counted.
 
     Returns:
         A :class:`ThresholdSweepResult` aligned with the sorted candidates.
     """
-    cases = list(cases)
-    if not cases:
-        raise ValidationError("sweep needs at least one (reference, prediction) pair")
-    if candidates is None:
-        grid = default_candidates(cases)
-    else:
-        grid = tuple(sorted({float(c) for c in candidates}))
+    grid = None
+    if candidates is not None:
+        grid = tuple(sorted({validate_threshold(c) for c in candidates}))
         if not grid:
             raise ValidationError("candidate list must be nonempty")
+    outcomes = [_et_outcomes(ref, pred, policy) for ref, pred in cases]
+    if not outcomes:
+        raise ValidationError("sweep needs at least one (reference, prediction) pair")
+    volumes, kept_dice, kept_hd, removed_dice, removed_hd = np.array(outcomes).T
+    if grid is None:
+        grid = _candidate_grid(volumes.tolist(), DEFAULT_EPSILON_MM3)
 
-    n_cases = len(cases)
-    dice = np.empty((len(grid), n_cases, 1))
-    hd = np.empty((len(grid), n_cases, 1))
-    perfect = np.zeros(len(grid), dtype=np.int64)
-    worst = np.zeros(len(grid), dtype=np.int64)
-    perfect_pair = (policy.perfect_dice, policy.perfect_hd95)
-    worst_pair = (policy.worst_dice, policy.worst_hd95)
-    for i, threshold in enumerate(grid):
-        for j, (ref, pred) in enumerate(cases):
-            records = evaluate_case(ref, apply_et_threshold(pred, threshold), policy)
-            et = records[_ET_INDEX]
-            dice[i, j, 0] = et.dice
-            hd[i, j, 0] = et.hd95
-            if (et.dice, et.hd95) == perfect_pair:
-                perfect[i] += 1
-            elif (et.dice, et.hd95) == worst_pair:
-                worst[i] += 1
+    # (T, M): whether candidate i removes the ET of case j.
+    gone = _removed(volumes[None, :], np.asarray(grid)[:, None])
+    dice = np.where(gone, removed_dice, kept_dice)[:, :, None]
+    hd = np.where(gone, removed_hd, kept_hd)[:, :, None]
+    is_perfect = (dice == policy.perfect_dice) & (hd == policy.perfect_hd95)
+    is_worst = ~is_perfect & (dice == policy.worst_dice) & (hd == policy.worst_hd95)
 
+    n_cases = len(outcomes)
     pool = MetricTable(
         algorithms=tuple(repr(t) for t in grid),
         cases=tuple(f"case{j}" for j in range(n_cases)),
@@ -204,8 +246,8 @@ def sweep_thresholds(
     return ThresholdSweepResult(
         thresholds=grid,
         mean_et_dice=dice[:, :, 0].mean(axis=1),
-        perfect_counts=perfect,
-        worst_counts=worst,
+        perfect_counts=is_perfect.sum(axis=(1, 2)),
+        worst_counts=is_worst.sum(axis=(1, 2)),
         ranking_scores=scores,
         n_cases=n_cases,
     )

@@ -3,8 +3,9 @@
 Each oracle deliberately takes a different route from the library code:
 surfaces via padded shifts instead of erosion, distances via exhaustive
 pairwise computation instead of a distance transform, percentiles by hand
-instead of numpy, ranks via scipy.stats.rankdata, and the challenge
-ranking and jackknife as plain loops over columns, pools and pairs.
+instead of numpy, ranks via scipy.stats.rankdata, the challenge
+ranking and jackknife as plain loops over columns, pools and pairs, and
+the threshold sweep by applying and rescoring every candidate on every case.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
+
+from voxeval import DEFAULT_POLICY, apply_et_threshold, evaluate_case
 
 
 def dice_oracle(a, b) -> float:
@@ -136,4 +139,35 @@ def jackknife_oracle(algorithms, dice, hd95) -> dict:
         "leave_one_out": scores,
         "flips": flips,
         "rank_ranges": {alg: (min(p), max(p)) for alg, p in positions.items()},
+    }
+
+
+def sweep_oracle(cases, candidates, policy=DEFAULT_POLICY) -> dict:
+    """A threshold sweep by brute force: every candidate on every case.
+
+    Each prediction is cleaned with ``apply_et_threshold`` and fully
+    rescored with ``evaluate_case``; the ET record is counted as perfect
+    before it is counted as worst, and the pool is ranked with
+    ``brats_ranking_oracle``.
+    """
+    thresholds = sorted(set(float(t) for t in candidates))
+    dice = np.empty((len(thresholds), len(cases), 1))
+    hd95 = np.empty_like(dice)
+    perfect = [0] * len(thresholds)
+    worst = [0] * len(thresholds)
+    for i, threshold in enumerate(thresholds):
+        for j, (ref, pred) in enumerate(cases):
+            et = evaluate_case(ref, apply_et_threshold(pred, threshold), policy)[2]
+            dice[i, j, 0] = et.dice
+            hd95[i, j, 0] = et.hd95
+            if (et.dice, et.hd95) == (policy.perfect_dice, policy.perfect_hd95):
+                perfect[i] += 1
+            elif (et.dice, et.hd95) == (policy.worst_dice, policy.worst_hd95):
+                worst[i] += 1
+    return {
+        "thresholds": tuple(thresholds),
+        "mean_et_dice": [float(np.mean(dice[i, :, 0])) for i in range(len(thresholds))],
+        "perfect_counts": perfect,
+        "worst_counts": worst,
+        "ranking_scores": brats_ranking_oracle(dice, hd95)[1],
     }

@@ -359,6 +359,79 @@ def test_apply_postprocess_writes_cleaned_volumes(tmp_path):
     assert np.count_nonzero(cleaned.data == 1) == 3  # relabelled, not erased
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "-1"])
+def test_apply_postprocess_rejects_bad_threshold(tmp_path, capsys, bad):
+    manifest = false_positive_manifest(tmp_path)
+    out_dir = tmp_path / "cleaned"
+    argv = ["apply-postprocess", "--manifest", str(manifest), "--out-dir", str(out_dir)]
+    code = main(argv + [f"--threshold-mm3={bad}"])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert "finite nonnegative" in json.loads(lines[0])["error"]["message"]
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("bad", ["nan,1", "0,inf", "-1,2", "1e400"])
+def test_optimize_postprocess_rejects_bad_candidates(tmp_path, capsys, bad):
+    manifest = false_positive_manifest(tmp_path)
+    sweep = tmp_path / "sweep.csv"
+    choice = tmp_path / "choice.json"
+    code = main(
+        [
+            "optimize-postprocess",
+            "--manifest",
+            str(manifest),
+            f"--candidates={bad}",
+            "--out-sweep",
+            str(sweep),
+            "--out-choice",
+            str(choice),
+        ]
+    )
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert "finite nonnegative" in message and "case" not in message
+    assert not sweep.exists() and not choice.exists()
+
+
+@pytest.mark.parametrize("mismatch", ["shape", "spacing", "label"])
+def test_optimize_postprocess_errors_name_case_and_both_files(tmp_path, capsys, mismatch):
+    good = write_case(tmp_path, "good", nested_labels())
+    ref = write_case(tmp_path, "ref", nested_labels())
+    if mismatch == "shape":
+        pred = write_case(tmp_path, "pred", nested_labels((5, 6, 6)))
+    elif mismatch == "spacing":
+        pred = write_case(tmp_path, "pred", nested_labels(), spacing=Spacing(2.0, 1.0, 1.0))
+    else:
+        data = nested_labels()
+        data[data == 4] = 3
+        pred = write_case(tmp_path, "pred", data, coding=LabelCoding(enhancing=3))
+    rows = [["case1", good.name, good.name], ["case7", ref.name, pred.name]]
+    manifest = write_manifest(tmp_path / "m.csv", rows)
+    sweep = tmp_path / "sweep.csv"
+    code = main(
+        [
+            "optimize-postprocess",
+            "--manifest",
+            str(manifest),
+            "--out-sweep",
+            str(sweep),
+            "--out-choice",
+            str(tmp_path / "choice.json"),
+        ]
+    )
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert message.startswith(f"case 'case7' (reference {ref}, prediction {pred}): ")
+    assert mismatch in message
+    assert not sweep.exists()
+
+
 # --------------------------------------------------------------------------
 # ensemble
 

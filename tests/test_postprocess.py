@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from voxeval import (
+    DEFAULT_POLICY,
     LabelVolume,
     Spacing,
+    SpecialCasePolicy,
     ValidationError,
     apply_et_threshold,
     brats_ranking,
@@ -14,8 +16,10 @@ from voxeval import (
     region_volume_mm3,
     sweep_thresholds,
 )
+from voxeval import metrics
 from voxeval.ranking import MetricTable
 from helpers import label_volume_from_masks, random_label_volume
+from oracles import sweep_oracle
 
 
 def volume_with_et_voxels(n_voxels, shape=(8, 8, 8), spacing=Spacing()):
@@ -240,3 +244,131 @@ def test_default_candidate_sweep_realizes_best_grid():
     for volume in volumes:
         assert volume in sweep.thresholds
         assert volume + 0.5 in sweep.thresholds
+
+
+# -- the sweep against the brute-force oracle --------------------------------------
+
+
+def without_et(vol):
+    data = vol.data.copy()
+    data[data == vol.coding.enhancing] = vol.coding.necrosis
+    return LabelVolume(data, vol.spacing, vol.coding)
+
+
+def sweep_cohort(rng, n_cases, shape=(7, 7, 7)):
+    """Random cases with every ET pattern, two of them with equal ET volume.
+
+    Case j % 4 == 1 has no reference ET, 2 no predicted ET, 3 neither; the
+    last case shifts the first prediction, so its ET volume is the same.
+    """
+    weights = (0.8, 0.07, 0.07, 0.06)
+    cases = []
+    for j in range(n_cases - 1):
+        spacing = Spacing(*rng.uniform(0.5, 2.0, 3))
+        ref = random_label_volume(rng, shape, spacing=spacing, weights=weights)
+        pred = random_label_volume(rng, shape, spacing=spacing, weights=weights)
+        if j % 4 in (1, 3):
+            ref = without_et(ref)
+        if j % 4 in (2, 3):
+            pred = without_et(pred)
+        cases.append((ref, pred))
+    ref0, pred0 = cases[0]
+    shifted = LabelVolume(np.roll(pred0.data, 1, axis=0), pred0.spacing)
+    cases.append((random_label_volume(rng, shape, spacing=ref0.spacing, weights=weights), shifted))
+    return cases
+
+
+def explicit_candidates(rng, cases):
+    """Every volume exactly (the strict-< edge), points between, 0 and a large
+    value, shuffled and with duplicates."""
+    volumes = [et_volume_of(pred) for _, pred in cases]
+    grid = volumes + [v + 0.25 for v in volumes] + [0.0, 1e6] + volumes[:3]
+    return [grid[i] for i in rng.permutation(len(grid))]
+
+
+def assert_matches_oracle(sweep, expected):
+    assert sweep.thresholds == expected["thresholds"]
+    assert np.array_equal(sweep.mean_et_dice, expected["mean_et_dice"])
+    assert np.array_equal(sweep.perfect_counts, expected["perfect_counts"])
+    assert np.array_equal(sweep.worst_counts, expected["worst_counts"])
+    assert np.array_equal(sweep.ranking_scores, expected["ranking_scores"])
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        DEFAULT_POLICY,
+        SpecialCasePolicy(worst_hd95=50.0, worst_dice=0.25),
+        # perfect pair == worst pair: the perfect count takes precedence
+        SpecialCasePolicy(worst_hd95=0.0, worst_dice=1.0),
+    ],
+    ids=["default", "custom", "perfect_is_worst"],
+)
+def test_sweep_matches_oracle_on_random_cohorts(policy):
+    rng = np.random.default_rng(75)
+    for trial in range(6):
+        cases = sweep_cohort(rng, n_cases=5 + trial)
+        # the precedence case also needs a computed (1, 0) record
+        cases.append((cases[0][0], cases[0][0]))
+        volumes = [et_volume_of(pred) for _, pred in cases]
+        assert volumes[0] == volumes[-2] > 0 and 0.0 in volumes
+        candidates = explicit_candidates(rng, cases)
+        assert_matches_oracle(
+            sweep_thresholds(iter(cases), candidates, policy),
+            sweep_oracle(cases, candidates, policy),
+        )
+        assert_matches_oracle(
+            sweep_thresholds(cases, None, policy),
+            sweep_oracle(cases, default_candidates(cases), policy),
+        )
+    if policy.worst_dice == policy.perfect_dice and policy.worst_hd95 == policy.perfect_hd95:
+        assert not sweep_thresholds(cases, None, policy).worst_counts.any()
+
+
+def test_sweep_consumes_a_generator_once():
+    rng = np.random.default_rng(76)
+    cases = sweep_cohort(rng, n_cases=6)
+    yielded = []
+
+    def pairs():
+        for pair in cases:
+            yielded.append(pair)
+            yield pair
+
+    candidates = explicit_candidates(rng, cases)
+    assert_matches_oracle(sweep_thresholds(pairs(), candidates), sweep_oracle(cases, candidates))
+    assert len(yielded) == len(cases)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("inf"), -float("inf")])
+def test_non_finite_or_negative_thresholds_rejected(bad):
+    with pytest.raises(ValidationError, match="finite nonnegative"):
+        apply_et_threshold(volume_with_et_voxels(1), bad)
+    with pytest.raises(ValidationError, match="finite nonnegative"):
+        sweep_thresholds(fp_fixture_cases(), candidates=[0.0, bad])
+
+
+def test_sweep_computes_distances_once_per_case_with_et_on_both_sides(monkeypatch):
+    rng = np.random.default_rng(77)
+    # every prediction has ET, of distinct volumes, so the default grid has
+    # 2M + 1 candidates; every third reference has none
+    cases = [
+        (without_et(ref) if j % 3 == 1 else ref, pred)
+        for j, (ref, pred) in enumerate(sweep_cohort(rng, n_cases=12))
+        if j % 4 in (0, 1)
+    ]
+    both = sum(1 for ref, _ in cases if labels_to_regions(ref).et.any())
+    assert 0 < both < len(cases)
+    calls = []
+    original = metrics.surface_distances
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(metrics, "surface_distances", counting)
+    one = sweep_thresholds(cases, candidates=[5.0])
+    assert len(one.thresholds) == 1 and len(calls) == both
+    calls.clear()
+    full = sweep_thresholds(cases)
+    assert len(full.thresholds) == 2 * len(cases) + 1 and len(calls) == both
