@@ -393,7 +393,7 @@ def _cmd_optimize_postprocess(args) -> int:
     config = load_config(args.config)
     manifest = parse_manifest(args.manifest)
     candidates = None
-    if args.candidates:
+    if args.candidates is not None:
         try:
             candidates = [float(c) for c in args.candidates.split(",") if c.strip()]
         except ValueError:

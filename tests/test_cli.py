@@ -372,8 +372,17 @@ def test_apply_postprocess_rejects_bad_threshold(tmp_path, capsys, bad):
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("bad", ["nan,1", "0,inf", "-1,2", "1e400"])
-def test_optimize_postprocess_rejects_bad_candidates(tmp_path, capsys, bad):
+@pytest.mark.parametrize(
+    "bad, reason",
+    [
+        ("nan,1", "finite nonnegative"),
+        ("0,inf", "finite nonnegative"),
+        ("-1,2", "finite nonnegative"),
+        ("1e400", "finite nonnegative"),
+        ("", "produced no values"),
+    ],
+)
+def test_optimize_postprocess_rejects_bad_candidates(tmp_path, capsys, bad, reason):
     manifest = false_positive_manifest(tmp_path)
     sweep = tmp_path / "sweep.csv"
     choice = tmp_path / "choice.json"
@@ -393,7 +402,7 @@ def test_optimize_postprocess_rejects_bad_candidates(tmp_path, capsys, bad):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
-    assert "finite nonnegative" in message and "case" not in message
+    assert reason in message and "case" not in message
     assert not sweep.exists() and not choice.exists()
 
 
