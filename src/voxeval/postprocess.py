@@ -192,8 +192,8 @@ def sweep_thresholds(
 ) -> ThresholdSweepResult:
     """Evaluate every candidate threshold over a labelled dataset.
 
-    Each candidate is applied to every prediction and the cases are
-    rescored.  Besides per-candidate mean ET Dice and counts of perfect
+    The result is as if each candidate were applied to every prediction
+    and the cases rescored.  Besides per-candidate mean ET Dice and counts of perfect
     and worst ET scores, each candidate is ranked against the others as a
     pseudo-algorithm on the ET columns only, yielding a ranking score per
     candidate.
