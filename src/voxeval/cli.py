@@ -268,7 +268,7 @@ def evaluate_manifest(
 ) -> list[tuple[str, list[tuple[str, float, float, str]]]]:
     """Score every manifest row, optionally across worker processes.
 
-    Results keep manifest order no matter how many jobs run.
+    Results keep manifest order; at most one worker per case is started.
     """
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
@@ -276,11 +276,12 @@ def evaluate_manifest(
         (row.case_id, str(row.reference_path), str(row.prediction_path), config.coding, config.policy)
         for row in manifest.rows
     ]
-    if jobs == 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         results = [_evaluate_row(task) for task in tasks]
     else:
         try:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 results = list(pool.map(_evaluate_row, tasks))
         except BrokenProcessPool as exc:
             raise OSError(f"evaluate: a worker process died ({exc})") from None
@@ -320,9 +321,15 @@ def _summary_rows(results) -> tuple[list[str], list[list[str]]]:
 def _record(where: str, region, dice, hd95, special) -> MetricRecord:
     """Build one region's record from values read from a file; errors name ``where``."""
     try:
-        return MetricRecord(region, float(dice), float(hd95), SpecialCase(special))
-    except (TypeError, ValueError) as exc:
+        record = MetricRecord(region, float(dice), float(hd95), SpecialCase(special))
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
+    if not (0.0 <= record.dice <= 1.0 and 0.0 <= record.hd95 < float("inf")):
+        raise ValidationError(
+            f"{where}: {region} needs dice in [0, 1] and a finite nonnegative hd95, "
+            f"got dice {record.dice!r}, hd95 {record.hd95!r}"
+        )
+    return record
 
 
 def read_metrics_csv(path) -> dict[str, list[MetricRecord]]:
@@ -534,18 +541,14 @@ def _cmd_stability(args) -> int:
 
 def _timestamp() -> str:
     epoch = os.environ.get("SOURCE_DATE_EPOCH")
-    if epoch is not None:
-        try:
-            seconds = int(epoch)
-        except ValueError:
-            raise ValidationError(
-                f"SOURCE_DATE_EPOCH must be an integer, got {epoch!r}"
-            )
-    else:
-        seconds = int(time.time())
-    return datetime.fromtimestamp(seconds, tz=timezone.utc).strftime(
-        "%Y-%m-%dT%H:%M:%SZ"
-    )
+    try:
+        seconds = int(time.time()) if epoch is None else int(epoch)
+        moment = datetime.fromtimestamp(seconds, tz=timezone.utc)
+    except (ValueError, OverflowError, OSError):
+        raise ValidationError(
+            f"SOURCE_DATE_EPOCH must be an integer timestamp in years 1-9999, got {epoch!r}"
+        ) from None
+    return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _load_store(path: Path) -> tuple[dict, dict[str, dict[str, list[MetricRecord]]]]:
@@ -584,8 +587,9 @@ def _load_store(path: Path) -> tuple[dict, dict[str, dict[str, list[MetricRecord
                 at = f"{where} case {case_id}"
                 per_case[case_id] = []
                 for region, entry in regions.items():
+                    # type() rather than isinstance(): JSON true/false are not scores.
                     if not isinstance(entry, dict) or not all(
-                        isinstance(entry.get(key), (int, float)) for key in ("dice", "hd95")
+                        type(entry.get(key)) in (int, float) for key in ("dice", "hd95")
                     ):
                         raise ValidationError(f"{at}: region {region!r} needs numeric dice and hd95")
                     special = entry.get("special_case", "none")

@@ -170,11 +170,6 @@ class RegionMaskSet:
         except KeyError:
             raise ValidationError(f"unknown region {name!r}, expected one of {REGIONS}")
 
-    def iter_regions(self):
-        """Yield ``(name, mask)`` pairs in canonical region order."""
-        for name in REGIONS:
-            yield name, self.region(name)
-
 
 @dataclass(frozen=True, eq=False)
 class RegionProbSet:

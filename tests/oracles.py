@@ -102,7 +102,7 @@ def brats_ranking_oracle(dice, hd95) -> tuple[list[float], list[float]]:
 
 
 def jackknife_oracle(algorithms, dice, hd95) -> dict:
-    """Leave-one-out scores, flips and position ranges by brute force.
+    """Leave-one-out mean ranks and scores, flips and position ranges by brute force.
 
     Each pool without one algorithm is re-ranked with
     ``brats_ranking_oracle``; every pair (a, b), a listed before b, is
@@ -119,13 +119,14 @@ def jackknife_oracle(algorithms, dice, hd95) -> dict:
         return "tied"
 
     full = dict(zip(algorithms, brats_ranking_oracle(dice, hd95)[1]))
+    mean_ranks: dict[str, list[float]] = {}
     scores: dict[str, list[float]] = {}
     flips: list[tuple[str, str, str, str, str]] = []
     positions: dict[str, list[float]] = {alg: [] for alg in algorithms}
     for r, removed in enumerate(algorithms):
         rows = [i for i in range(len(algorithms)) if i != r]
         pool = [algorithms[i] for i in rows]
-        scores[removed] = brats_ranking_oracle(dice[rows], hd95[rows])[1]
+        mean_ranks[removed], scores[removed] = brats_ranking_oracle(dice[rows], hd95[rows])
         sub = dict(zip(pool, scores[removed]))
         for alg, position in zip(pool, rank_oracle(scores[removed], "lower_better")):
             positions[alg].append(float(position))
@@ -137,6 +138,7 @@ def jackknife_oracle(algorithms, dice, hd95) -> dict:
                     flips.append((removed, a, b, before, after))
     return {
         "leave_one_out": scores,
+        "leave_one_out_mean_rank": mean_ranks,
         "flips": flips,
         "rank_ranges": {alg: (min(p), max(p)) for alg, p in positions.items()},
     }

@@ -219,6 +219,34 @@ def test_evaluate_worker_crash_exits_five(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_evaluate_starts_at_most_one_worker_per_case(tmp_path, monkeypatch):
+    recorded = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records max_workers, starts nothing."""
+
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(voxeval.cli, "ProcessPoolExecutor", RecordingPool)
+    out = tmp_path / "metrics.csv"
+    manifest = perfect_manifest(tmp_path)
+    assert main(["evaluate", "--manifest", str(manifest), "--out-metrics", str(out), "--jobs", "64"]) == 0
+    assert recorded == [2]
+    single = write_manifest(tmp_path / "one.csv", [["c1", "c1_ref.nii", "c1_pred.nii"]])
+    assert main(["evaluate", "--manifest", str(single), "--out-metrics", str(out), "--jobs", "64"]) == 0
+    assert recorded == [2]  # one case runs serially
+
+
 @pytest.mark.parametrize("mismatch", ["shape", "spacing", "label"])
 def test_evaluate_errors_name_case_and_both_files(tmp_path, capsys, mismatch):
     ref = write_case(tmp_path, "ref", nested_labels())
@@ -522,7 +550,7 @@ def test_stability_reports_flips(tmp_path):
 # leaderboard store
 
 
-def test_leaderboard_add_and_recompute(tmp_path, monkeypatch):
+def test_leaderboard_add_and_recompute(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
     strong, weak = dominance_metrics(tmp_path)
     store = tmp_path / "store.json"
@@ -538,6 +566,15 @@ def test_leaderboard_add_and_recompute(tmp_path, monkeypatch):
     before = store.read_bytes()
     assert main(["leaderboard", "recompute", "--store", str(store)]) == 0
     assert store.read_bytes() == before
+
+    capsys.readouterr()
+    for epoch in ("253402300800", "-62135596801", "soon"):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        assert main(["leaderboard", "add", "--store", str(store), "--metrics", str(weak), "--algorithm", "C"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert "SOURCE_DATE_EPOCH" in json.loads(lines[0])["error"]["message"]
+        assert store.read_bytes() == before
 
 
 def test_leaderboard_add_is_deterministic(tmp_path, monkeypatch):
@@ -609,8 +646,8 @@ def test_leaderboard_malformed_store_is_format_error(tmp_path, capsys, action, d
     assert store.read_bytes() == before
 
 
-def store_submission(algorithm_id, regions=("WT", "TC", "ET")):
-    scores = {region: {"dice": 1.0, "hd95": 0.0} for region in regions}
+def store_submission(algorithm_id, regions=("WT", "TC", "ET"), dice=1.0, hd95=0.0):
+    scores = {region: {"dice": dice, "hd95": hd95} for region in regions}
     return {"algorithm_id": algorithm_id, "metrics": {"c1": scores, "c2": scores}}
 
 
@@ -620,8 +657,26 @@ def store_submission(algorithm_id, regions=("WT", "TC", "ET")):
     [
         ([store_submission("A"), store_submission("A")], "submission 1: duplicate algorithm_id 'A'"),
         ([store_submission("A", ("WT", "TC", "XX"))], "submission 0 case c1: unknown region 'XX'"),
+        ([store_submission("A", dice=5)], "submission 0 case c1: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 5.0, hd95 0.0"),
+        ([store_submission("A", dice=True)], "submission 0 case c1: region 'WT' needs numeric dice and hd95"),
+        ([store_submission("A", hd95=False)], "submission 0 case c1: region 'WT' needs numeric dice and hd95"),
+        (
+            [store_submission("A"), store_submission("B", hd95=float("nan"))],
+            "submission 1 case c1: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.0, hd95 nan",
+        ),
+        ([store_submission("A", hd95=-2.5)], "submission 0 case c1: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.0, hd95 -2.5"),
+        ([store_submission("A", dice=10**400)], "submission 0 case c1: int too large to convert to float"),
     ],
-    ids=["duplicate-algorithm-id", "unknown-region"],
+    ids=[
+        "duplicate-algorithm-id",
+        "unknown-region",
+        "dice-above-1",
+        "dice-true",
+        "hd95-false",
+        "hd95-nan",
+        "hd95-negative",
+        "dice-int-overflow",
+    ],
 )
 def test_leaderboard_store_entry_errors_name_store_and_submission(
     tmp_path, capsys, action, submissions, needle
@@ -667,6 +722,10 @@ MANIFEST_HEADER = "case_id,reference_path,prediction_path\n"
         ("rank", "case_id,region,dice,hd95\nc1,XX,1.0,0.0\n", 3, " row 2: unknown region 'XX'"),
         ("rank", "case_id,region,dice,hd95\nc1,WT,high,0.0\n", 3, " row 2: could not convert"),
         ("rank", "case_id,region,dice,hd95,special_case\nc1,WT,1.0,0.0,odd\n", 3, " row 2: 'odd'"),
+        ("rank", "case_id,region,dice,hd95\nc1,WT,nan,0.0\n", 3, " row 2: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice nan, hd95 0.0"),
+        ("rank", "case_id,region,dice,hd95\nc1,TC,1.5,0.0\n", 3, " row 2: TC needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.5, hd95 0.0"),
+        ("rank", "case_id,region,dice,hd95\nc1,ET,1.0,-1\n", 3, " row 2: ET needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.0, hd95 -1.0"),
+        ("rank", "case_id,region,dice,hd95\nc1,WT,1.0,inf\n", 3, " row 2: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.0, hd95 inf"),
         ("rank", "case_id,region,dice,hd95\nc\udcff1,WT,1.0,0.0\n", 4, "not a readable CSV file"),
     ],
     ids=[
@@ -680,6 +739,10 @@ MANIFEST_HEADER = "case_id,reference_path,prediction_path\n"
         "metrics-unknown-region",
         "metrics-text-dice",
         "metrics-unknown-special-case",
+        "metrics-nan-dice",
+        "metrics-dice-above-1",
+        "metrics-negative-hd95",
+        "metrics-infinite-hd95",
         "metrics-not-utf8",
     ],
 )
