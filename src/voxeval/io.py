@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .volume import DEFAULT_CODING, LabelCoding, LabelVolume, Spacing
+from .volume import DEFAULT_CODING, LabelCoding, LabelVolume, Spacing, _check_probabilities
 
 _HEADER_SIZE = 348
 _VOX_OFFSET = 352
@@ -227,7 +227,7 @@ def _read_rv1(path: Path) -> tuple[VolumeHeader, np.ndarray]:
             f"but file holds {len(payload)}"
         )
     data = np.frombuffer(payload, dtype=np_dtype.newbyteorder("<"))
-    data = data.reshape(dims, order="C").astype(np_dtype)
+    data = data.reshape(dims, order="C").astype(np_dtype, copy=False)
     return VolumeHeader(dims, tag, Spacing(*spacing_values)), data
 
 
@@ -331,13 +331,7 @@ def read_probability_volume(path) -> tuple[np.ndarray, Spacing]:
     """Read one probability map; values must be finite and within [0, 1]."""
     header, data = read_volume(path)
     data = data.astype(np.float64, copy=False)
-    if not np.all(np.isfinite(data)):
-        raise ValidationError(f"{path}: probability map contains non-finite values")
-    if data.size and (data.min() < 0.0 or data.max() > 1.0):
-        raise ValidationError(
-            f"{path}: probability values outside [0, 1]: "
-            f"min={float(data.min())}, max={float(data.max())}"
-        )
+    _check_probabilities(data, f"{path}: probability map")
     return data, header.spacing
 
 
@@ -350,5 +344,4 @@ def write_label_volume(path, volume: LabelVolume) -> None:
         tag = "int16"
     else:
         tag = "int32"
-    data = volume.data.astype(_DTYPES[tag][2])
-    write_volume(path, VolumeHeader(volume.shape, tag, volume.spacing), data)
+    write_volume(path, VolumeHeader(volume.shape, tag, volume.spacing), volume.data)

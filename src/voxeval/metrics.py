@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .aggregate import percentile
 from .errors import ValidationError
-from .volume import REGIONS, LabelVolume, Spacing, labels_to_regions
+from .volume import REGIONS, LabelVolume, Spacing, _region_masks
 
 # Face connectivity (6 neighbours); used to find interior voxels.
 _FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
@@ -270,13 +270,9 @@ def evaluate_case(
         Three :class:`MetricRecord` in canonical region order (WT, TC, ET).
     """
     check_pair(ref, pred)
-    ref_regions = labels_to_regions(ref)
-    pred_regions = labels_to_regions(pred)
     return tuple(  # type: ignore[return-value]
-        score_region(
-            name, ref_regions.region(name), pred_regions.region(name), ref.spacing, policy
-        )
-        for name in REGIONS
+        score_region(name, mask_ref, mask_pred, ref.spacing, policy)
+        for name, mask_ref, mask_pred in zip(REGIONS, _region_masks(ref), _region_masks(pred))
     )
 
 

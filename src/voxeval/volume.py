@@ -25,12 +25,20 @@ REGIONS = ("WT", "TC", "ET")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    """Return a C-contiguous, read-only view of ``arr``."""
-    out = np.ascontiguousarray(arr)
-    if out is arr and arr.flags.writeable:
-        out = arr.copy()
-    out.setflags(write=False)
-    return out
+    """Return ``arr`` read-only in its memory order; a writeable ``arr`` is copied."""
+    if arr.flags.writeable:
+        arr = arr.copy(order="K")
+        arr.setflags(write=False)
+    return arr
+
+
+def _check_probabilities(arr: np.ndarray, what: str) -> None:
+    """Raise unless every value of ``arr`` lies in [0, 1]; NaN fails both bounds."""
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise ValidationError(
+            f"{what} has non-finite values or values outside [0, 1]: "
+            f"min={float(arr.min())}, max={float(arr.max())}"
+        )
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class LabelCoding:
     """Integer label values used by a segmentation.
 
     Defaults follow the BraTS convention: 0 background, 1 necrotic core,
-    2 peritumoural edema, 4 enhancing tumour.
+    2 peritumoural edema, 4 enhancing tumour.  Codes lie in [0, 2**31 - 1].
     """
 
     background: int = 0
@@ -78,8 +86,8 @@ class LabelCoding:
         for code in codes:
             if not isinstance(code, (int, np.integer)) or isinstance(code, bool):
                 raise ValidationError(f"label code {code!r} is not an integer")
-            if code < 0:
-                raise ValidationError(f"label code {code} is negative")
+            if not 0 <= code <= np.iinfo(np.int32).max:
+                raise ValidationError(f"label code {code} is outside [0, 2**31 - 1]")
         if len(set(codes)) != len(codes):
             raise ValidationError(f"label codes must be distinct, got {codes}")
 
@@ -95,8 +103,9 @@ DEFAULT_CODING = LabelCoding()
 class LabelVolume:
     """A 3-D integer segmentation with spacing and label coding.
 
-    The voxel array is stored read-only; operations that change labels
-    return a new instance.
+    The voxel array is stored read-only in the caller's memory order (a
+    writeable input is copied); operations that change labels return a new
+    instance.  A code the array's dtype cannot hold never matches a voxel.
     """
 
     data: np.ndarray
@@ -111,10 +120,12 @@ class LabelVolume:
             raise ValidationError(
                 f"label volume must have an integer dtype, got {arr.dtype}"
             )
-        allowed = np.asarray(self.coding.codes, dtype=arr.dtype)
-        valid = np.isin(arr, allowed)
-        if not valid.all():
-            idx = np.argwhere(~valid)[0]
+        background, *codes = self.coding.codes
+        invalid = arr != background
+        for code in codes:
+            invalid &= arr != code
+        if invalid.any():
+            idx = np.argwhere(invalid)[0]
             value = arr[tuple(idx)]
             raise ValidationError(
                 f"label value {int(value)} at voxel {tuple(int(i) for i in idx)} "
@@ -194,13 +205,7 @@ class RegionProbSet:
                 raise ValidationError(
                     f"probability maps disagree on shape: {shape} vs {arr.shape}"
                 )
-            if arr.size and (not np.all(np.isfinite(arr))):
-                raise ValidationError(f"{name} map contains non-finite values")
-            if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-                raise ValidationError(
-                    f"{name} map has values outside [0, 1]: "
-                    f"min={float(arr.min())}, max={float(arr.max())}"
-                )
+            _check_probabilities(arr, f"{name} map")
             object.__setattr__(self, name, _freeze(arr))
 
     @property
@@ -220,12 +225,14 @@ def labels_to_regions(volume: LabelVolume) -> RegionMaskSet:
     WT collects every non-background voxel, TC necrosis plus enhancing,
     ET enhancing only.  The nesting invariant holds by construction.
     """
-    data = volume.data
-    coding = volume.coding
-    wt = data != coding.background
-    tc = (data == coding.necrosis) | (data == coding.enhancing)
+    return RegionMaskSet(*_region_masks(volume), volume.spacing)
+
+
+def _region_masks(volume: LabelVolume) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The WT, TC and ET masks of ``volume``, which nest by construction."""
+    data, coding = volume.data, volume.coding
     et = data == coding.enhancing
-    return RegionMaskSet(wt, tc, et, volume.spacing)
+    return data != coding.background, et | (data == coding.necrosis), et
 
 
 def regions_to_labels(

@@ -1,11 +1,12 @@
 """Independent reference implementations the tests check against.
 
 Each oracle deliberately takes a different route from the library code:
-surfaces via padded shifts instead of erosion, distances via exhaustive
-pairwise computation instead of a distance transform, percentiles by hand
-instead of numpy, ranks via scipy.stats.rankdata, the challenge
-ranking and jackknife as plain loops over columns, pools and pairs, and
-the threshold sweep by applying and rescoring every candidate on every case.
+label checks by set membership voxel by voxel, surfaces via padded shifts
+instead of erosion, distances via exhaustive pairwise computation instead
+of a distance transform, percentiles by hand instead of numpy, ranks via
+scipy.stats.rankdata, the challenge ranking and jackknife as plain loops
+over columns, pools and pairs, and the threshold sweep by applying and
+rescoring every candidate on every case.
 """
 
 from __future__ import annotations
@@ -17,6 +18,17 @@ from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
 from voxeval import DEFAULT_POLICY, apply_et_threshold, evaluate_case
+
+
+def label_check_oracle(data, codes):
+    """The first voxel in C index order whose value is not a code, as
+    ``(value, voxel)``, or None when every voxel holds a code."""
+    allowed = {int(code) for code in codes}
+    for voxel in np.ndindex(data.shape):
+        value = int(data[voxel])
+        if value not in allowed:
+            return value, voxel
+    return None
 
 
 def dice_oracle(a, b) -> float:

@@ -852,6 +852,7 @@ def test_config_partial_policy(tmp_path):
         {"probability_threshold": 1},
         {"probability_threshold": 5},
         {"probability_threshold": -0.1},
+        {"label_coding": {"enhancing": 2147483648}},
     ],
     ids=[
         "threshold-text",
@@ -868,6 +869,7 @@ def test_config_partial_policy(tmp_path):
         "threshold-one",
         "threshold-five",
         "threshold-negative",
+        "coding-above-int32",
     ],
 )
 def test_config_bad_values_exit_three(tmp_path, capsys, document):
@@ -974,3 +976,49 @@ def test_cli_import_does_not_load_scipy_stats():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def uint8_coding_300_setup(tmp_path):
+    """uint8 volumes under a coding whose enhancing code uint8 cannot hold."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"label_coding": {"enhancing": 300}}))
+    data = nested_labels()
+    data[data == 4] = 1
+    paths = {}
+    for name, value in (("ref", 1), ("good", 2), ("bad", 4)):
+        case = data.copy()
+        case[3, 3, 3] = value
+        paths[name] = tmp_path / f"{name}.nii"
+        write_volume(paths[name], VolumeHeader(case.shape, "uint8", Spacing()), case)
+    return config, paths
+
+
+@pytest.mark.parametrize("command", ["evaluate", "optimize-postprocess", "apply-postprocess"])
+def test_codes_beyond_the_volume_dtype_never_match(tmp_path, command):
+    config, _ = uint8_coding_300_setup(tmp_path)
+    manifest = write_manifest(tmp_path / "m.csv", [["c1", "ref.nii", "good.nii"]])
+    args = {
+        "evaluate": ["--out-metrics", str(tmp_path / "metrics.csv")],
+        "optimize-postprocess": [
+            "--candidates", "0,10",
+            "--out-sweep", str(tmp_path / "sweep.csv"),
+            "--out-choice", str(tmp_path / "choice.json"),
+        ],
+        "apply-postprocess": ["--threshold-mm3", "10", "--out-dir", str(tmp_path / "out")],
+    }[command]
+    assert main([command, "--config", str(config), "--manifest", str(manifest), *args]) == 0
+
+
+def test_evaluate_label_outside_coding_beyond_dtype_exits_three(tmp_path, capsys):
+    config, paths = uint8_coding_300_setup(tmp_path)
+    manifest = write_manifest(tmp_path / "m.csv", [["case9", "ref.nii", "bad.nii"]])
+    out = tmp_path / "metrics.csv"
+    args = ["--config", str(config), "--manifest", str(manifest), "--out-metrics", str(out)]
+    assert main(["evaluate", *args, "--jobs", "1"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert "'case9'" in message
+    assert str(paths["ref"]) in message and str(paths["bad"]) in message
+    assert "label value 4 at voxel (3, 3, 3)" in message
+    assert not out.exists()

@@ -403,3 +403,25 @@ def test_sources_write_files_only_through_write_atomic():
             if _FILE_WRITE.search(line) and number not in allowed:
                 offenders.append(f"{path.name}:{number}: {line.strip()}")
     assert offenders == []
+
+
+@pytest.mark.parametrize("dtype", ["uint8", "int32"])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".rv1"])
+def test_read_label_volume_keeps_the_reader_array(tmp_path, monkeypatch, suffix, dtype):
+    data = np.zeros((4, 5, 6), dtype=dtype)
+    data[1:3, 1:4, 2:5] = 2
+    data[2, 2, 3] = 4
+    path = tmp_path / f"seg{suffix}"
+    write_volume(path, VolumeHeader(data.shape, dtype, Spacing()), data)
+    read = []
+    real_read_volume = voxeval.io.read_volume
+
+    def spy(path):
+        header, arr = real_read_volume(path)
+        read.append(arr)
+        return header, arr
+
+    monkeypatch.setattr(voxeval.io, "read_volume", spy)
+    vol = read_label_volume(path)
+    assert np.shares_memory(vol.data, read[0])
+    assert np.array_equal(vol.data, data)

@@ -330,3 +330,19 @@ def test_soft_dice_rejects_bad_batches():
     other = [RegionMaskSet(*(np.zeros((5, 5, 5), bool),) * 3, spacing=Spacing())]
     with pytest.raises(ValidationError, match="shape"):
         soft_dice(probs, other, "sample")
+
+
+def test_evaluate_case_ignores_memory_order():
+    rng = np.random.default_rng(44)
+    spacing = Spacing(0.8, 1.0, 1.7)
+    shape = (9, 10, 11)
+    for p_et in (0.0, 0.3, 0.6):
+        ref = label_volume_from_masks(*random_nested_masks(rng, shape), spacing)
+        pred = label_volume_from_masks(*random_nested_masks(rng, shape, p_et=p_et), spacing)
+        expected = evaluate_case(ref, pred)
+        f_ref = LabelVolume(np.asfortranarray(ref.data), spacing)
+        f_pred = LabelVolume(np.asfortranarray(pred.data), spacing)
+        assert f_ref.data.flags.f_contiguous and not ref.data.flags.f_contiguous
+        assert evaluate_case(f_ref, f_pred) == expected
+        assert evaluate_case(ref, f_pred) == expected
+        assert evaluate_case(f_ref, pred) == expected

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,13 @@ from voxeval import (
     region_volume_mm3,
     regions_to_labels,
 )
-from helpers import label_volume_from_masks, random_label_volume, random_nested_masks
+from helpers import (
+    constant_probset,
+    label_volume_from_masks,
+    random_label_volume,
+    random_nested_masks,
+)
+from oracles import label_check_oracle
 
 
 def test_spacing_defaults_and_volume():
@@ -230,3 +238,78 @@ def test_label_volume_from_masks_helper_roundtrips():
     assert np.array_equal(regions.wt, wt)
     assert np.array_equal(regions.tc, tc)
     assert np.array_equal(regions.et, et)
+
+
+def test_coding_codes_are_bounded_by_int32():
+    top = np.iinfo(np.int32).max
+    coding = LabelCoding(enhancing=top)
+    labels = regions_to_labels(constant_probset((2, 2, 2), 1.0, 1.0, 1.0), coding=coding)
+    assert (labels.data == top).all()
+    with pytest.raises(ValidationError, match="outside"):
+        LabelCoding(enhancing=top + 1)
+
+
+def test_codes_the_dtype_cannot_hold_never_match():
+    coding = LabelCoding(enhancing=300)
+    data = np.zeros((3, 3, 3), dtype=np.uint8)
+    data[0, 1, 2] = 1
+    data[2, 2, 2] = 2
+    vol = LabelVolume(data, Spacing(), coding)
+    assert not labels_to_regions(vol).et.any()
+    data[1, 0, 2] = 4
+    with pytest.raises(ValidationError, match=r"label value 4 at voxel \(1, 0, 2\)"):
+        LabelVolume(data, Spacing(), coding)
+
+
+# Codings with gaps between codes, and with codes that uint8 or int16 cannot hold.
+CHECK_CODINGS = {
+    "brats": LabelCoding(),
+    "gaps": LabelCoding(background=3, necrosis=7, edema=20, enhancing=100),
+    "et-300": LabelCoding(enhancing=300),
+    "wide": LabelCoding(background=0, necrosis=1, edema=70000, enhancing=2**31 - 1),
+}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32])
+@pytest.mark.parametrize("coding", CHECK_CODINGS.values(), ids=CHECK_CODINGS.keys())
+def test_label_check_matches_set_membership_oracle(coding, dtype, order):
+    rng = np.random.default_rng(2020)
+    info = np.iinfo(dtype)
+    fitting = [code for code in coding.codes if code <= info.max]
+    outcomes = set()
+    for _ in range(30):
+        shape = tuple(int(n) for n in rng.integers(1, 6, size=3))
+        data = rng.choice(fitting, size=shape)
+        for _ in range(rng.integers(0, 3)):
+            voxel = tuple(int(rng.integers(0, n)) for n in shape)
+            data[voxel] = rng.integers(info.min, info.max, endpoint=True)
+        data = np.asarray(data, dtype=dtype, order=order)
+        expected = label_check_oracle(data, coding.codes)
+        outcomes.add(expected is None)
+        if expected is None:
+            vol = LabelVolume(data, Spacing(), coding)
+            assert np.array_equal(vol.data, data)
+            assert vol.data.flags.f_contiguous == data.flags.f_contiguous
+        else:
+            value, voxel = expected
+            message = re.escape(f"label value {value} at voxel {voxel} ")
+            with pytest.raises(ValidationError, match=message):
+                LabelVolume(data, Spacing(), coding)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_label_volume_ignores_later_writes_to_its_input(order):
+    data = np.zeros((3, 4, 5), dtype=np.uint8, order=order)
+    vol = LabelVolume(data, Spacing())
+    data[1, 2, 3] = 4
+    assert not vol.data.any()
+    assert not vol.data.flags.writeable
+    assert vol.data.flags.f_contiguous == (order == "F")
+
+
+def test_label_volume_keeps_a_read_only_input_without_copying():
+    data = np.zeros((3, 4, 5), dtype=np.uint8)
+    data.setflags(write=False)
+    assert LabelVolume(data, Spacing()).data is data
