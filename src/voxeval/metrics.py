@@ -116,11 +116,17 @@ def dice(a, b) -> float:
 
 
 def _union_bbox(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice, slice]:
+    """The smallest box holding every true voxel of ``a`` and ``b``.
+
+    Two all-false masks give the empty box, which selects a (0, 0, 0) array.
+    """
     slices = []
     for axis in range(3):
         other = tuple(i for i in range(3) if i != axis)
         line = np.any(a, axis=other) | np.any(b, axis=other)
         idx = np.flatnonzero(line)
+        if not idx.size:
+            return (slice(0, 0),) * 3
         slices.append(slice(int(idx[0]), int(idx[-1]) + 1))
     return tuple(slices)
 
@@ -261,6 +267,15 @@ def evaluate_case(
     worst pair is recorded, tagged with which side was empty; otherwise
     Dice and HD95 are computed from the masks.
 
+    Both volumes are cropped once, to the box around the non-background
+    voxels of either, before the masks are derived.  The crop is exact:
+    outside the box both volumes are background, so every region is empty
+    there on both sides and no count changes; erosion with border_value=0
+    treats the cut face like the background voxels beyond it, so no
+    surface changes; and :func:`surface_distances` crops each region to its
+    own union box within this one.  Two all-background volumes give the
+    empty box, whose empty masks score the both-empty pair.
+
     Args:
         ref: reference segmentation.
         pred: predicted segmentation; shape, spacing and coding must match.
@@ -270,9 +285,13 @@ def evaluate_case(
         Three :class:`MetricRecord` in canonical region order (WT, TC, ET).
     """
     check_pair(ref, pred)
+    coding = ref.coding
+    box = _union_bbox(ref.data != coding.background, pred.data != coding.background)
     return tuple(  # type: ignore[return-value]
         score_region(name, mask_ref, mask_pred, ref.spacing, policy)
-        for name, mask_ref, mask_pred in zip(REGIONS, _region_masks(ref), _region_masks(pred))
+        for name, mask_ref, mask_pred in zip(
+            REGIONS, _region_masks(ref.data[box], coding), _region_masks(pred.data[box], coding)
+        )
     )
 
 

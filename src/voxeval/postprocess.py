@@ -72,14 +72,17 @@ def apply_et_threshold(pred: LabelVolume, threshold_mm3: float) -> LabelVolume:
     Returns:
         ``pred`` itself when the enhancing volume reaches the threshold
         (or there is nothing to remove); otherwise a new volume with every
-        enhancing voxel relabelled to the necrosis code.
+        enhancing voxel relabelled to the necrosis code, in a dtype wide
+        enough to hold that code.
     """
     threshold_mm3 = validate_threshold(threshold_mm3)
     et = _et_mask(pred)
     if not _removed(region_volume_mm3(et, pred.spacing), threshold_mm3):
         return pred
-    relabeled = pred.data.copy()
-    relabeled[et] = pred.coding.necrosis
+    necrosis = pred.coding.necrosis
+    # Widen the dtype when it cannot hold the necrosis code.
+    relabeled = pred.data.astype(np.promote_types(pred.data.dtype, np.min_scalar_type(necrosis)))
+    relabeled[et] = necrosis
     return LabelVolume(relabeled, pred.spacing, pred.coding)
 
 

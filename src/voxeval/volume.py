@@ -225,12 +225,13 @@ def labels_to_regions(volume: LabelVolume) -> RegionMaskSet:
     WT collects every non-background voxel, TC necrosis plus enhancing,
     ET enhancing only.  The nesting invariant holds by construction.
     """
-    return RegionMaskSet(*_region_masks(volume), volume.spacing)
+    return RegionMaskSet(*_region_masks(volume.data, volume.coding), volume.spacing)
 
 
-def _region_masks(volume: LabelVolume) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The WT, TC and ET masks of ``volume``, which nest by construction."""
-    data, coding = volume.data, volume.coding
+def _region_masks(
+    data: np.ndarray, coding: LabelCoding
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The WT, TC and ET masks of labels ``data``, which nest by construction."""
     et = data == coding.enhancing
     return data != coding.background, et | (data == coding.necrosis), et
 

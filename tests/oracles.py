@@ -81,6 +81,33 @@ def hd95_oracle(a, b, spacing) -> float:
     return max(percentile_oracle(d_ab, 95.0), percentile_oracle(d_ba, 95.0))
 
 
+def evaluate_case_oracle(ref, pred, policy=DEFAULT_POLICY) -> list[tuple]:
+    """(region, dice, hd95, special-case tag) per region, on the full grid.
+
+    Regions by set membership of the label codes, the empty-region rule
+    written out, and ``dice_oracle``/``hd95_oracle`` on the uncropped masks.
+    """
+    coding = ref.coding
+    members = {
+        "WT": (coding.necrosis, coding.edema, coding.enhancing),
+        "TC": (coding.necrosis, coding.enhancing),
+        "ET": (coding.enhancing,),
+    }
+    out = []
+    for region, codes in members.items():
+        a = np.isin(np.asarray(ref.data), codes)
+        b = np.isin(np.asarray(pred.data), codes)
+        if not a.any() and not b.any():
+            out.append((region, policy.perfect_dice, policy.perfect_hd95, "both_empty"))
+        elif not a.any():
+            out.append((region, policy.worst_dice, policy.worst_hd95, "ref_empty_pred_nonempty"))
+        elif not b.any():
+            out.append((region, policy.worst_dice, policy.worst_hd95, "ref_nonempty_pred_empty"))
+        else:
+            out.append((region, dice_oracle(a, b), hd95_oracle(a, b, ref.spacing), "none"))
+    return out
+
+
 def rank_oracle(values, direction: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if direction == "higher_better":

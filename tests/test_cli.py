@@ -1022,3 +1022,22 @@ def test_evaluate_label_outside_coding_beyond_dtype_exits_three(tmp_path, capsys
     assert str(paths["ref"]) in message and str(paths["bad"]) in message
     assert "label value 4 at voxel (3, 3, 3)" in message
     assert not out.exists()
+
+
+def test_apply_postprocess_writes_a_necrosis_code_the_input_dtype_cannot_hold(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"label_coding": {"necrosis": 300}}))
+    data = np.zeros((6, 6, 6), dtype=np.uint8)
+    data[1:5, 1:5, 1:5] = 2
+    data[2, 2, 2:4] = 4
+    for name in ("ref", "pred"):
+        write_volume(tmp_path / f"{name}.nii", VolumeHeader(data.shape, "uint8", Spacing()), data)
+    manifest = write_manifest(tmp_path / "m.csv", [["c1", "ref.nii", "pred.nii"]])
+    out_dir = tmp_path / "out"
+    argv = ["apply-postprocess", "--config", str(config), "--manifest", str(manifest),
+            "--threshold-mm3", "10", "--out-dir", str(out_dir)]
+    assert main(argv) == 0
+    cleaned = read_label_volume(out_dir / "c1.nii", LabelCoding(necrosis=300))
+    expected = data.astype(np.int32)
+    expected[data == 4] = 300
+    assert np.array_equal(cleaned.data, expected)

@@ -12,6 +12,7 @@ import pytest
 from voxeval import (
     FormatError,
     LabelVolume,
+    RegionProbSet,
     Spacing,
     ValidationError,
     VolumeHeader,
@@ -425,3 +426,19 @@ def test_read_label_volume_keeps_the_reader_array(tmp_path, monkeypatch, suffix,
     vol = read_label_volume(path)
     assert np.shares_memory(vol.data, read[0])
     assert np.array_equal(vol.data, data)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_probability_maps_are_copied_at_most_once_on_load(tmp_path, dtype):
+    data = np.linspace(0, 1, 27, dtype=dtype).reshape(3, 3, 3)
+    paths = []
+    for region in ("wt", "tc", "et"):
+        paths.append(tmp_path / f"{region}.nii.gz")
+        write_volume(paths[-1], VolumeHeader(data.shape, dtype, Spacing()), data)
+    maps = [read_probability_volume(path)[0] for path in paths]
+    for arr in maps:
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert np.array_equal(arr, data)
+    probs = RegionProbSet(*maps, Spacing())
+    for arr, kept in zip(maps, (probs.p_wt, probs.p_tc, probs.p_et)):
+        assert np.shares_memory(arr, kept)

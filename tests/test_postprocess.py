@@ -3,6 +3,7 @@ import pytest
 
 from voxeval import (
     DEFAULT_POLICY,
+    LabelCoding,
     LabelVolume,
     Spacing,
     SpecialCasePolicy,
@@ -372,3 +373,19 @@ def test_sweep_computes_distances_once_per_case_with_et_on_both_sides(monkeypatc
     calls.clear()
     full = sweep_thresholds(cases)
     assert len(full.thresholds) == 2 * len(cases) + 1 and len(calls) == both
+
+
+def test_apply_widens_the_dtype_for_a_necrosis_code_it_cannot_hold():
+    coding = LabelCoding(necrosis=300)
+    data = np.zeros((6, 6, 6), dtype=np.uint8)
+    data[1:4, 1:4, 1:4] = 2
+    data[2, 2, 2:4] = 4
+    pred = LabelVolume(data, Spacing(), coding)
+    cleaned = apply_et_threshold(pred, 10.0)
+    assert cleaned.data.dtype == np.uint16
+    expected = data.astype(np.int64)
+    expected[data == 4] = 300
+    assert np.array_equal(cleaned.data, expected)
+    assert not labels_to_regions(cleaned).et.any()
+    assert np.array_equal(labels_to_regions(cleaned).tc, data == 4)
+    assert np.array_equal(pred.data, data)  # the input is untouched
