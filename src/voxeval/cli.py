@@ -27,6 +27,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from io import StringIO
@@ -48,6 +49,7 @@ from .metrics import (
     MetricRecord,
     SpecialCase,
     SpecialCasePolicy,
+    check_pair,
     evaluate_case,
 )
 from .postprocess import (
@@ -58,7 +60,14 @@ from .postprocess import (
 )
 from .ranking import MetricTable, RankResult, brats_ranking, jackknife_stability
 from .aggregate import summarize
-from .volume import DEFAULT_CODING, REGIONS, LabelCoding, RegionProbSet, regions_to_labels
+from .volume import (
+    DEFAULT_CODING,
+    REGIONS,
+    LabelCoding,
+    LabelVolume,
+    RegionProbSet,
+    regions_to_labels,
+)
 
 #: Environment variable naming a default config file; --config overrides it.
 CONFIG_ENV = "VOXEVAL_CONFIG"
@@ -245,21 +254,29 @@ def _default_jobs() -> int:
         return os.cpu_count() or 1
 
 
-def _case_error(case_id: str, ref_path, pred_path, exc: ValidationError) -> ValidationError:
-    """``exc`` prefixed with the case id and both of its files."""
-    return ValidationError(
-        f"case {case_id!r} (reference {ref_path}, prediction {pred_path}): {exc}"
-    )
+@contextmanager
+def _case(case_id: str, **files):
+    """Prefix a :class:`ValidationError` raised inside with the case id and
+    its files: "case '<id>' (<role> <path>, ...): <message>"."""
+    try:
+        yield
+    except ValidationError as exc:
+        named = ", ".join(f"{role} {path}" for role, path in files.items())
+        raise ValidationError(f"case {case_id!r}{f' ({named})' if named else ''}: {exc}") from None
+
+
+def _read_pair(row: ManifestRow, coding: LabelCoding) -> tuple[LabelVolume, LabelVolume]:
+    """Read a row's reference and prediction and check that they compare."""
+    with _case(row.case_id, reference=row.reference_path, prediction=row.prediction_path):
+        ref = read_label_volume(row.reference_path, coding)
+        pred = read_label_volume(row.prediction_path, coding)
+        check_pair(ref, pred)
+    return ref, pred
 
 
 def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
-    case_id, ref_path, pred_path, coding, policy = task
-    try:
-        ref = read_label_volume(ref_path, coding)
-        pred = read_label_volume(pred_path, coding)
-        records = evaluate_case(ref, pred, policy)
-    except ValidationError as exc:
-        raise _case_error(case_id, ref_path, pred_path, exc) from None
+    row, coding, policy = task
+    records = evaluate_case(*_read_pair(row, coding), policy)
     return [(r.region, r.dice, r.hd95, r.special_case.value) for r in records]
 
 
@@ -272,10 +289,7 @@ def evaluate_manifest(
     """
     if jobs < 1:
         raise ValidationError(f"--jobs must be at least 1, got {jobs}")
-    tasks = [
-        (row.case_id, str(row.reference_path), str(row.prediction_path), config.coding, config.policy)
-        for row in manifest.rows
-    ]
+    tasks = [(row, config.coding, config.policy) for row in manifest.rows]
     workers = min(jobs, len(tasks))
     if workers <= 1:
         results = [_evaluate_row(task) for task in tasks]
@@ -410,25 +424,9 @@ def _cmd_optimize_postprocess(args) -> int:
             )
         if not candidates:
             raise ValidationError("--candidates produced no values")
-    current = None  # the row being read or scored
-
-    def pairs():
-        nonlocal current
-        for row in manifest.rows:
-            current = row
-            yield (
-                read_label_volume(row.reference_path, config.coding),
-                read_label_volume(row.prediction_path, config.coding),
-            )
-        current = None
-
-    try:
-        sweep = sweep_thresholds(pairs(), candidates, config.policy)
-    except ValidationError as exc:
-        row = current
-        if row is None:
-            raise
-        raise _case_error(row.case_id, row.reference_path, row.prediction_path, exc) from None
+    sweep = sweep_thresholds(
+        (_read_pair(row, config.coding) for row in manifest.rows), candidates, config.policy
+    )
     rows = [
         [
             _format_float(threshold),
@@ -459,7 +457,8 @@ def _cmd_apply_postprocess(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in manifest.rows:
-        pred = read_label_volume(row.prediction_path, config.coding)
+        with _case(row.case_id, prediction=row.prediction_path):
+            pred = read_label_volume(row.prediction_path, config.coding)
         cleaned = apply_et_threshold(pred, threshold)
         out_path = out_dir / (row.case_id + volume_suffix(row.prediction_path))
         write_label_volume(out_path, cleaned)
@@ -510,11 +509,12 @@ def _cmd_ensemble(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for case_id, configurations in cases.items():
-        members = [
-            [_load_prob_set(member) for member in configuration]
-            for configuration in configurations.values()
-        ]
-        combined = two_level_ensemble(members)
+        with _case(case_id):
+            members = [
+                [_load_prob_set(member) for member in configuration]
+                for configuration in configurations.values()
+            ]
+            combined = two_level_ensemble(members)
         labels = regions_to_labels(combined, threshold, config.coding)
         write_label_volume(out_dir / (case_id + args.format), labels)
     return 0

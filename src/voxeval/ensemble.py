@@ -51,6 +51,7 @@ def _mean_probs(members: Sequence[RegionProbSet], weights: np.ndarray) -> Region
         # Rounding can push a mean of values in [0, 1] past the ends by one
         # ulp, which the constructor would reject.
         np.clip(acc, 0.0, 1.0, out=acc)
+        acc.setflags(write=False)  # so the constructor keeps it without a copy
         maps.append(acc)
     return RegionProbSet(*maps, spacing=members[0].spacing)
 

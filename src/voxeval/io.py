@@ -105,20 +105,6 @@ class VolumeHeader:
         object.__setattr__(self, "slope", float(self.slope))
         object.__setattr__(self, "intercept", float(self.intercept))
 
-    @classmethod
-    def for_array(cls, data: np.ndarray, spacing: Spacing) -> "VolumeHeader":
-        """Header describing ``data`` verbatim (no scaling)."""
-        data = np.asarray(data)
-        if data.ndim != 3:
-            raise ValidationError(f"volume must be 3-D, got shape {data.shape}")
-        for tag, (_, _, dt) in _DTYPES.items():
-            if data.dtype == dt:
-                return cls(data.shape, tag, spacing)
-        raise ValidationError(
-            f"dtype {data.dtype} has no supported datatype tag; cast to one of "
-            f"{sorted(_DTYPES)} first"
-        )
-
 
 def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
     raw = path.read_bytes()

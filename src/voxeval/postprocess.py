@@ -93,7 +93,7 @@ class ThresholdSweepResult:
     For each candidate threshold (strictly increasing): the mean ET Dice
     over all cases, how many cases score the perfect ET pair, how many the
     worst pair, and the candidate's ranking score in the pseudo-algorithm
-    pool.
+    pool.  Only :func:`sweep_thresholds` builds one, from checked inputs.
     """
 
     thresholds: tuple[float, ...]
@@ -104,33 +104,8 @@ class ThresholdSweepResult:
     n_cases: int
 
     def __post_init__(self) -> None:
-        thresholds = tuple(float(t) for t in self.thresholds)
-        if not thresholds:
-            raise ValidationError("sweep needs at least one threshold")
-        if any(b <= a for a, b in zip(thresholds, thresholds[1:])):
-            raise ValidationError("thresholds must be strictly increasing")
-        n = len(thresholds)
-        arrays = {}
-        for name, dtype in (
-            ("mean_et_dice", np.float64),
-            ("perfect_counts", np.int64),
-            ("worst_counts", np.int64),
-            ("ranking_scores", np.float64),
-        ):
-            arr = np.asarray(getattr(self, name), dtype=dtype)
-            if arr.shape != (n,):
-                raise ValidationError(
-                    f"{name} must have one entry per threshold, got shape {arr.shape}"
-                )
-            arrays[name] = arr
-        if self.n_cases < 1:
-            raise ValidationError("sweep needs at least one case")
-        counts = arrays["perfect_counts"] + arrays["worst_counts"]
-        if counts.max() > self.n_cases:
-            raise ValidationError("special-case counts exceed the number of cases")
-        object.__setattr__(self, "thresholds", thresholds)
-        for name, arr in arrays.items():
-            object.__setattr__(self, name, _freeze(arr))
+        for name in ("mean_et_dice", "perfect_counts", "worst_counts", "ranking_scores"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 @dataclass(frozen=True)

@@ -233,7 +233,10 @@ def _region_masks(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The WT, TC and ET masks of labels ``data``, which nest by construction."""
     et = data == coding.enhancing
-    return data != coding.background, et | (data == coding.necrosis), et
+    masks = data != coding.background, et | (data == coding.necrosis), et
+    for mask in masks:
+        mask.setflags(write=False)  # so a constructor keeps it without a copy
+    return masks
 
 
 def regions_to_labels(

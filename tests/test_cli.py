@@ -247,8 +247,13 @@ def test_evaluate_starts_at_most_one_worker_per_case(tmp_path, monkeypatch):
     assert recorded == [2]  # one case runs serially
 
 
-@pytest.mark.parametrize("mismatch", ["shape", "spacing", "label"])
-def test_evaluate_errors_name_case_and_both_files(tmp_path, capsys, mismatch):
+@pytest.mark.parametrize(
+    "mismatch, jobs",
+    [pytest.param(m, 1, id=m) for m in ("shape", "spacing", "label")]
+    + [pytest.param(m, 2, id=f"{m}-jobs2") for m in ("shape", "spacing", "label")],
+)
+def test_evaluate_errors_name_case_and_both_files(tmp_path, capsys, mismatch, jobs):
+    good = write_case(tmp_path, "good", nested_labels())
     ref = write_case(tmp_path, "ref", nested_labels())
     if mismatch == "shape":
         pred = write_case(tmp_path, "pred", nested_labels((5, 6, 6)))
@@ -258,15 +263,16 @@ def test_evaluate_errors_name_case_and_both_files(tmp_path, capsys, mismatch):
         data = nested_labels()
         data[data == 4] = 3
         pred = write_case(tmp_path, "pred", data, coding=LabelCoding(enhancing=3))
-    manifest = write_manifest(tmp_path / "m.csv", [["case7", ref.name, pred.name]])
+    rows = [["case1", good.name, good.name], ["case7", ref.name, pred.name]]
+    manifest = write_manifest(tmp_path / "m.csv", rows)
     out = tmp_path / "metrics.csv"
-    code = main(["evaluate", "--manifest", str(manifest), "--out-metrics", str(out), "--jobs", "1"])
+    argv = ["evaluate", "--manifest", str(manifest), "--out-metrics", str(out)]
+    code = main(argv + ["--jobs", str(jobs)])
     assert code == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
-    assert "'case7'" in message
-    assert str(ref) in message and str(pred) in message
+    assert message.startswith(f"case 'case7' (reference {ref}, prediction {pred}): ")
     assert mismatch in message
     assert not out.exists()
 
@@ -400,6 +406,22 @@ def test_apply_postprocess_rejects_bad_threshold(tmp_path, capsys, bad):
     assert not out_dir.exists()
 
 
+def test_apply_postprocess_errors_name_case_and_prediction(tmp_path, capsys):
+    good = write_case(tmp_path, "good", nested_labels())
+    bad = tmp_path / "bad.nii"
+    data = nested_labels()
+    data[1, 1, 1] = 9
+    write_volume(bad, VolumeHeader(data.shape, "uint8", Spacing()), data)
+    rows = [["case1", good.name, good.name], ["case7", good.name, bad.name]]
+    manifest = write_manifest(tmp_path / "m.csv", rows)
+    argv = ["apply-postprocess", "--manifest", str(manifest), "--threshold-mm3", "10"]
+    assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert message.startswith(f"case 'case7' (prediction {bad}): label value 9 at voxel (1, 1, 1)")
+
+
 @pytest.mark.parametrize(
     "bad, reason",
     [
@@ -515,6 +537,24 @@ def test_ensemble_command_averages_per_configuration(tmp_path):
     # the pooled member mean 0.467 would have crossed the threshold
     assert labels.data[0, 0, 0] == 0
     assert labels.data[0, 0, 1] == 2
+
+
+def test_ensemble_errors_name_the_case(tmp_path, capsys):
+    probs = write_prob(tmp_path / "p.nii", [0.2, 0.8])
+    wide = tmp_path / "wide.nii"
+    write_volume(wide, VolumeHeader((1, 1, 3), "float32", Spacing()), np.zeros((1, 1, 3), np.float32))
+    columns = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
+    rows = [["case1", "a", probs.name, probs.name, probs.name]] * 2 + [
+        ["case7", "a", probs.name, probs.name, probs.name],
+        ["case7", "b", wide.name, wide.name, wide.name],
+    ]
+    manifest = write_manifest(tmp_path / "ens.csv", rows, columns=columns)
+    code = main(["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels")])
+    assert code == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert message.startswith("case 'case7': configuration 1 has shape (1, 1, 3)")
 
 
 # --------------------------------------------------------------------------

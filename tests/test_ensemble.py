@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import voxeval.ensemble
 from voxeval import (
     RegionProbSet,
     Spacing,
@@ -159,3 +160,18 @@ def test_mean_of_extreme_probabilities_stays_valid():
     out2 = two_level_ensemble([members, members[:3]], weights=[0.1, 0.7])
     assert isinstance(out2, RegionProbSet)
     assert np.all(out2.p_et <= 1.0)
+
+
+def test_mean_maps_are_kept_without_a_copy(monkeypatch):
+    passed = []
+    real = voxeval.ensemble.RegionProbSet
+
+    def spy(*maps, spacing):
+        passed.extend(maps)
+        return real(*maps, spacing=spacing)
+
+    monkeypatch.setattr(voxeval.ensemble, "RegionProbSet", spy)
+    rng = np.random.default_rng(81)
+    out = average_probs([random_probset(rng, (4, 4, 4)) for _ in range(2)])
+    for got, built in zip(region_arrays(out), passed):
+        assert np.shares_memory(got, built)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import voxeval.volume
 from voxeval import (
     DEFAULT_CODING,
     LabelCoding,
@@ -77,6 +78,21 @@ def test_labels_to_regions_single_enhancing_voxel():
     regions = labels_to_regions(LabelVolume(data, Spacing()))
     assert regions.wt[1, 1, 1] and regions.tc[1, 1, 1] and regions.et[1, 1, 1]
     assert regions.wt.sum() == regions.tc.sum() == regions.et.sum() == 1
+
+
+def test_labels_to_regions_keeps_the_masks_without_a_copy(monkeypatch):
+    built = []
+    real = voxeval.volume._region_masks
+
+    def spy(data, coding):
+        built.extend(real(data, coding))
+        return tuple(built)
+
+    monkeypatch.setattr(voxeval.volume, "_region_masks", spy)
+    rng = np.random.default_rng(8)
+    regions = labels_to_regions(random_label_volume(rng, (6, 5, 4)))
+    for got, mask in zip((regions.wt, regions.tc, regions.et), built):
+        assert np.shares_memory(got, mask)
 
 
 def test_labels_to_regions_edema_voxel_in_wt_only():
