@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import json
 import os
 import sys
@@ -33,6 +34,8 @@ from datetime import datetime, timezone
 from io import StringIO
 from pathlib import Path
 from typing import Iterator, Sequence
+
+import numpy as np
 
 from .ensemble import two_level_ensemble
 from .errors import FormatError, ValidationError
@@ -505,6 +508,10 @@ def _load_prob_set(member: dict[str, Path]) -> RegionProbSet:
 def _cmd_ensemble(args) -> int:
     config = load_config(args.config)
     threshold = args.threshold if args.threshold is not None else config.threshold
+    if not 0.0 < threshold < 1.0:
+        raise ValidationError(
+            f"--threshold must lie strictly between 0 and 1, got {args.threshold!r}"
+        )
     cases = parse_ensemble_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -551,66 +558,156 @@ def _timestamp() -> str:
     return moment.strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _load_store(path: Path) -> tuple[dict, dict[str, dict[str, list[MetricRecord]]]]:
-    """Return the store document and its records per algorithm id.
+def _encode(obj, level: int) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it nested ``level`` deep:
+    the top-level encoding with 2·level more spaces after every newline
+    (strings escape their own newlines)."""
+    return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
 
-    Any malformed submission, including a repeated algorithm id, raises
-    :class:`FormatError` naming the store and the submission.
+
+def _ranking_tail(ranking) -> str:
+    """The canonical store text after its last submission."""
+    return '\n  ],\n  "ranking": ' + _encode(ranking, 1) + "\n}\n"
+
+
+@contextmanager
+def _store_lock(path: Path):
+    """Hold an exclusive ``flock`` on ``<store>.lock`` for a whole read–rank–write.
+
+    The lock file sits beside the store, so the rename that replaces the
+    store leaves it alone; it stays empty.
     """
-    if not path.exists():
-        return {"submissions": [], "ranking": None}, {}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    lock = path.with_name(path.name + ".lock")
+    lock.touch()
+    with open(lock, "rb") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        yield
+
+
+def _well_formed(submission) -> bool:
+    return (
+        isinstance(submission, dict)
+        and isinstance(submission.get("algorithm_id"), str)
+        and isinstance(submission.get("metrics"), dict)
+        and all(isinstance(regions, dict) for regions in submission["metrics"].values())
+    )
+
+
+_REGION_KEYS = frozenset(REGIONS)
+_SPECIAL_CASES = frozenset(case.value for case in SpecialCase)
+# type() rather than isinstance(): JSON true/false are not scores.
+_SCORE_TYPES = frozenset((int, float))
+
+
+def _tabulate(submissions: list) -> MetricTable | None:
+    """The score table of a nonempty, well-formed store, else None.
+
+    One pass gathers every entry's scores in algorithm, sorted case, region
+    order; types, special cases and ranges are checked on all of them at
+    once.  :func:`_check_store` names what a None is about.
+    """
+    if not all(map(_well_formed, submissions)):
+        return None
+    ids = tuple(s["algorithm_id"] for s in submissions)
+    metrics = [s["metrics"] for s in submissions]
+    case_ids = metrics[0].keys()
+    if len(set(ids)) != len(ids) or not case_ids or any(m.keys() != case_ids for m in metrics):
+        return None
+    cases = tuple(sorted(case_ids))
+    per_case = [m[case] for m in metrics for case in cases]
+    if any(regions.keys() != _REGION_KEYS for regions in per_case):
+        return None
+    entries = [regions[region] for regions in per_case for region in REGIONS]
     try:
-        raw = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise FormatError(f"leaderboard store {path}: invalid JSON ({exc})")
-    if not isinstance(raw, dict) or not isinstance(raw.get("submissions"), list):
-        raise FormatError(f"leaderboard store {path}: expected a 'submissions' list")
-    per_algorithm: dict[str, dict[str, list[MetricRecord]]] = {}
+        scores = [e["dice"] for e in entries] + [e["hd95"] for e in entries]
+        specials = {e.get("special_case", "none") for e in entries}
+        if not (set(map(type, scores)) <= _SCORE_TYPES and specials <= _SPECIAL_CASES):
+            return None
+        dice, hd95 = np.array(scores, dtype=np.float64).reshape(2, len(ids), len(cases), -1)
+    except (KeyError, TypeError, OverflowError):
+        return None
+    if not (((dice >= 0) & (dice <= 1)).all() and ((hd95 >= 0) & (hd95 < np.inf)).all()):
+        return None
+    return MetricTable(ids, cases, dice, hd95)
+
+
+def _check_store(path: Path, submissions: list) -> None:
+    """Raise :class:`FormatError` for the first problem in a store that
+    :func:`_tabulate` rejects, naming the store, the submission and the case.
+
+    Entries are checked in document order before the case and region sets,
+    so every entry error reads as it did when the store was loaded record
+    by record."""
     try:
-        for n, submission in enumerate(raw["submissions"]):
+        seen = set()
+        for n, submission in enumerate(submissions):
             where = f"leaderboard store {path}: submission {n}"
-            if not (
-                isinstance(submission, dict)
-                and isinstance(submission.get("algorithm_id"), str)
-                and isinstance(submission.get("metrics"), dict)
-                and all(isinstance(regions, dict) for regions in submission["metrics"].values())
-            ):
+            if not _well_formed(submission):
                 raise ValidationError(
                     f"{where} needs a string 'algorithm_id' and 'metrics' mapping "
                     "case -> region -> {dice, hd95, special_case}"
                 )
-            algorithm_id = submission["algorithm_id"]
-            if algorithm_id in per_algorithm:
-                raise ValidationError(f"{where}: duplicate algorithm_id {algorithm_id!r}")
-            per_case = per_algorithm[algorithm_id] = {}
+            if submission["algorithm_id"] in seen:
+                raise ValidationError(
+                    f"{where}: duplicate algorithm_id {submission['algorithm_id']!r}"
+                )
+            seen.add(submission["algorithm_id"])
             for case_id, regions in submission["metrics"].items():
                 at = f"{where} case {case_id}"
-                per_case[case_id] = []
                 for region, entry in regions.items():
-                    # type() rather than isinstance(): JSON true/false are not scores.
                     if not isinstance(entry, dict) or not all(
-                        type(entry.get(key)) in (int, float) for key in ("dice", "hd95")
+                        type(entry.get(key)) in _SCORE_TYPES for key in ("dice", "hd95")
                     ):
                         raise ValidationError(f"{at}: region {region!r} needs numeric dice and hd95")
                     special = entry.get("special_case", "none")
-                    per_case[case_id].append(
-                        _record(at, region, entry["dice"], entry["hd95"], special)
+                    _record(at, region, entry["dice"], entry["hd95"], special)
+        first = submissions[0]["metrics"]
+        if not first:
+            raise ValidationError(f"leaderboard store {path}: submission 0 has no cases")
+        for n, submission in enumerate(submissions):
+            where = f"leaderboard store {path}: submission {n}"
+            differing = sorted(first.keys() ^ submission["metrics"].keys())
+            if differing:
+                state = "missing, but in" if differing[0] in first else "not in"
+                raise ValidationError(
+                    f"{where} case {differing[0]}: {state} submission 0; "
+                    "every submission must cover the same cases"
+                )
+            for case_id, regions in submission["metrics"].items():
+                if regions.keys() != _REGION_KEYS:
+                    raise ValidationError(
+                        f"{where} case {case_id}: needs one entry per region "
+                        f"{list(REGIONS)}, got {sorted(regions)}"
                     )
     except ValidationError as exc:
         raise FormatError(str(exc)) from None
-    return raw, per_algorithm
+    raise AssertionError(f"leaderboard store {path}: rejected without a reason")
 
 
-def _save_ranked(path: Path, store: dict, per_algorithm: dict) -> dict:
-    """Rank ``per_algorithm`` into the store, empty it to free memory, rewrite the store."""
-    if not per_algorithm:
-        raise ValidationError("leaderboard store has no submissions")
-    table = MetricTable.from_records(per_algorithm)
-    store["ranking"] = _rank_result_document(brats_ranking(table))
-    per_algorithm.clear()
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(path, store)
-    return store
+def _load_store(path: Path) -> tuple[str | None, dict, MetricTable | None]:
+    """Return the store's text, its document and its score table.
+
+    A missing store has no text and no table, as has a store without
+    submissions.  Any malformed submission, a repeated algorithm id, or
+    submissions that cover different cases or regions raise
+    :class:`FormatError` naming the store and the submission.
+    """
+    if not path.exists():
+        return None, {"submissions": [], "ranking": None}, None
+    try:
+        text = path.read_text()
+        raw = json.loads(text)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise FormatError(f"leaderboard store {path}: invalid JSON ({exc})")
+    if not isinstance(raw, dict) or not isinstance(raw.get("submissions"), list):
+        raise FormatError(f"leaderboard store {path}: expected a 'submissions' list")
+    if not raw["submissions"]:
+        return text, raw, None
+    table = _tabulate(raw["submissions"])
+    if table is None:
+        _check_store(path, raw["submissions"])
+    return text, raw, table
 
 
 def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
@@ -618,48 +715,70 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
 
     The new submission must cover exactly the case ids already in the
     store (any submission order), and the algorithm id must be new.  The
-    document is rewritten atomically; on any validation failure the store
-    is left untouched.
+    store is locked for the whole add and rewritten atomically; on any
+    validation failure it is left untouched.  When the old text ends in the
+    canonical encoding of its ranking, only the new submission and the
+    ranking are encoded and spliced onto the old text.
     """
     store_path = Path(store_path)
-    store, per_algorithm = _load_store(store_path)
-    if algorithm_id in per_algorithm:
-        raise ValidationError(f"algorithm id {algorithm_id!r} already in store")
-    per_case = read_metrics_csv(metrics_path)
-    if per_algorithm:
-        existing = set(next(iter(per_algorithm.values())))
-        incoming = set(per_case)
-        if existing != incoming:
-            differing = sorted(existing ^ incoming)
+    with _store_lock(store_path):
+        text, store, stored = _load_store(store_path)
+        if stored is not None and algorithm_id in stored.algorithms:
+            raise ValidationError(f"algorithm id {algorithm_id!r} already in store")
+        per_case = read_metrics_csv(metrics_path)
+        if stored is not None and set(stored.cases) != set(per_case):
+            differing = sorted(set(stored.cases) ^ set(per_case))
             raise ValidationError(
                 f"submission case ids differ from the store's: {differing[:5]}"
             )
-    metrics_doc = {
-        case_id: {
-            rec.region: {
-                "dice": rec.dice,
-                "hd95": rec.hd95,
-                "special_case": rec.special_case.value,
-            }
-            for rec in records
-        }
-        for case_id, records in sorted(per_case.items())
-    }
-    store["submissions"].append(
-        {
+        submission = {
             "algorithm_id": algorithm_id,
             "timestamp": _timestamp(),
-            "metrics": metrics_doc,
+            "metrics": {
+                case_id: {
+                    rec.region: {
+                        "dice": rec.dice,
+                        "hd95": rec.hd95,
+                        "special_case": rec.special_case.value,
+                    }
+                    for rec in records
+                }
+                for case_id, records in sorted(per_case.items())
+            },
         }
-    )
-    per_algorithm[algorithm_id] = per_case
-    return _save_ranked(store_path, store, per_algorithm)
+        table = MetricTable.from_records({algorithm_id: per_case})
+        if stored is not None:
+            table = MetricTable(
+                stored.algorithms + table.algorithms,
+                table.cases,
+                np.concatenate([stored.dice, table.dice]),
+                np.concatenate([stored.hd95, table.hd95]),
+            )
+        cut = None
+        if stored is not None and list(store) == ["submissions", "ranking"]:
+            old_tail = _ranking_tail(store["ranking"])
+            if text.endswith(old_tail):
+                cut = len(text) - len(old_tail)
+        store["submissions"].append(submission)
+        store["ranking"] = _rank_result_document(brats_ranking(table))
+        if cut is None:
+            _write_json(store_path, store)
+        else:
+            tail = ",\n    " + _encode(submission, 2) + _ranking_tail(store["ranking"])
+            write_atomic(store_path, (text[:cut] + tail).encode())
+    return store
 
 
 def leaderboard_recompute(store_path) -> dict:
-    """Recompute the stored ranking from the stored submissions."""
+    """Recompute the stored ranking and rewrite the whole store canonically."""
     store_path = Path(store_path)
-    return _save_ranked(store_path, *_load_store(store_path))
+    with _store_lock(store_path):
+        _, store, table = _load_store(store_path)
+        if table is None:
+            raise ValidationError("leaderboard store has no submissions")
+        store["ranking"] = _rank_result_document(brats_ranking(table))
+        _write_json(store_path, store)
+    return store
 
 
 def _cmd_leaderboard(args) -> int:

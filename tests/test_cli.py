@@ -557,6 +557,31 @@ def test_ensemble_errors_name_the_case(tmp_path, capsys):
     assert message.startswith("case 'case7': configuration 1 has shape (1, 1, 3)")
 
 
+@pytest.mark.parametrize("value", ["5", "0", "1", "-0.5", "nan", "inf", "config"])
+def test_ensemble_threshold_is_checked_before_any_read(tmp_path, monkeypatch, capsys, value):
+    probs = write_prob(tmp_path / "p.nii", [0.2, 0.8])
+    columns = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
+    manifest = write_manifest(tmp_path / "ens.csv", [["case1", "a", probs.name, probs.name, probs.name]], columns=columns)
+    reads = []
+    real_read = voxeval.cli.read_probability_volume
+    monkeypatch.setattr(voxeval.cli, "read_probability_volume", lambda path: reads.append(path) or real_read(path))
+    out_dir = tmp_path / "labels"
+    args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir)]
+    if value == "config":
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"probability_threshold": 5}))
+        bad, expected = ["--config", str(config)], f"config {config}: probability_threshold must be"
+    else:
+        bad, expected = ["--threshold", value], f"--threshold must lie strictly between 0 and 1, got {float(value)!r}"
+    assert main(args + bad) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"].startswith(expected)
+    assert reads == [] and not out_dir.exists()
+    assert main(args + ["--threshold", "0.5"]) == 0
+    assert len(reads) == 3
+
+
 # --------------------------------------------------------------------------
 # stability
 

@@ -1,0 +1,464 @@
+"""Leaderboard store: spliced adds against the full encoding, the fallbacks,
+the tabulated load against the record-by-record route, store messages, and
+concurrent adds under the store lock."""
+
+import copy
+import csv
+import json
+import math
+import os
+import re
+import subprocess
+import sys
+import textwrap
+import time
+from datetime import datetime, timezone
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import voxeval.cli
+from voxeval.cli import (
+    _check_store,
+    _load_store,
+    _rank_result_document,
+    _tabulate,
+    leaderboard_add,
+    main,
+    read_metrics_csv,
+)
+from voxeval.errors import FormatError
+from voxeval.metrics import MetricRecord, SpecialCase
+from voxeval.ranking import MetricTable, brats_ranking
+
+REGIONS = ("WT", "TC", "ET")
+SPECIALS = [case.value for case in SpecialCase]
+#: Few distinct values, so ties are common; "1", "0" and "2" are integer-valued.
+DICE_TEXT = ["0", "0.25", "0.5", "0.8125", "1", "1.0"]
+HD95_TEXT = ["0", "1.5", "2", "373.13", "10.0"]
+#: Non-ASCII ids, and ids whose JSON encoding escapes a quote, a backslash
+#: or a newline.
+IDS = ["nnU-Net", "zoë", "模型", "a b", 'q"uote', "back\\slash", "line\nbreak", "B", "b"]
+EPOCH = 1_700_000_000
+
+
+def write_metrics(path, rng, cases):
+    """A metrics.csv over ``cases`` in shuffled case and region order."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["case_id", "region", "dice", "hd95", "special_case"])
+        for case in rng.permutation(cases):
+            for region in rng.permutation(REGIONS):
+                writer.writerow([
+                    case,
+                    region,
+                    DICE_TEXT[rng.integers(len(DICE_TEXT))],
+                    HD95_TEXT[rng.integers(len(HD95_TEXT))],
+                    SPECIALS[rng.integers(len(SPECIALS))],
+                ])
+    return path
+
+
+def records_route(submissions) -> MetricTable:
+    """The table by the record-by-record route: one MetricRecord per entry,
+    then ``MetricTable.from_records``."""
+    return MetricTable.from_records({
+        s["algorithm_id"]: {
+            case: [
+                MetricRecord(
+                    region,
+                    float(entry["dice"]),
+                    float(entry["hd95"]),
+                    SpecialCase(entry.get("special_case", "none")),
+                )
+                for region, entry in regions.items()
+            ]
+            for case, regions in s["metrics"].items()
+        }
+        for s in submissions
+    })
+
+
+def expected_after_add(before: dict, algorithm_id: str, metrics_path) -> dict:
+    """``before`` with the submission appended and every submission ranked."""
+    timestamp = datetime.fromtimestamp(EPOCH, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    per_case = read_metrics_csv(metrics_path)
+    doc = copy.deepcopy(before)
+    doc["submissions"].append({
+        "algorithm_id": algorithm_id,
+        "timestamp": timestamp,
+        "metrics": {
+            case: {
+                r.region: {"dice": r.dice, "hd95": r.hd95, "special_case": r.special_case.value}
+                for r in records
+            }
+            for case, records in sorted(per_case.items())
+        },
+    })
+    doc["ranking"] = _rank_result_document(brats_ranking(records_route(doc["submissions"])))
+    return doc
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.fixture
+def full_encodes(monkeypatch):
+    """Paths the CLI wrote by encoding a whole document."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    written = []
+    real = voxeval.cli._write_json
+
+    def spy(path, document):
+        written.append(Path(path))
+        real(path, document)
+
+    monkeypatch.setattr(voxeval.cli, "_write_json", spy)
+    return written
+
+
+# --------------------------------------------------------------------------
+# byte oracle
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_every_add_writes_the_full_encoding(tmp_path, full_encodes, seed):
+    rng = np.random.default_rng(seed)
+    cases = [f"case{j:02d}" for j in rng.permutation(int(rng.integers(1, 9)))]
+    store = tmp_path / "store.json"
+    for k, algorithm_id in enumerate(IDS[: 3 + seed]):
+        metrics = write_metrics(tmp_path / f"m{k}.csv", rng, cases)
+        before = json.loads(store.read_text()) if k else {"submissions": [], "ranking": None}
+        leaderboard_add(store, metrics, algorithm_id)
+        assert store.read_text() == canonical(expected_after_add(before, algorithm_id, metrics))
+    # Only the first add encodes a whole document; every later one splices.
+    assert full_encodes == [store]
+
+
+def reformat(text: str, how: str) -> str:
+    doc = json.loads(text)
+    if how == "compact":
+        return json.dumps(doc)
+    if how == "indent-4":
+        return json.dumps(doc, indent=4) + "\n"
+    if how == "no-final-newline":
+        return text[:-1]
+    if how == "extra-key":
+        doc["note"] = "réviewed"
+    elif how == "reversed-keys":
+        doc = {"ranking": doc["ranking"], "submissions": doc["submissions"]}
+    elif how == "ranking-null":
+        doc["ranking"] = None
+    elif how == "no-submissions":
+        doc = {"submissions": [], "ranking": None}
+    elif how == "integer-scores":
+        for submission in doc["submissions"]:
+            for regions in submission["metrics"].values():
+                for entry in regions.values():
+                    entry.update({k: int(v) for k, v in entry.items() if v in (0, 1, 2)})
+    return canonical(doc)
+
+
+@pytest.mark.parametrize(
+    "how, spliced",
+    [
+        ("compact", False),
+        ("indent-4", False),
+        ("no-final-newline", False),
+        ("extra-key", False),
+        ("reversed-keys", False),
+        ("no-submissions", False),
+        ("ranking-null", True),
+        ("integer-scores", True),
+        ("untouched", True),
+    ],
+)
+def test_add_falls_back_to_the_full_encoding(tmp_path, full_encodes, how, spliced):
+    rng = np.random.default_rng(11)
+    cases = ["c2", "c10", "c1"]
+    store = tmp_path / "store.json"
+    for k, algorithm_id in enumerate(IDS[:3]):
+        leaderboard_add(store, write_metrics(tmp_path / f"m{k}.csv", rng, cases), algorithm_id)
+    store.write_text(reformat(store.read_text(), how))
+    before = json.loads(store.read_text())
+    metrics = write_metrics(tmp_path / "new.csv", rng, cases)
+    full_encodes.clear()
+    leaderboard_add(store, metrics, "new")
+    assert store.read_text() == canonical(expected_after_add(before, "new", metrics))
+    assert full_encodes == ([] if spliced else [store])
+    if how == "integer-scores":
+        assert '"dice": 1,' in store.read_text()
+
+
+def test_add_keeps_a_reformatted_submission_when_the_tail_is_canonical(tmp_path, full_encodes):
+    rng = np.random.default_rng(3)
+    store = tmp_path / "store.json"
+    for k, algorithm_id in enumerate(IDS[:2]):
+        leaderboard_add(store, write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2"]), algorithm_id)
+    doc = json.loads(store.read_text())
+    first = json.dumps(doc["submissions"][0])
+    text = canonical(doc).replace(voxeval.cli._encode(doc["submissions"][0], 2), first)
+    store.write_text(text)
+    metrics = write_metrics(tmp_path / "new.csv", rng, ["c1", "c2"])
+    leaderboard_add(store, metrics, "new")
+    assert first in store.read_text()
+    assert json.loads(store.read_text()) == expected_after_add(doc, "new", metrics)
+    # recompute rewrites the canonical form.
+    assert main(["leaderboard", "recompute", "--store", str(store)]) == 0
+    assert store.read_text() == canonical(json.loads(store.read_text()))
+
+
+# --------------------------------------------------------------------------
+# tabulated load
+
+
+def random_store(rng) -> dict:
+    """A valid store: cases and regions in a different order in every
+    submission, JSON ints and floats (with -0.0 and ints past 2**53), and
+    special cases given or left to their default."""
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 11))
+    cases = [f"c{j}" for j in range(m)]
+    dice_values = [0, 1, 0.5, 0.25, -0.0, 1.0]
+    hd95_values = [0, 2, 1.5, 373.13, 10**20, 2**63 + 2**11 + 1]
+    submissions = []
+    for i in range(n):
+        metrics = {}
+        for case in rng.permutation(cases):
+            regions = {}
+            for region in rng.permutation(REGIONS):
+                entry = {
+                    "dice": dice_values[rng.integers(len(dice_values))],
+                    "hd95": hd95_values[rng.integers(len(hd95_values))],
+                }
+                if rng.random() < 0.7:
+                    entry["special_case"] = SPECIALS[rng.integers(len(SPECIALS))]
+                regions[str(region)] = entry
+            metrics[str(case)] = regions
+        submissions.append({"algorithm_id": IDS[i], "timestamp": "t", "metrics": metrics})
+    return {"submissions": submissions, "ranking": None}
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_tabulated_load_matches_the_record_route(tmp_path, seed):
+    doc = random_store(np.random.default_rng(seed))
+    store = tmp_path / "store.json"
+    store.write_text(canonical(doc))
+    text, loaded, table = _load_store(store)
+    want = records_route(doc["submissions"])
+    assert text == store.read_text() and loaded == doc
+    assert table.algorithms == want.algorithms and table.cases == want.cases
+    assert np.array_equal(table.dice, want.dice) and np.array_equal(table.hd95, want.hd95)
+    assert np.array_equal(np.signbit(table.dice), np.signbit(want.dice))
+
+
+def entry(doc, n=0, case="c0", region="WT"):
+    return doc["submissions"][n]["metrics"][case][region]
+
+
+#: Edits that make a valid store invalid; each must be rejected by both the
+#: tabulation and the walk that names the problem.
+BREAKS = {
+    "submission-not-object": lambda d: d["submissions"].__setitem__(1, ["x"]),
+    "id-not-string": lambda d: d["submissions"][0].__setitem__("algorithm_id", 7),
+    "metrics-missing": lambda d: d["submissions"][2].pop("metrics"),
+    "regions-not-object": lambda d: d["submissions"][0]["metrics"].__setitem__("c1", [1]),
+    "duplicate-id": lambda d: d["submissions"][2].__setitem__("algorithm_id", IDS[0]),
+    "entry-not-object": lambda d: d["submissions"][1]["metrics"]["c2"].__setitem__("ET", 0.5),
+    "dice-missing": lambda d: entry(d, 1).pop("dice"),
+    "dice-string": lambda d: entry(d).__setitem__("dice", "0.5"),
+    "dice-true": lambda d: entry(d, 2).__setitem__("dice", True),
+    "hd95-null": lambda d: entry(d).__setitem__("hd95", None),
+    "dice-above-one": lambda d: entry(d, 1, "c2", "ET").__setitem__("dice", 1.5),
+    "dice-nan": lambda d: entry(d).__setitem__("dice", math.nan),
+    "hd95-negative": lambda d: entry(d).__setitem__("hd95", -1),
+    "hd95-inf": lambda d: entry(d, 2).__setitem__("hd95", math.inf),
+    "hd95-int-overflow": lambda d: entry(d).__setitem__("hd95", 10**400),
+    "special-unknown": lambda d: entry(d).__setitem__("special_case", "maybe"),
+    "special-list": lambda d: entry(d).__setitem__("special_case", ["none"]),
+    "special-null": lambda d: entry(d, 1).__setitem__("special_case", None),
+    "unknown-region": lambda d: d["submissions"][0]["metrics"]["c1"].__setitem__(
+        "XX", d["submissions"][0]["metrics"]["c1"].pop("ET")),
+    "extra-region": lambda d: d["submissions"][0]["metrics"]["c1"].__setitem__("XX", entry(d)),
+    "missing-region": lambda d: d["submissions"][1]["metrics"]["c0"].pop("TC"),
+    "case-missing": lambda d: d["submissions"][1]["metrics"].pop("c2"),
+    "case-extra": lambda d: d["submissions"][2]["metrics"].__setitem__("c9", {}),
+    "no-cases": lambda d: [s["metrics"].clear() for s in d["submissions"]],
+}
+
+
+def three_by_three() -> dict:
+    return {
+        "submissions": [
+            {
+                "algorithm_id": algorithm_id,
+                "metrics": {
+                    f"c{j}": {r: {"dice": 0.5, "hd95": 1.0, "special_case": "none"} for r in REGIONS}
+                    for j in range(3)
+                },
+            }
+            for algorithm_id in IDS[:3]
+        ],
+        "ranking": None,
+    }
+
+
+@pytest.mark.parametrize("action", ["add", "recompute"])
+@pytest.mark.parametrize("name", sorted(BREAKS))
+def test_every_broken_store_is_rejected_by_both_routes(tmp_path, capsys, name, action):
+    doc = three_by_three()
+    assert _tabulate(doc["submissions"]) is not None
+    BREAKS[name](doc)
+    store = tmp_path / "store.json"
+    store.write_text(canonical(doc))
+    assert _tabulate(json.loads(store.read_text())["submissions"]) is None
+    with pytest.raises(FormatError, match="^" + re.escape(f"leaderboard store {store}: submission ")):
+        _check_store(store, json.loads(store.read_text())["submissions"])
+    before = store.read_bytes()
+    args = ["leaderboard", action, "--store", str(store)]
+    if action == "add":
+        args += ["--metrics", str(write_metrics(tmp_path / "m.csv", np.random.default_rng(0), ["c0", "c1", "c2"])),
+                 "--algorithm", "new"]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["category"] == "format"
+    assert store.read_bytes() == before
+
+
+def sub(algorithm_id, cases=("c1", "c2"), regions=REGIONS, **values):
+    scores = {"dice": 1.0, "hd95": 0.0, **values}
+    return {"algorithm_id": algorithm_id, "metrics": {c: {r: dict(scores) for r in regions} for c in cases}}
+
+
+@pytest.mark.parametrize("action", ["add", "recompute"])
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        ("{nope", "invalid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+        ({"submissions": {}}, "expected a 'submissions' list"),
+        ([1], "expected a 'submissions' list"),
+        (
+            {"submissions": [{"algorithm_id": "A", "timestamp": "t"}]},
+            "submission 0 needs a string 'algorithm_id' and 'metrics' mapping "
+            "case -> region -> {dice, hd95, special_case}",
+        ),
+        ({"submissions": [sub("A"), sub("A")]}, "submission 1: duplicate algorithm_id 'A'"),
+        ({"submissions": [sub("A", dice="x")]}, "submission 0 case c1: region 'WT' needs numeric dice and hd95"),
+        (
+            {"submissions": [sub("A", regions=("WT", "XX", "ET"))]},
+            "submission 0 case c1: unknown region 'XX', expected one of ('WT', 'TC', 'ET')",
+        ),
+        ({"submissions": [sub("A", special_case="bogus")]}, "submission 0 case c1: 'bogus' is not a valid SpecialCase"),
+        ({"submissions": [sub("A", hd95=10**400)]}, "submission 0 case c1: int too large to convert to float"),
+        (
+            {"submissions": [sub("A"), sub("B", dice=-0.5)]},
+            "submission 1 case c1: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice -0.5, hd95 0.0",
+        ),
+        # An entry error comes before a later submission's repeated id ...
+        (
+            {"submissions": [sub("A", cases=("c1",)), sub("B", cases=("c1", "c2"), hd95=True), sub("A")]},
+            "submission 1 case c1: region 'WT' needs numeric dice and hd95",
+        ),
+        # ... and before an earlier submission's different case set.
+        (
+            {"submissions": [sub("A", cases=("c1",)), sub("B", cases=("c3",), dice=2)]},
+            "submission 1 case c3: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 2.0, hd95 0.0",
+        ),
+    ],
+)
+def test_store_messages_are_unchanged(tmp_path, capsys, action, document, message):
+    strong = write_metrics(tmp_path / "m.csv", np.random.default_rng(1), ["c1", "c2"])
+    store = tmp_path / "store.json"
+    store.write_text(document if isinstance(document, str) else json.dumps(document))
+    args = ["leaderboard", action, "--store", str(store)]
+    if action == "add":
+        args += ["--metrics", str(strong), "--algorithm", "N"]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == {"category": "format", "message": f"leaderboard store {store}: {message}"}
+
+
+@pytest.mark.parametrize("action", ["add", "recompute"])
+@pytest.mark.parametrize(
+    "submissions, message",
+    [
+        ([sub("a", cases=("c1",)), sub("b", cases=("c2",))], "submission 1 case c1: missing, but in submission 0"),
+        ([sub("a", cases=("c1",)), sub("b", cases=("c1", "c2"))], "submission 1 case c2: not in submission 0"),
+        ([sub("a"), sub("b", regions=("WT", "ET"))], "submission 1 case c1: needs one entry per region ['WT', 'TC', 'ET'], got ['ET', 'WT']"),
+        ([sub("a", cases=()), sub("b", cases=())], "submission 0 has no cases"),
+    ],
+    ids=["case-missing", "case-extra", "region-missing", "no-cases"],
+)
+def test_inconsistent_store_is_a_format_error(tmp_path, capsys, action, submissions, message):
+    strong = write_metrics(tmp_path / "m.csv", np.random.default_rng(1), ["c1", "c2"])
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"submissions": submissions, "ranking": None}))
+    before = store.read_bytes()
+    args = ["leaderboard", action, "--store", str(store)]
+    if action == "add":
+        args += ["--metrics", str(strong), "--algorithm", "N"]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "format"
+    assert error["message"].startswith(f"leaderboard store {store}: {message}")
+    assert store.read_bytes() == before
+
+
+# --------------------------------------------------------------------------
+# store lock
+
+
+ADDER = textwrap.dedent(
+    """
+    import sys, time
+    from pathlib import Path
+    from voxeval.cli import main
+
+    store, ready, go, metrics, *ids = sys.argv[1:]
+    Path(ready).touch()
+    while not Path(go).exists():
+        time.sleep(0.001)
+    args = ["leaderboard", "add", "--store", store, "--metrics", metrics, "--algorithm"]
+    sys.exit(max(main(args + [i]) for i in ids))
+    """
+)
+
+
+def test_concurrent_adds_keep_every_submission(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    env = dict(os.environ)
+    src = str(Path(voxeval.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    rng = np.random.default_rng(7)
+    cases = [f"c{j:02d}" for j in range(40)]
+    store = tmp_path / "store" / "store.json"
+    go = tmp_path / "go"
+    ids = [[f"p{p}-{k}" for k in range(5)] for p in range(3)]
+    procs = []
+    for p, own in enumerate(ids):
+        metrics = write_metrics(tmp_path / f"m{p}.csv", rng, cases)
+        argv = [sys.executable, "-c", ADDER, str(store), str(tmp_path / f"ready{p}"), str(go), str(metrics), *own]
+        procs.append(subprocess.Popen(argv, env=env, stderr=subprocess.PIPE, text=True))
+    try:
+        deadline = time.monotonic() + 60
+        while not all((tmp_path / f"ready{p}").exists() for p in range(len(procs))):
+            assert time.monotonic() < deadline and all(proc.poll() is None for proc in procs)
+            time.sleep(0.01)
+        go.touch()
+        errors = [proc.communicate(timeout=120)[1] for proc in procs]
+    finally:
+        for proc in procs:
+            proc.kill()
+    assert [proc.returncode for proc in procs] == [0] * len(procs), errors
+    text = store.read_text()
+    doc = json.loads(text)
+    assert sorted(s["algorithm_id"] for s in doc["submissions"]) == sorted(sum(ids, []))
+    assert doc["ranking"] == _rank_result_document(brats_ranking(records_route(doc["submissions"])))
+    # Lists of lines: a failing comparison of two long strings takes minutes to explain.
+    assert text.splitlines(keepends=True) == canonical(doc).splitlines(keepends=True)
+    assert sorted(p.name for p in store.parent.iterdir()) == ["store.json", "store.json.lock"]
