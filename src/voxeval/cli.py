@@ -118,7 +118,7 @@ def load_config(path: str | None) -> ToolConfig:
         return ToolConfig()
     try:
         raw = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict):
         raise FormatError(f"config {path}: expected a JSON object")
@@ -275,6 +275,13 @@ def _read_pair(row: ManifestRow, coding: LabelCoding) -> tuple[LabelVolume, Labe
         pred = read_label_volume(row.prediction_path, coding)
         check_pair(ref, pred)
     return ref, pred
+
+
+def _check_out_names(what: str, path, case_ids) -> None:
+    """Reject a case id that cannot name a file directly in ``--out-dir``."""
+    for case_id in case_ids:
+        if "/" in case_id or "\0" in case_id:
+            raise ValidationError(f"{what} {path}: case_id {case_id!r} has a '/' or NUL")
 
 
 def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
@@ -457,6 +464,7 @@ def _cmd_apply_postprocess(args) -> int:
     config = load_config(args.config)
     threshold = validate_threshold(args.threshold_mm3)
     manifest = parse_manifest(args.manifest)
+    _check_out_names("manifest", args.manifest, (row.case_id for row in manifest.rows))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for row in manifest.rows:
@@ -513,6 +521,7 @@ def _cmd_ensemble(args) -> int:
             f"--threshold must lie strictly between 0 and 1, got {args.threshold!r}"
         )
     cases = parse_ensemble_manifest(args.manifest)
+    _check_out_names("ensemble manifest", args.manifest, cases)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for case_id, configurations in cases.items():
@@ -585,83 +594,76 @@ def _store_lock(path: Path):
         yield
 
 
-def _well_formed(submission) -> bool:
-    return (
-        isinstance(submission, dict)
-        and isinstance(submission.get("algorithm_id"), str)
-        and isinstance(submission.get("metrics"), dict)
-        and all(isinstance(regions, dict) for regions in submission["metrics"].values())
-    )
-
-
 _REGION_KEYS = frozenset(REGIONS)
 _SPECIAL_CASES = frozenset(case.value for case in SpecialCase)
 # type() rather than isinstance(): JSON true/false are not scores.
 _SCORE_TYPES = frozenset((int, float))
 
 
-def _tabulate(submissions: list) -> MetricTable | None:
-    """The score table of a nonempty, well-formed store, else None.
-
-    One pass gathers every entry's scores in algorithm, sorted case, region
-    order; types, special cases and ranges are checked on all of them at
-    once.  :func:`_check_store` names what a None is about.
-    """
-    if not all(map(_well_formed, submissions)):
-        return None
-    ids = tuple(s["algorithm_id"] for s in submissions)
-    metrics = [s["metrics"] for s in submissions]
-    case_ids = metrics[0].keys()
-    if len(set(ids)) != len(ids) or not case_ids or any(m.keys() != case_ids for m in metrics):
-        return None
-    cases = tuple(sorted(case_ids))
-    per_case = [m[case] for m in metrics for case in cases]
-    if any(regions.keys() != _REGION_KEYS for regions in per_case):
-        return None
+def _block(metrics: dict) -> np.ndarray:
+    """One submission's (2, cases, regions) Dice and HD95 block, cases sorted.
+    All entries are checked at once: a missing region raises KeyError (so
+    equal counts rule out an extra one), any other fault TypeError,
+    ValueError or OverflowError."""
+    per_case = [metrics[case] for case in sorted(metrics)]
     entries = [regions[region] for regions in per_case for region in REGIONS]
-    try:
-        scores = [e["dice"] for e in entries] + [e["hd95"] for e in entries]
-        specials = {e.get("special_case", "none") for e in entries}
-        if not (set(map(type, scores)) <= _SCORE_TYPES and specials <= _SPECIAL_CASES):
-            return None
-        dice, hd95 = np.array(scores, dtype=np.float64).reshape(2, len(ids), len(cases), -1)
-    except (KeyError, TypeError, OverflowError):
-        return None
+    scores = [e["dice"] for e in entries] + [e["hd95"] for e in entries]
+    specials = {e.get("special_case", "none") for e in entries}
+    if not (
+        sum(map(len, per_case)) == len(entries)
+        and set(map(type, scores)) <= _SCORE_TYPES
+        and specials <= _SPECIAL_CASES
+    ):
+        raise TypeError("entries")
+    dice, hd95 = block = np.array(scores, dtype=np.float64).reshape(2, len(per_case), len(REGIONS))
     if not (((dice >= 0) & (dice <= 1)).all() and ((hd95 >= 0) & (hd95 < np.inf)).all()):
-        return None
-    return MetricTable(ids, cases, dice, hd95)
+        raise ValueError("ranges")
+    return block
 
 
-def _check_store(path: Path, submissions: list) -> None:
-    """Raise :class:`FormatError` for the first problem in a store that
-    :func:`_tabulate` rejects, naming the store, the submission and the case.
+def _tabulate(path: Path, submissions: list) -> MetricTable:
+    """The score table of a nonempty store, checked in one document-order pass.
 
-    Entries are checked in document order before the case and region sets,
-    so every entry error reads as it did when the store was loaded record
-    by record."""
+    Each submission's shape and id are checked, then all its entries at once
+    (:func:`_block`); only a submission that fails there is walked through
+    :func:`_record` to name its first bad entry.  Case and region sets come
+    last, so an entry error anywhere comes first.  Every fault raises
+    :class:`FormatError` naming the store, submission and case.
+    """
+    blocks = {}
     try:
         seen = set()
         for n, submission in enumerate(submissions):
             where = f"leaderboard store {path}: submission {n}"
-            if not _well_formed(submission):
+            if not (
+                isinstance(submission, dict)
+                and isinstance(submission.get("algorithm_id"), str)
+                and isinstance(submission.get("metrics"), dict)
+                and all(isinstance(regions, dict) for regions in submission["metrics"].values())
+            ):
                 raise ValidationError(
                     f"{where} needs a string 'algorithm_id' and 'metrics' mapping "
                     "case -> region -> {dice, hd95, special_case}"
                 )
-            if submission["algorithm_id"] in seen:
-                raise ValidationError(
-                    f"{where}: duplicate algorithm_id {submission['algorithm_id']!r}"
-                )
-            seen.add(submission["algorithm_id"])
-            for case_id, regions in submission["metrics"].items():
-                at = f"{where} case {case_id}"
-                for region, entry in regions.items():
-                    if not isinstance(entry, dict) or not all(
-                        type(entry.get(key)) in _SCORE_TYPES for key in ("dice", "hd95")
-                    ):
-                        raise ValidationError(f"{at}: region {region!r} needs numeric dice and hd95")
-                    special = entry.get("special_case", "none")
-                    _record(at, region, entry["dice"], entry["hd95"], special)
+            algorithm_id = submission["algorithm_id"]
+            if algorithm_id in seen:
+                raise ValidationError(f"{where}: duplicate algorithm_id {algorithm_id!r}")
+            seen.add(algorithm_id)
+            try:
+                blocks[algorithm_id] = _block(submission["metrics"])
+            except (KeyError, TypeError, ValueError, OverflowError):
+                # A walk that passes leaves a missing region for the set checks.
+                for case_id, regions in submission["metrics"].items():
+                    at = f"{where} case {case_id}"
+                    for region, entry in regions.items():
+                        if not isinstance(entry, dict) or not all(
+                            type(entry.get(key)) in _SCORE_TYPES for key in ("dice", "hd95")
+                        ):
+                            raise ValidationError(
+                                f"{at}: region {region!r} needs numeric dice and hd95"
+                            )
+                        special = entry.get("special_case", "none")
+                        _record(at, region, entry["dice"], entry["hd95"], special)
         first = submissions[0]["metrics"]
         if not first:
             raise ValidationError(f"leaderboard store {path}: submission 0 has no cases")
@@ -674,6 +676,8 @@ def _check_store(path: Path, submissions: list) -> None:
                     f"{where} case {differing[0]}: {state} submission 0; "
                     "every submission must cover the same cases"
                 )
+            if submission["algorithm_id"] in blocks:
+                continue  # a built block holds exactly WT, TC and ET
             for case_id, regions in submission["metrics"].items():
                 if regions.keys() != _REGION_KEYS:
                     raise ValidationError(
@@ -682,32 +686,27 @@ def _check_store(path: Path, submissions: list) -> None:
                     )
     except ValidationError as exc:
         raise FormatError(str(exc)) from None
-    raise AssertionError(f"leaderboard store {path}: rejected without a reason")
+    return MetricTable(tuple(blocks), tuple(sorted(first)), *np.stack(list(blocks.values()), axis=1))
 
 
 def _load_store(path: Path) -> tuple[str | None, dict, MetricTable | None]:
     """Return the store's text, its document and its score table.
 
     A missing store has no text and no table, as has a store without
-    submissions.  Any malformed submission, a repeated algorithm id, or
-    submissions that cover different cases or regions raise
-    :class:`FormatError` naming the store and the submission.
+    submissions.  Invalid JSON, or a store that :func:`_tabulate` rejects,
+    raises :class:`FormatError` naming the store.
     """
     if not path.exists():
         return None, {"submissions": [], "ranking": None}, None
     try:
         text = path.read_text()
         raw = json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"leaderboard store {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict) or not isinstance(raw.get("submissions"), list):
         raise FormatError(f"leaderboard store {path}: expected a 'submissions' list")
-    if not raw["submissions"]:
-        return text, raw, None
-    table = _tabulate(raw["submissions"])
-    if table is None:
-        _check_store(path, raw["submissions"])
-    return text, raw, table
+    submissions = raw["submissions"]
+    return text, raw, _tabulate(path, submissions) if submissions else None
 
 
 def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:

@@ -769,6 +769,34 @@ def test_leaderboard_store_entry_errors_name_store_and_submission(
 MANIFEST_HEADER = "case_id,reference_path,prediction_path\n"
 
 
+@pytest.mark.parametrize("command", ["apply-postprocess", "ensemble"])
+@pytest.mark.parametrize("case_id", ["../escaped", "sub/c1", "a\0b"])
+def test_case_ids_that_cannot_name_an_output_file_are_rejected(tmp_path, monkeypatch, capsys, command, case_id):
+    reads = []
+    for name in ("read_label_volume", "read_probability_volume"):
+        real = getattr(voxeval.cli, name)
+        monkeypatch.setattr(voxeval.cli, name, lambda *a, real=real: reads.append(a) or real(*a))
+    out_dir = tmp_path / "work" / "out"
+    if command == "apply-postprocess":
+        good = write_case(tmp_path, "good", nested_labels())
+        manifest = write_manifest(tmp_path / "m.csv", [["c0", good.name, good.name], [case_id, good.name, good.name]])
+        args = ["apply-postprocess", "--threshold-mm3", "10"]
+        what = "manifest"
+    else:
+        probs = write_prob(tmp_path / "p.nii", [0.2, 0.8])
+        rows = [[c, "a", probs.name, probs.name, probs.name] for c in ("c0", case_id)]
+        manifest = write_manifest(
+            tmp_path / "m.csv", rows, columns=("case_id", "configuration", "wt_path", "tc_path", "et_path")
+        )
+        args = ["ensemble"]
+        what = "ensemble manifest"
+    assert main(args + ["--manifest", str(manifest), "--out-dir", str(out_dir)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == f"{what} {manifest}: case_id {case_id!r} has a '/' or NUL"
+    assert reads == [] and not out_dir.parent.exists()
+
+
 @pytest.mark.parametrize(
     "command, text, code, needle",
     [
@@ -994,6 +1022,32 @@ def test_non_utf8_json_input_is_format_error(tmp_path, capsys, source):
     error = json.loads(lines[0])["error"]
     assert error["category"] == "format"
     assert str(bad) in error["message"]
+
+
+@pytest.mark.parametrize("source", ["config", "store-add", "store-recompute"])
+def test_deeply_nested_json_input_is_format_error(tmp_path, capsys, source):
+    deep = "[" * 200_000 + "]" * 200_000
+    bad = tmp_path / "bad.json"
+    if source == "config":
+        bad.write_text('{"label_coding": ' + deep + "}")
+        args = ["evaluate", "--config", str(bad), "--manifest", str(perfect_manifest(tmp_path)),
+                "--out-metrics", str(tmp_path / "o.csv")]
+        prefix = f"config {bad}: invalid JSON ("
+    else:
+        bad.write_text(deep)
+        args = ["leaderboard", source.partition("-")[2], "--store", str(bad)]
+        if source == "store-add":
+            args += ["--metrics", str(dominance_metrics(tmp_path)[0]), "--algorithm", "B"]
+        prefix = f"leaderboard store {bad}: invalid JSON ("
+    before = bad.read_bytes()
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "format"
+    assert error["message"].startswith(prefix)
+    assert bad.read_bytes() == before
+    assert not (tmp_path / "o.csv").exists()
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,6 @@ import pytest
 
 import voxeval.cli
 from voxeval.cli import (
-    _check_store,
     _load_store,
     _rank_result_document,
     _tabulate,
@@ -257,8 +256,8 @@ def entry(doc, n=0, case="c0", region="WT"):
     return doc["submissions"][n]["metrics"][case][region]
 
 
-#: Edits that make a valid store invalid; each must be rejected by both the
-#: tabulation and the walk that names the problem.
+#: Edits that make a valid store invalid; each must be rejected by the loader
+#: and by both CLI actions, naming the store and the submission.
 BREAKS = {
     "submission-not-object": lambda d: d["submissions"].__setitem__(1, ["x"]),
     "id-not-string": lambda d: d["submissions"][0].__setitem__("algorithm_id", 7),
@@ -308,13 +307,12 @@ def three_by_three() -> dict:
 @pytest.mark.parametrize("name", sorted(BREAKS))
 def test_every_broken_store_is_rejected_by_both_routes(tmp_path, capsys, name, action):
     doc = three_by_three()
-    assert _tabulate(doc["submissions"]) is not None
-    BREAKS[name](doc)
     store = tmp_path / "store.json"
+    assert _tabulate(store, doc["submissions"]).algorithms == tuple(IDS[:3])
+    BREAKS[name](doc)
     store.write_text(canonical(doc))
-    assert _tabulate(json.loads(store.read_text())["submissions"]) is None
     with pytest.raises(FormatError, match="^" + re.escape(f"leaderboard store {store}: submission ")):
-        _check_store(store, json.loads(store.read_text())["submissions"])
+        _load_store(store)
     before = store.read_bytes()
     args = ["leaderboard", action, "--store", str(store)]
     if action == "add":
@@ -407,6 +405,123 @@ def test_inconsistent_store_is_a_format_error(tmp_path, capsys, action, submissi
     assert error["category"] == "format"
     assert error["message"].startswith(f"leaderboard store {store}: {message}")
     assert store.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "submissions, message",
+    [
+        (
+            [sub("A", regions=("WT", "ET")), sub("B", dice=2)],
+            "submission 1 case c1: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 2.0, hd95 0.0",
+        ),
+        (
+            [sub("A", hd95=-1), {"algorithm_id": "B"}],
+            "submission 0 case c1: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.0, hd95 -1.0",
+        ),
+        ([sub("A"), sub("B", special_case="bogus"), sub("A")], "submission 1 case c1: 'bogus' is not a valid SpecialCase"),
+        ([sub("A", cases=()), sub("B", dice="x")], "submission 1 case c1: region 'WT' needs numeric dice and hd95"),
+    ],
+    ids=["region-set-then-entry", "entry-then-no-metrics", "entry-then-repeated-id", "no-cases-then-entry"],
+)
+def test_an_entry_fault_is_named_before_the_other_faults(tmp_path, submissions, message):
+    store = tmp_path / "store.json"
+    store.write_text(json.dumps({"submissions": submissions, "ranking": None}))
+    with pytest.raises(FormatError) as exc:
+        _load_store(store)
+    assert str(exc.value) == f"leaderboard store {store}: {message}"
+
+
+#: Values a mutation writes into a score or a special case; some are valid.
+WILD_SCORES = [None, "0.5", [], {}, True, 10**400, math.nan, math.inf, -math.inf,
+               -0.0, 2**60, 1e308, 0, 1, 0.5, 1.5, -1]
+WILD_SPECIALS = [["none"], None, {}, 1, "bogus", "both_empty", "none"]
+
+
+def pick(values, rng):
+    """A fresh copy of a random element, so no edit shares a list or dict."""
+    return copy.deepcopy(values[rng.integers(len(values))])
+
+
+def mutate(doc, rng) -> None:
+    """Make one random edit to a store document, if it still has the part the
+    edit needs; many edits break the store, some leave it valid."""
+    subs = doc["submissions"]
+    n = int(rng.integers(len(subs)))
+    kind = int(rng.integers(13))
+    if kind == 0:
+        subs[n] = pick([None, "x", 1, []], rng)
+        return
+    s = subs[n]
+    if not isinstance(s, dict):
+        return
+    if kind == 1:
+        s["algorithm_id"] = pick([7, None, "fresh", IDS[0]], rng)
+        return
+    if kind == 2:
+        s.pop("metrics", None)
+        if rng.random() < 0.5:
+            s["metrics"] = []
+        return
+    metrics = s.get("metrics")
+    if not isinstance(metrics, dict) or not metrics:
+        return
+    case = sorted(metrics)[rng.integers(len(metrics))]
+    if kind == 3:
+        metrics.pop(case)
+        return
+    if kind == 4:
+        metrics["c99"] = copy.deepcopy(metrics[case]) if rng.random() < 0.5 else {}
+        return
+    if kind == 5:
+        metrics.clear()
+        return
+    regions = metrics[case]
+    if not isinstance(regions, dict) or not regions:
+        return
+    region = sorted(regions)[rng.integers(len(regions))]
+    if kind == 6:
+        regions.pop(region)
+    elif kind == 7:
+        regions["XX"] = copy.deepcopy(regions[region])
+    elif kind == 8:
+        regions[region] = pick(WILD_SCORES, rng)
+    elif not isinstance(regions[region], dict):
+        return
+    elif kind == 9:
+        regions[region]["dice"] = pick(WILD_SCORES, rng)
+    elif kind == 10:
+        regions[region]["hd95"] = pick(WILD_SCORES, rng)
+    elif kind == 11:
+        regions[region]["special_case"] = pick(WILD_SPECIALS, rng)
+    else:
+        regions[region].pop(["dice", "hd95", "special_case"][rng.integers(3)], None)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_mutated_stores_load_as_the_record_route_or_fail_in_one_line(tmp_path, capsys, seed):
+    rng = np.random.default_rng(2000 + seed)
+    store = tmp_path / "store.json"
+    rejected = 0
+    for _ in range(50):
+        doc = random_store(rng)
+        for _ in range(int(rng.integers(1, 4))):
+            mutate(doc, rng)
+        store.write_text(canonical(doc))
+        before = store.read_bytes()
+        try:
+            table = _load_store(store)[2]
+        except FormatError as exc:
+            assert str(exc).startswith(f"leaderboard store {store}: ")
+            rejected += 1
+            assert main(["leaderboard", "recompute", "--store", str(store)]) == 4
+            assert len(capsys.readouterr().err.splitlines()) == 1
+            assert store.read_bytes() == before
+            continue
+        want = records_route(json.loads(before)["submissions"])
+        assert table.algorithms == want.algorithms and table.cases == want.cases
+        assert np.array_equal(table.dice, want.dice) and np.array_equal(table.hd95, want.hd95)
+        assert np.array_equal(np.signbit(table.dice), np.signbit(want.dice))
+    assert 0 < rejected < 50
 
 
 # --------------------------------------------------------------------------
