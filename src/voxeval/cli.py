@@ -168,26 +168,29 @@ _PROB_COLUMNS = {"wt_prob_path": "WT", "tc_prob_path": "TC", "et_prob_path": "ET
 def _csv_rows(path: Path, required: Sequence[str], what: str) -> Iterator[tuple[str, str, dict]]:
     """Yield ``(where, stripped case_id, row)`` for each data row of a CSV file.
 
-    ``where`` reads "<what> <path> row <n>" (the header is row 1) and
+    ``where`` reads "<what> <path> row <n>", where n is the file's line
+    number (the header is row 1; blank lines are skipped but counted), and
     prefixes every row error.  Missing columns, an empty case_id and a
-    file without data rows are rejected here.
+    file without data rows are rejected here.  The file is read as UTF-8;
+    a leading byte-order mark is dropped.
     """
+    where = None
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             missing = [c for c in required if c not in (reader.fieldnames or [])]
             if missing:
                 raise ValidationError(f"{what} {path}: missing columns {missing}")
-            row_num = 1
-            for row_num, row in enumerate(reader, start=2):
-                where = f"{what} {path} row {row_num}"
+            for row in reader:
+                # DictReader.line_num is not advanced past skipped blank lines.
+                where = f"{what} {path} row {reader.reader.line_num}"
                 case_id = (row.get("case_id") or "").strip()
                 if not case_id:
                     raise ValidationError(f"{where}: empty case_id")
                 yield where, case_id, row
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{what} {path}: not a readable CSV file ({exc})") from None
-    if row_num == 1:
+    if where is None:
         raise ValidationError(f"{what} {path}: no data rows")
 
 
@@ -277,11 +280,22 @@ def _read_pair(row: ManifestRow, coding: LabelCoding) -> tuple[LabelVolume, Labe
     return ref, pred
 
 
-def _check_out_names(what: str, path, case_ids) -> None:
-    """Reject a case id that cannot name a file directly in ``--out-dir``."""
-    for case_id in case_ids:
+def _check_out_names(what: str, path, out_dir: Path, names) -> None:
+    """Reject a ``(case_id, suffix)`` output name that cannot name a file
+    directly in ``out_dir``: a case id with a '/' or NUL, or a name longer
+    than the file-name limit of ``out_dir`` or of its nearest existing parent."""
+    existing = out_dir
+    while not existing.exists():
+        existing = existing.parent
+    limit = os.pathconf(existing, "PC_NAME_MAX")  # -1: no limit
+    for case_id, suffix in names:
         if "/" in case_id or "\0" in case_id:
             raise ValidationError(f"{what} {path}: case_id {case_id!r} has a '/' or NUL")
+        if 0 < limit < len(os.fsencode(case_id + suffix)):
+            raise ValidationError(
+                f"{what} {path}: case_id {case_id!r} makes an output file name "
+                f"longer than the {limit}-byte limit"
+            )
 
 
 def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
@@ -356,30 +370,159 @@ def _record(where: str, region, dice, hd95, special) -> MetricRecord:
     return record
 
 
+_METRICS_COLUMNS = ("case_id", "region", "dice", "hd95")
+_REGION_KEYS = frozenset(REGIONS)
+_REGION_INDEX = {region: k for k, region in enumerate(REGIONS)}
+_SPECIAL_CASES = frozenset(case.value for case in SpecialCase)
+
+
+def _metric_rows(path: Path) -> Iterator[tuple[str, str, MetricRecord]]:
+    """Yield ``(where, case_id, record)`` for each row of a metrics file."""
+    for where, case_id, row in _csv_rows(path, _METRICS_COLUMNS, "metrics file"):
+        special = row.get("special_case") or "none"
+        yield where, case_id, _record(where, row["region"], row["dice"], row["hd95"], special)
+
+
 def read_metrics_csv(path) -> dict[str, list[MetricRecord]]:
     """Read a metrics.csv produced by `evaluate` back into records."""
     per_case: dict[str, list[MetricRecord]] = {}
-    required = ("case_id", "region", "dice", "hd95")
-    for where, case_id, row in _csv_rows(Path(path), required, "metrics file"):
-        record = _record(
-            where, row["region"], row["dice"], row["hd95"], row.get("special_case") or "none"
-        )
+    for _, case_id, record in _metric_rows(Path(path)):
         per_case.setdefault(case_id, []).append(record)
     return per_case
 
 
+def _valid_scores(dice: np.ndarray, hd95: np.ndarray, specials: set) -> bool:
+    """Whether every special_case is known, every Dice lies in [0, 1] and
+    every HD95 is finite and nonnegative."""
+    return specials <= _SPECIAL_CASES and bool(
+        ((dice >= 0) & (dice <= 1)).all() and ((hd95 >= 0) & (hd95 < np.inf)).all()
+    )
+
+
+#: A metrics file's sorted case ids, its (2, cases, regions) Dice and HD95
+#: block, and an iterator over its rows in file order as (case_id, region,
+#: dice, hd95, special_case).
+_Scores = tuple[list[str], np.ndarray, Iterator[tuple[str, str, float, float, str]]]
+
+
+def _scores_by_columns(path: Path) -> _Scores | None:
+    """Read a metrics file column by column and check all its rows at once.
+
+    Returns None for any file it cannot vouch for: unreadable, without the
+    columns or data rows, with a short, long or otherwise bad row, or
+    without exactly one row per (case, region).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            header, *rows = csv.reader(fh)
+    except (csv.Error, ValueError):  # ValueError: undecodable bytes or an empty file
+        return None
+    if [] in rows:
+        rows = [row for row in rows if row]  # blank lines, which DictReader skips
+    column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    if not (
+        rows and set(map(len, rows)) == {len(header)} and column.keys() >= set(_METRICS_COLUMNS)
+    ):
+        return None
+    columns = list(zip(*rows))
+    case_ids = list(map(str.strip, columns[column["case_id"]]))
+    regions = columns[column["region"]]
+    specials = ("none",) * len(rows)
+    if "special_case" in column:
+        specials = columns[column["special_case"]]
+    try:
+        dice = list(map(float, columns[column["dice"]]))
+        hd95 = list(map(float, columns[column["hd95"]]))
+    except ValueError:
+        return None
+    scores = np.array([dice, hd95])
+    cases = sorted(set(case_ids))
+    if not (
+        all(case_ids)
+        and set(regions) <= _REGION_KEYS
+        and _valid_scores(*scores, set(specials) - {""})
+        and len(rows) == len(cases) * len(REGIONS)
+    ):
+        return None
+    first = {case_id: j * len(REGIONS) for j, case_id in enumerate(cases)}
+    slots = np.add(
+        list(map(first.__getitem__, case_ids)), list(map(_REGION_INDEX.__getitem__, regions))
+    )
+    if np.bincount(slots).max() > 1:
+        return None  # a repeated (case, region), so another one is missing
+    block = np.empty_like(scores)
+    block[:, slots] = scores
+    rows = zip(case_ids, regions, dice, hd95, (special or "none" for special in specials))
+    return cases, block.reshape(2, len(cases), len(REGIONS)), rows
+
+
+def _scores_by_records(path: Path) -> _Scores:
+    """Read a metrics file row by row through :func:`_record`.
+
+    A fault raises :class:`ValidationError` naming the file: a bad row first
+    (by row), then a repeated (case, region) (by row), then a missing region
+    (by case).
+    """
+    per_case: dict[str, dict[str, MetricRecord]] = {}
+    repeats = []
+    for where, case_id, record in _metric_rows(path):
+        regions = per_case.setdefault(case_id, {})
+        if record.region in regions:
+            repeats.append(f"{where}: duplicate record for case {case_id!r}, region {record.region}")
+        regions[record.region] = record
+    if repeats:
+        raise ValidationError(repeats[0])
+    cases = sorted(per_case)
+    for case_id in cases:
+        if len(per_case[case_id]) != len(REGIONS):
+            raise ValidationError(
+                f"metrics file {path} case {case_id!r}: expected one record per region "
+                f"{REGIONS}, got {sorted(per_case[case_id])}"
+            )
+    records = [per_case[case_id][region] for case_id in cases for region in REGIONS]
+    block = np.array([[r.dice for r in records], [r.hd95 for r in records]])
+    rows = (
+        (case_id, r.region, r.dice, r.hd95, r.special_case.value)
+        for case_id, regions in per_case.items()
+        for r in regions.values()
+    )
+    return cases, block.reshape(2, len(cases), len(REGIONS)), rows
+
+
+def _read_scores(path) -> _Scores:
+    """Read and check a metrics file.
+
+    A file the columnar reader cannot vouch for goes row by row through
+    :func:`_record`, so each fault gets the record route's message.
+    """
+    path = Path(path)
+    return _scores_by_columns(path) or _scores_by_records(path)
+
+
 def _named_metrics_table(pairs: Sequence[str]) -> MetricTable:
-    per_algorithm: dict[str, dict[str, list[MetricRecord]]] = {}
+    """The table of ``NAME=PATH`` metrics files; every file is read and
+    checked before the case sets are compared with the first file's."""
+    files: dict[str, tuple[str, list[str], np.ndarray]] = {}
     for pair in pairs:
         name, sep, value = pair.partition("=")
         if not sep or not name or not value:
             raise ValidationError(
                 f"expected NAME=PATH for a metrics file, got {pair!r}"
             )
-        if name in per_algorithm:
+        if name in files:
             raise ValidationError(f"duplicate algorithm id {name!r}")
-        per_algorithm[name] = read_metrics_csv(value)
-    return MetricTable.from_records(per_algorithm)
+        files[name] = value, *_read_scores(value)[:2]
+    first, (first_path, cases, _) = next(iter(files.items()))
+    for name, (path, other, _) in files.items():
+        if other != cases:
+            differing = sorted(set(cases) ^ set(other))
+            raise ValidationError(
+                f"metrics file {path} (algorithm {name!r}) does not cover the same cases "
+                f"as metrics file {first_path} (algorithm {first!r}); "
+                f"differing case ids: {differing[:5]}"
+            )
+    blocks = [block for _, _, block in files.values()]
+    return MetricTable(tuple(files), tuple(cases), *np.stack(blocks, axis=1))
 
 
 def _rank_result_document(result: RankResult) -> dict:
@@ -464,15 +607,16 @@ def _cmd_apply_postprocess(args) -> int:
     config = load_config(args.config)
     threshold = validate_threshold(args.threshold_mm3)
     manifest = parse_manifest(args.manifest)
-    _check_out_names("manifest", args.manifest, (row.case_id for row in manifest.rows))
     out_dir = Path(args.out_dir)
+    suffixes = [volume_suffix(row.prediction_path) for row in manifest.rows]
+    case_ids = [row.case_id for row in manifest.rows]
+    _check_out_names("manifest", args.manifest, out_dir, zip(case_ids, suffixes))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for row in manifest.rows:
+    for row, suffix in zip(manifest.rows, suffixes):
         with _case(row.case_id, prediction=row.prediction_path):
             pred = read_label_volume(row.prediction_path, config.coding)
         cleaned = apply_et_threshold(pred, threshold)
-        out_path = out_dir / (row.case_id + volume_suffix(row.prediction_path))
-        write_label_volume(out_path, cleaned)
+        write_label_volume(out_dir / (row.case_id + suffix), cleaned)
     return 0
 
 
@@ -521,8 +665,10 @@ def _cmd_ensemble(args) -> int:
             f"--threshold must lie strictly between 0 and 1, got {args.threshold!r}"
         )
     cases = parse_ensemble_manifest(args.manifest)
-    _check_out_names("ensemble manifest", args.manifest, cases)
     out_dir = Path(args.out_dir)
+    _check_out_names(
+        "ensemble manifest", args.manifest, out_dir, ((case_id, args.format) for case_id in cases)
+    )
     out_dir.mkdir(parents=True, exist_ok=True)
     for case_id, configurations in cases.items():
         with _case(case_id):
@@ -594,8 +740,6 @@ def _store_lock(path: Path):
         yield
 
 
-_REGION_KEYS = frozenset(REGIONS)
-_SPECIAL_CASES = frozenset(case.value for case in SpecialCase)
 # type() rather than isinstance(): JSON true/false are not scores.
 _SCORE_TYPES = frozenset((int, float))
 
@@ -609,15 +753,11 @@ def _block(metrics: dict) -> np.ndarray:
     entries = [regions[region] for regions in per_case for region in REGIONS]
     scores = [e["dice"] for e in entries] + [e["hd95"] for e in entries]
     specials = {e.get("special_case", "none") for e in entries}
-    if not (
-        sum(map(len, per_case)) == len(entries)
-        and set(map(type, scores)) <= _SCORE_TYPES
-        and specials <= _SPECIAL_CASES
-    ):
+    if not (sum(map(len, per_case)) == len(entries) and set(map(type, scores)) <= _SCORE_TYPES):
         raise TypeError("entries")
-    dice, hd95 = block = np.array(scores, dtype=np.float64).reshape(2, len(per_case), len(REGIONS))
-    if not (((dice >= 0) & (dice <= 1)).all() and ((hd95 >= 0) & (hd95 < np.inf)).all()):
-        raise ValueError("ranges")
+    block = np.array(scores, dtype=np.float64).reshape(2, len(per_case), len(REGIONS))
+    if not _valid_scores(*block, specials):
+        raise ValueError("entries")
     return block
 
 
@@ -724,35 +864,26 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
         text, store, stored = _load_store(store_path)
         if stored is not None and algorithm_id in stored.algorithms:
             raise ValidationError(f"algorithm id {algorithm_id!r} already in store")
-        per_case = read_metrics_csv(metrics_path)
-        if stored is not None and set(stored.cases) != set(per_case):
-            differing = sorted(set(stored.cases) ^ set(per_case))
+        cases, block, rows = _read_scores(metrics_path)
+        if stored is not None and stored.cases != tuple(cases):
+            differing = sorted(set(stored.cases) ^ set(cases))
             raise ValidationError(
                 f"submission case ids differ from the store's: {differing[:5]}"
             )
-        submission = {
-            "algorithm_id": algorithm_id,
-            "timestamp": _timestamp(),
-            "metrics": {
-                case_id: {
-                    rec.region: {
-                        "dice": rec.dice,
-                        "hd95": rec.hd95,
-                        "special_case": rec.special_case.value,
-                    }
-                    for rec in records
-                }
-                for case_id, records in sorted(per_case.items())
-            },
-        }
-        table = MetricTable.from_records({algorithm_id: per_case})
+        metrics: dict[str, dict] = {}
+        # A stable sort by case id: cases sorted, each case's regions in file order.
+        for case_id, region, dice, hd95, special in sorted(rows, key=lambda row: row[0]):
+            metrics.setdefault(case_id, {})[region] = {
+                "dice": dice,
+                "hd95": hd95,
+                "special_case": special,
+            }
+        submission = {"algorithm_id": algorithm_id, "timestamp": _timestamp(), "metrics": metrics}
+        algorithms, scores = (algorithm_id,), block[:, None]
         if stored is not None:
-            table = MetricTable(
-                stored.algorithms + table.algorithms,
-                table.cases,
-                np.concatenate([stored.dice, table.dice]),
-                np.concatenate([stored.hd95, table.hd95]),
-            )
+            algorithms = stored.algorithms + algorithms
+            scores = np.concatenate([np.stack([stored.dice, stored.hd95]), scores], axis=1)
+        table = MetricTable(algorithms, cases, *scores)
         cut = None
         if stored is not None and list(store) == ["submissions", "ranking"]:
             old_tail = _ranking_tail(store["ranking"])

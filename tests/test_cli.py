@@ -770,7 +770,7 @@ MANIFEST_HEADER = "case_id,reference_path,prediction_path\n"
 
 
 @pytest.mark.parametrize("command", ["apply-postprocess", "ensemble"])
-@pytest.mark.parametrize("case_id", ["../escaped", "sub/c1", "a\0b"])
+@pytest.mark.parametrize("case_id", ["../escaped", "sub/c1", "a\0b", "x" * 300])
 def test_case_ids_that_cannot_name_an_output_file_are_rejected(tmp_path, monkeypatch, capsys, command, case_id):
     reads = []
     for name in ("read_label_volume", "read_probability_volume"):
@@ -793,8 +793,25 @@ def test_case_ids_that_cannot_name_an_output_file_are_rejected(tmp_path, monkeyp
     assert main(args + ["--manifest", str(manifest), "--out-dir", str(out_dir)]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["message"] == f"{what} {manifest}: case_id {case_id!r} has a '/' or NUL"
+    reason = "has a '/' or NUL"
+    if len(case_id) == 300:
+        reason = f"makes an output file name longer than the {os.pathconf(tmp_path, 'PC_NAME_MAX')}-byte limit"
+    assert json.loads(lines[0])["error"]["message"] == f"{what} {manifest}: case_id {case_id!r} {reason}"
     assert reads == [] and not out_dir.parent.exists()
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_an_output_name_at_the_file_name_limit_is_written(tmp_path, suffix):
+    probs = write_prob(tmp_path / "p.nii", [0.2, 0.8])
+    case_id = "x" * (os.pathconf(tmp_path, "PC_NAME_MAX") - len(suffix))
+    manifest = write_manifest(
+        tmp_path / "m.csv",
+        [[case_id, "a", probs.name, probs.name, probs.name]],
+        columns=("case_id", "configuration", "wt_path", "tc_path", "et_path"),
+    )
+    out_dir = tmp_path / "out"
+    assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--format", suffix]) == 0
+    assert [p.name for p in out_dir.iterdir()] == [case_id + suffix]
 
 
 @pytest.mark.parametrize(
@@ -854,6 +871,96 @@ def test_csv_input_errors_name_file_and_row(tmp_path, capsys, command, text, cod
     message = json.loads(lines[0])["error"]["message"]
     assert str(path) in message
     assert needle in message
+
+
+ENSEMBLE_HEADER = "case_id,configuration,wt_path,tc_path,et_path\n"
+
+
+@pytest.mark.parametrize(
+    "command, text, needle",
+    [
+        ("evaluate", MANIFEST_HEADER + "\nc1,ref.nii,ref.nii\n\nc2,ref.nii,absent.nii\n", " row 5: prediction_path"),
+        ("ensemble", ENSEMBLE_HEADER + "\nc1,a,ref.nii,ref.nii,ref.nii\n\nc2, ,ref.nii,ref.nii,ref.nii\n", " row 5: empty configuration"),
+        ("rank", "case_id,region,dice,hd95\n\nc1,WT,1.0,0.0\nc1,TC,1.0,0.0\nc1,ET,high,0.0\n", " row 5: could not convert"),
+        ("rank", 'case_id,region,dice,hd95\n"c\n1",WT,1.0,0.0\n\nc1,XX,1.0,0.0\n', " row 5: unknown region 'XX'"),
+    ],
+    ids=["manifest", "ensemble-manifest", "metrics", "metrics-multiline-field"],
+)
+def test_row_numbers_count_blank_lines(tmp_path, capsys, command, text, needle):
+    test_csv_input_errors_name_file_and_row(tmp_path, capsys, command, text, 3, needle)
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ensemble", "rank"])
+def test_csv_inputs_may_start_with_a_byte_order_mark(tmp_path, command):
+    ref = write_case(tmp_path, "ref", nested_labels())
+    probs = write_prob(tmp_path / "p.nii", [0.2, 0.8])
+    path = tmp_path / "bom.csv"
+    text = {
+        "evaluate": MANIFEST_HEADER + f"c1,{ref.name},{ref.name}\n",
+        "ensemble": ENSEMBLE_HEADER + f"c1,a,{probs.name},{probs.name},{probs.name}\n",
+        "rank": "case_id,region,dice,hd95\n" + "".join(f"c1,{r},1.0,0.0\n" for r in ("WT", "TC", "ET")),
+    }[command]
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    plain = tmp_path / "plain.csv"
+    plain.write_text(text)
+    args = {
+        "evaluate": ["evaluate", "--manifest", str(path), "--out-metrics", str(tmp_path / "o.csv"), "--jobs", "1"],
+        "ensemble": ["ensemble", "--manifest", str(path), "--out-dir", str(tmp_path / "labels")],
+        "rank": ["rank", f"A={path}", f"B={plain}", "--out", str(tmp_path / "o.json")],
+    }[command]
+    assert main(args) == 0
+
+
+def structural_faults(tmp_path):
+    good = "".join(f"c{j},{r},1.0,0.0,none\n" for j in (1, 2) for r in ("WT", "TC", "ET"))
+    files = {
+        "good": good,
+        "repeat": good.replace("c2,WT", "c1,TC", 1),
+        "missing": good.replace("c2,ET,1.0,0.0,none\n", ""),
+        "fewer-cases": good.replace("c2,", "c1,").replace("c1,", "c3,", 3),
+    }
+    paths = {}
+    for name, body in files.items():
+        paths[name] = tmp_path / f"{name}.csv"
+        paths[name].write_text("case_id,region,dice,hd95,special_case\n" + body)
+    return paths
+
+
+@pytest.mark.parametrize("command", ["rank", "stability"])
+@pytest.mark.parametrize("fault", ["repeat", "missing", "case-set"])
+def test_structural_metrics_faults_name_the_file(tmp_path, capsys, command, fault):
+    paths = structural_faults(tmp_path)
+    expected = {
+        "repeat": f"metrics file {paths['repeat']} row 5: duplicate record for case 'c1', region TC",
+        "missing": f"metrics file {paths['missing']} case 'c2': expected one record per region "
+        "('WT', 'TC', 'ET'), got ['TC', 'WT']",
+        "case-set": f"metrics file {paths['fewer-cases']} (algorithm 'B') does not cover the same cases "
+        f"as metrics file {paths['good']} (algorithm 'A'); differing case ids: ['c2', 'c3']",
+    }[fault]
+    bad = paths["fewer-cases" if fault == "case-set" else fault]
+    args = [command, f"A={paths['good']}", f"B={bad}", "--out", str(tmp_path / "out")]
+    assert main(args) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == expected
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_row_is_named_before_an_earlier_repeat(tmp_path, capsys):
+    text = "case_id,region,dice,hd95\nc1,WT,1,0\nc1,WT,1,0\nc1,TC,2,0\n"
+    test_csv_input_errors_name_file_and_row(tmp_path, capsys, "rank", text, 3, " row 4: TC needs dice in [0, 1]")
+
+
+@pytest.mark.parametrize("fault", ["repeat", "missing"])
+def test_leaderboard_add_names_the_file_of_a_structural_fault(tmp_path, capsys, fault):
+    paths = structural_faults(tmp_path)
+    store = tmp_path / "store.json"
+    assert main(["leaderboard", "add", "--store", str(store), "--metrics", str(paths["good"]), "--algorithm", "A"]) == 0
+    before = store.read_bytes()
+    assert main(["leaderboard", "add", "--store", str(store), "--metrics", str(paths[fault]), "--algorithm", "B"]) == 3
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    assert message.startswith(f"metrics file {paths[fault]} ")
+    assert store.read_bytes() == before
 
 
 # --------------------------------------------------------------------------

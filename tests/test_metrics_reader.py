@@ -1,0 +1,165 @@
+"""The columnar metrics.csv reader against the record-by-record route.
+
+``rank``, ``stability`` and ``leaderboard add`` read metrics files column by
+column and check all rows at once; a file that reader cannot vouch for goes
+row by row through ``read_metrics_csv``'s records.  Both must give the same
+table, bit for bit, and the same store bytes.
+"""
+
+import csv
+import json
+from io import StringIO
+
+import numpy as np
+import pytest
+
+import voxeval.cli
+from voxeval.cli import (
+    _named_metrics_table,
+    _scores_by_columns,
+    _scores_by_records,
+    leaderboard_add,
+    main,
+    read_metrics_csv,
+)
+from voxeval.metrics import SpecialCase
+from voxeval.ranking import MetricTable
+
+from test_leaderboard_store import EPOCH, canonical, expected_after_add
+
+REGIONS = ("WT", "TC", "ET")
+SPECIALS = [case.value for case in SpecialCase]
+#: Integer-valued text, -0.0, a tiny value, padding, exponents and
+#: underscores: all of it is Python float() syntax.
+DICE_TEXT = ["0", "1", "-0.0", "1e-300", "0.5", " 0.25 ", "1.0", "0.8125", "1E-1"]
+HD95_TEXT = ["0", "2", "-0.0", "1e-300", "373.13", "10", "1_000.5", "\t7.5", "1e300"]
+#: Ids that need quoting, and ids with padding that the reader strips.
+CASE_IDS = ["c0", "c1", "c10", "c2", "a,b", 'q"t', "line\nbreak", "zoë", "模型", "B", "b"]
+
+
+def random_metrics_text(rng, cases) -> str:
+    """A valid metrics.csv over ``cases``: rows shuffled across cases, columns
+    in random order, perhaps with a decoy repeat of one required name before
+    the real one (DictReader keeps the last), special_case given, empty or absent,
+    random quoting, blank lines, CRLF or LF, and perhaps a byte-order mark."""
+    columns = ["case_id", "region", "dice", "hd95", "note"]
+    with_special = rng.random() < 0.7
+    if with_special:
+        columns.append("special_case")
+    columns = [str(c) for c in rng.permutation(columns)]
+    decoys = rng.random() < 0.5
+    if decoys:
+        columns.insert(0, str(rng.choice(["case_id", "region", "dice", "hd95"])))
+    rows = []
+    for case in cases:
+        for region in REGIONS:
+            values = {
+                "case_id": case if rng.random() < 0.7 else f"  {case} ",
+                "region": region,
+                "dice": DICE_TEXT[rng.integers(len(DICE_TEXT))],
+                "hd95": HD95_TEXT[rng.integers(len(HD95_TEXT))],
+                "note": "x,y" if rng.random() < 0.5 else "",
+                "special_case": (SPECIALS + [""])[rng.integers(len(SPECIALS) + 1)],
+            }
+            rows.append(["junk"] * decoys + [values[c] for c in columns[decoys:]])
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    text = StringIO()
+    quoting = [csv.QUOTE_MINIMAL, csv.QUOTE_ALL][rng.integers(2)]
+    terminator = ["\n", "\r\n"][rng.integers(2)]
+    writer = csv.writer(text, quoting=quoting, lineterminator=terminator)
+    writer.writerow(columns)
+    for row in rows:
+        if rng.random() < 0.15:
+            text.write(terminator)
+        writer.writerow(row)
+    return ("\ufeff" if rng.random() < 0.3 else "") + text.getvalue()
+
+
+def write_random_metrics(path, rng, cases):
+    path.write_text(random_metrics_text(rng, cases), encoding="utf-8", newline="")
+    return path
+
+
+def assert_same_table(got: MetricTable, want: MetricTable) -> None:
+    assert got.algorithms == want.algorithms and got.cases == want.cases
+    for name in ("dice", "hd95"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.tobytes() == b.tobytes()  # equal values and signs, -0.0 included
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def both_routes(path):
+    """The columnar and the record route's (cases, block, sorted rows) of one file."""
+    fast = _scores_by_columns(path)
+    assert fast is not None, "the columnar reader must vouch for a valid file"
+    results = []
+    for cases, block, rows in (fast, _scores_by_records(path)):
+        results.append((cases, block.tobytes(), sorted(rows, key=lambda row: row[0])))
+    return results
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_columnar_reader_matches_the_record_route(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    cases = [str(c) for c in rng.choice(CASE_IDS, size=int(rng.integers(1, 8)), replace=False)]
+    paths = {}
+    for name in ("A", "B", "C")[: int(rng.integers(1, 4))]:
+        paths[name] = write_random_metrics(tmp_path / f"{name}.csv", rng, cases)
+        fast, slow = both_routes(paths[name])
+        assert fast == slow
+    got = _named_metrics_table([f"{name}={path}" for name, path in paths.items()])
+    want = MetricTable.from_records({name: read_metrics_csv(path) for name, path in paths.items()})
+    assert_same_table(got, want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_leaderboard_add_writes_the_record_route_store(tmp_path, monkeypatch, seed):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    rng = np.random.default_rng(100 + seed)
+    cases = [str(c) for c in rng.choice(CASE_IDS, size=int(rng.integers(1, 8)), replace=False)]
+    store = tmp_path / "store.json"
+    for k, algorithm_id in enumerate(["A", "zoë", "B"]):
+        metrics = write_random_metrics(tmp_path / f"m{k}.csv", rng, cases)
+        before = json.loads(store.read_text()) if k else {"submissions": [], "ranking": None}
+        leaderboard_add(store, metrics, algorithm_id)
+        assert store.read_text() == canonical(expected_after_add(before, algorithm_id, metrics))
+
+
+HEADER = "case_id,region,dice,hd95,special_case\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        HEADER + "c1,WT,1,0,none,extra\nc1,TC,1,0,none\nc1,ET,-0.0,0,none\n",
+        HEADER + "c1,WT,1,0\nc1,TC,1,0,none\nc1,ET,1,0,none\n",
+    ],
+    ids=["long-row", "short-row-without-special-case"],
+)
+def test_files_the_columnar_reader_declines_still_read(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    assert _scores_by_columns(path) is None
+    got = _named_metrics_table([f"A={path}", f"B={path}"])
+    want = MetricTable.from_records({"A": read_metrics_csv(path), "B": read_metrics_csv(path)})
+    assert_same_table(got, want)
+
+
+def test_valid_files_build_no_records(tmp_path, monkeypatch):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    built = []
+    real = voxeval.cli.MetricRecord
+    monkeypatch.setattr(voxeval.cli, "MetricRecord", lambda *args: built.append(args) or real(*args))
+    rng = np.random.default_rng(7)
+    cases = ["c0", "c1", "c2", "a,b"]
+    pairs = [f"{n}={write_random_metrics(tmp_path / f'{n}.csv', rng, cases)}" for n in "ABC"]
+    assert main(["rank", *pairs, "--out", str(tmp_path / "rank.json")]) == 0
+    assert main(["stability", *pairs, "--out", str(tmp_path / "flips.csv")]) == 0
+    for pair in pairs:
+        name, _, path = pair.partition("=")
+        args = ["--store", str(tmp_path / "store.json"), "--metrics", path, "--algorithm", name]
+        assert main(["leaderboard", "add", *args]) == 0
+    assert built == []
+    # The record route still builds them, so the wrapper sees its calls.
+    read_metrics_csv(pairs[0].partition("=")[2])
+    assert len(built) == 3 * len(cases)
