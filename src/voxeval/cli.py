@@ -26,12 +26,14 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -260,6 +262,15 @@ def _default_jobs() -> int:
         return os.cpu_count() or 1
 
 
+def _jobs(jobs: int | None) -> int:
+    """A ``--jobs`` value: the usable core count when unset, else at least 1."""
+    if jobs is None:
+        return _default_jobs()
+    if jobs < 1:
+        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
+    return jobs
+
+
 @contextmanager
 def _case(case_id: str, **files):
     """Prefix a :class:`ValidationError` raised inside with the case id and
@@ -305,14 +316,14 @@ def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
 
 
 def evaluate_manifest(
-    manifest: Manifest, config: ToolConfig, jobs: int
+    manifest: Manifest, config: ToolConfig, jobs: int | None
 ) -> list[tuple[str, list[tuple[str, float, float, str]]]]:
     """Score every manifest row, optionally across worker processes.
 
     Results keep manifest order; at most one worker per case is started.
+    ``jobs`` None means the usable core count.
     """
-    if jobs < 1:
-        raise ValidationError(f"--jobs must be at least 1, got {jobs}")
+    jobs = _jobs(jobs)
     tasks = [(row, config.coding, config.policy) for row in manifest.rows]
     workers = min(jobs, len(tasks))
     if workers <= 1:
@@ -541,8 +552,7 @@ def _rank_result_document(result: RankResult) -> dict:
 def _cmd_evaluate(args) -> int:
     config = load_config(args.config)
     manifest = parse_manifest(args.manifest)
-    jobs = args.jobs if args.jobs is not None else _default_jobs()
-    results = evaluate_manifest(manifest, config, jobs)
+    results = evaluate_manifest(manifest, config, args.jobs)
     _write_csv(
         args.out_metrics,
         ["case_id", "region", "dice", "hd95", "special_case"],
@@ -657,6 +667,61 @@ def _load_prob_set(member: dict[str, Path]) -> RegionProbSet:
     return RegionProbSet(maps["WT"], maps["TC"], maps["ET"], spacing)
 
 
+def _loaded(label: str, members: list[dict[str, Path]], held: list[str]) -> Iterator[RegionProbSet]:
+    """Load ``members`` one at a time; while the consumer holds one, ``held``
+    names it by its configuration label and WT map."""
+    for member in members:
+        prob_set = _load_prob_set(member)
+        held.append(f"configuration {label!r}, wt_path {member['WT']}")
+        yield prob_set
+        del prob_set  # so the next member is read with this one freed
+        held.clear()
+
+
+def _ensemble_labels(
+    case_id: str, configurations: dict[str, list[dict[str, Path]]], threshold: float, coding: LabelCoding
+) -> LabelVolume:
+    """One case's labels, streaming its members through the two-level mean.
+
+    A member that does not match the case's first is named by the
+    configuration label and WT map after the mismatch.
+    """
+    held: list[str] = []
+    with _case(case_id):
+        try:
+            combined = two_level_ensemble(
+                _loaded(label, members, held) for label, members in configurations.items()
+            )
+        except ValidationError as exc:
+            if not held:
+                raise
+            raise ValidationError(f"{exc} ({held[0]})") from None
+    return regions_to_labels(combined, threshold, coding)
+
+
+def _in_order(fn, items: list, workers: int) -> Iterator:
+    """``map(fn, items)`` on up to ``workers`` threads.
+
+    Results come in the order of ``items``, so the first error raised is
+    that of the first failing item.  At most ``2 * workers`` calls are
+    queued, running or waiting to be consumed.  On an error, or when the
+    caller closes the generator, calls not started are cancelled and
+    running ones are waited for.
+    """
+    if workers <= 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        rest = iter(items)
+        queued = deque(pool.submit(fn, item) for item in islice(rest, 2 * workers))
+        while queued:
+            yield queued.popleft().result()
+            queued.extend(pool.submit(fn, item) for item in islice(rest, 1))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_ensemble(args) -> int:
     config = load_config(args.config)
     threshold = args.threshold if args.threshold is not None else config.threshold
@@ -664,21 +729,24 @@ def _cmd_ensemble(args) -> int:
         raise ValidationError(
             f"--threshold must lie strictly between 0 and 1, got {args.threshold!r}"
         )
+    jobs = _jobs(args.jobs)
     cases = parse_ensemble_manifest(args.manifest)
     out_dir = Path(args.out_dir)
     _check_out_names(
         "ensemble manifest", args.manifest, out_dir, ((case_id, args.format) for case_id in cases)
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    for case_id, configurations in cases.items():
-        with _case(case_id):
-            members = [
-                [_load_prob_set(member) for member in configuration]
-                for configuration in configurations.values()
-            ]
-            combined = two_level_ensemble(members)
-        labels = regions_to_labels(combined, threshold, config.coding)
-        write_label_volume(out_dir / (case_id + args.format), labels)
+    # Threads, not processes: zlib and numpy release the GIL on these maps,
+    # and the labels come back without pickling.  Labels are written here,
+    # in manifest order, so an error leaves what the serial loop would.
+    labels = _in_order(
+        lambda case: _ensemble_labels(*case, threshold, config.coding),
+        list(cases.items()),
+        min(jobs, len(cases)),
+    )
+    with closing(labels):
+        for case_id, volume in zip(cases, labels):
+            write_label_volume(out_dir / (case_id + args.format), volume)
     return 0
 
 
@@ -976,6 +1044,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--out-dir", required=True)
     p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--jobs", type=int, default=None, help="worker threads")
     p.add_argument(
         "--format",
         default=".nii.gz",

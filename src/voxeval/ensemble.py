@@ -5,78 +5,94 @@ is the mean over configuration means.  With unequal member counts this
 differs from pooling all members into one mean: each configuration keeps
 the same influence on the final prediction regardless of how many models
 it contributed.
+
+Members are streamed: each is added into float64 accumulators laid out
+like its maps and dropped before the next is read, so a two-level mean
+holds one member and six accumulators whatever the member count.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .volume import DEFAULT_CODING, LabelCoding, LabelVolume, RegionProbSet, regions_to_labels
-
-_REGION_FIELDS = ("p_wt", "p_tc", "p_et")
+from .volume import DEFAULT_CODING, LabelCoding, LabelVolume, RegionProbSet, Spacing, regions_to_labels
 
 
-def _check_compatible(members: Sequence[RegionProbSet], what: str) -> None:
-    first = members[0]
-    for i, member in enumerate(members[1:], start=1):
-        if member.shape != first.shape:
-            raise ValidationError(
-                f"{what} {i} has shape {member.shape}, expected {first.shape}"
-            )
-        if member.spacing != first.spacing:
-            raise ValidationError(
-                f"{what} {i} has spacing {member.spacing.as_tuple()}, "
-                f"expected {first.spacing.as_tuple()}"
-            )
+def _check_like(member: RegionProbSet, shape: tuple, spacing: Spacing, what: str) -> None:
+    if member.shape != shape:
+        raise ValidationError(f"{what} has shape {member.shape}, expected {shape}")
+    if member.spacing != spacing:
+        raise ValidationError(
+            f"{what} has spacing {member.spacing.as_tuple()}, expected {spacing.as_tuple()}"
+        )
 
 
-def _mean_probs(members: Sequence[RegionProbSet], weights: np.ndarray) -> RegionProbSet:
-    """Weighted mean of probability sets; accumulates raw weights, then
-    divides by their sum once, so uniform means of identical members are
-    exact."""
-    total = float(weights.sum())
-    maps = []
-    for field in _REGION_FIELDS:
-        acc = np.zeros(members[0].shape, dtype=np.float64)
-        # Fixed accumulation order keeps the result deterministic.
-        for weight, member in zip(weights, members):
-            if weight == 1.0:
-                acc += np.asarray(getattr(member, field), dtype=np.float64)
-            else:
-                acc += weight * np.asarray(getattr(member, field), dtype=np.float64)
-        acc /= total
+def _mean_maps(
+    members: Iterable[RegionProbSet], empty: str, like: tuple | None = None, what: str = ""
+) -> tuple[list[np.ndarray], tuple]:
+    """The clipped mean of each region's map over ``members``, as writeable
+    float64 arrays laid out like the first member's, and that member's
+    ``(shape, spacing)``.
+
+    ``members`` is consumed once.  Each member is checked before it is
+    added (an add would broadcast a smaller map): the first against
+    ``like`` as ``what``, when given, and every later one against the first.
+    Raises ``ValidationError(empty)`` when there is no member.
+    """
+    sums = first = None
+    count = 0
+    for member in members:  # no enumerate: its cached tuple would keep the previous member alive
+        if first is None:
+            if like is not None:
+                _check_like(member, *like, what)
+            first = (member.shape, member.spacing)
+            sums = [np.zeros_like(m, dtype=np.float64) for m in (member.p_wt, member.p_tc, member.p_et)]
+        else:
+            _check_like(member, *first, f"member {count}")
+        for acc, m in zip(sums, (member.p_wt, member.p_tc, member.p_et)):
+            np.add(acc, m, out=acc)  # float32 maps upcast exactly
+        count += 1
+        del member  # so the next member is read with this one freed
+    if first is None:
+        raise ValidationError(empty)
+    for acc in sums:
+        acc /= count
         # Rounding can push a mean of values in [0, 1] past the ends by one
         # ulp, which the constructor would reject.
         np.clip(acc, 0.0, 1.0, out=acc)
-        acc.setflags(write=False)  # so the constructor keeps it without a copy
-        maps.append(acc)
-    return RegionProbSet(*maps, spacing=members[0].spacing)
+    return sums, first
 
 
-def average_probs(members: Sequence[RegionProbSet]) -> RegionProbSet:
+def _prob_set(maps: list[np.ndarray], spacing: Spacing) -> RegionProbSet:
+    for m in maps:
+        m.setflags(write=False)  # so the constructor keeps it without a copy
+    return RegionProbSet(*maps, spacing=spacing)
+
+
+def average_probs(members: Iterable[RegionProbSet]) -> RegionProbSet:
     """Voxelwise arithmetic mean of probability sets, per region.
 
-    All members must share shape and spacing.
+    All members must share shape and spacing.  ``members`` is consumed
+    once, one member at a time, in order.
     """
-    members = list(members)
-    if not members:
-        raise ValidationError("average_probs requires at least one member")
-    _check_compatible(members, "member")
-    return _mean_probs(members, np.ones(len(members)))
+    maps, (_, spacing) = _mean_maps(members, "average_probs requires at least one member")
+    return _prob_set(maps, spacing)
 
 
 def two_level_ensemble(
-    configurations: Sequence[Sequence[RegionProbSet]],
+    configurations: Iterable[Iterable[RegionProbSet]],
     weights: Sequence[float] | None = None,
 ) -> RegionProbSet:
     """Mean over configurations of each configuration's member mean.
 
     Args:
-        configurations: one nonempty list of probability sets per
-            configuration; shapes and spacings must agree throughout.
+        configurations: one nonempty iterable of probability sets per
+            configuration; shapes and spacings must agree throughout.  Each
+            level is consumed once, in order, and a member is dropped before
+            the next is read, so generators of loaded members stream.
         weights: optional per-configuration weights (nonnegative, not all
             zero); defaults to uniform, the equal-influence rule.
 
@@ -85,32 +101,45 @@ def two_level_ensemble(
         *not* the pooled mean over all members: [[0.2]] and [[0.4, 0.8]]
         combine to 0.4, not 0.4667.
     """
-    configurations = [list(c) for c in configurations]
-    if not configurations:
+    w = None if weights is None else np.asarray(list(weights), dtype=np.float64)
+    configurations = iter(configurations)
+    sums = like = None
+    n = 0
+    for members in configurations:
+        if w is not None and (w.ndim != 1 or n >= w.size):
+            n += 1 + sum(1 for _ in configurations)  # the count, for the message below
+            break
+        maps, first = _mean_maps(members, f"configuration {n} has no members", like, f"configuration {n}")
+        if sums is None:
+            like = first
+            sums = [np.zeros_like(m) for m in maps]
+        weight = 1.0 if w is None else w[n]
+        for acc, m in zip(sums, maps):
+            if weight != 1.0:
+                m *= weight
+            np.add(acc, m, out=acc)
+        n += 1
+        del maps  # so the next configuration's sums are allocated with these freed
+    if n == 0:
         raise ValidationError("two_level_ensemble requires at least one configuration")
-    for i, members in enumerate(configurations):
-        if not members:
-            raise ValidationError(f"configuration {i} has no members")
-    if weights is None:
-        w = np.full(len(configurations), 1.0)
-    else:
-        w = np.asarray(list(weights), dtype=np.float64)
-        if w.shape != (len(configurations),):
+    if w is not None:
+        if w.shape != (n,):
             raise ValidationError(
-                f"expected one weight per configuration "
-                f"({len(configurations)}), got shape {w.shape}"
+                f"expected one weight per configuration ({n}), got shape {w.shape}"
             )
         if not np.all(np.isfinite(w)) or w.min() < 0.0:
             raise ValidationError("weights must be finite and nonnegative")
         if w.sum() == 0.0:
             raise ValidationError("weights must not all be zero")
-    config_means = [average_probs(members) for members in configurations]
-    _check_compatible(config_means, "configuration")
-    return _mean_probs(config_means, w)
+    total = n if w is None else float(w.sum())
+    for acc in sums:
+        acc /= total
+        np.clip(acc, 0.0, 1.0, out=acc)
+    return _prob_set(sums, like[1])
 
 
 def ensemble_predict(
-    configurations: Sequence[Sequence[RegionProbSet]],
+    configurations: Iterable[Iterable[RegionProbSet]],
     threshold: float = 0.5,
     coding: LabelCoding = DEFAULT_CODING,
     weights: Sequence[float] | None = None,

@@ -316,11 +316,13 @@ def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume
 def read_probability_volume(path) -> tuple[np.ndarray, Spacing]:
     """Read one probability map; values must be finite and within [0, 1].
 
-    The float64 array is read-only, so :class:`RegionProbSet` keeps it
-    without a copy.
+    Float maps keep their dtype, so a float32 file gives a float32 array
+    in the file's memory order; integer maps become float64.  The array is
+    read-only, so :class:`RegionProbSet` keeps it without a copy.
     """
     header, data = read_volume(path)
-    data = data.astype(np.float64, copy=False)
+    if data.dtype.kind != "f":
+        data = data.astype(np.float64)
     data.setflags(write=False)
     _check_probabilities(data, f"{path}: probability map")
     return data, header.spacing

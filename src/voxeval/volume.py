@@ -184,7 +184,11 @@ class RegionMaskSet:
 
 @dataclass(frozen=True, eq=False)
 class RegionProbSet:
-    """Per-region probability maps for one case, each valued in [0, 1]."""
+    """Per-region probability maps for one case, each valued in [0, 1].
+
+    Float maps keep their dtype (float32 maps stay float32); other maps
+    become float64.  Read-only maps are kept without a copy.
+    """
 
     p_wt: np.ndarray
     p_tc: np.ndarray
@@ -265,15 +269,19 @@ def regions_to_labels(
         raise ValidationError(
             f"threshold must lie strictly between 0 and 1, got {threshold}"
         )
-    wt = probs.p_wt >= threshold
-    tc = probs.p_tc >= threshold
-    et = probs.p_et >= threshold
+    # A float64 scalar, so that float32 maps are compared in float64: a
+    # Python float would be compared in the map's dtype, and float32(0.7)
+    # would pass a threshold of 0.7.
+    threshold = np.float64(threshold)
     dtype = np.uint8 if max(coding.codes) <= np.iinfo(np.uint8).max else np.int32
-    labels = np.select(
-        [~wt, ~tc, ~et],
-        [coding.background, coding.edema, coding.necrosis],
-        default=coding.enhancing,
-    ).astype(dtype)
+    labels = np.full_like(probs.p_wt, coding.background, dtype=dtype)
+    fires = probs.p_wt >= threshold
+    np.copyto(labels, dtype(coding.edema), where=fires)
+    fires &= probs.p_tc >= threshold
+    np.copyto(labels, dtype(coding.necrosis), where=fires)
+    fires &= probs.p_et >= threshold
+    np.copyto(labels, dtype(coding.enhancing), where=fires)
+    labels.setflags(write=False)  # so the constructor keeps it without a copy
     return LabelVolume(labels, probs.spacing, coding)
 
 

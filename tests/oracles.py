@@ -6,7 +6,8 @@ instead of erosion, distances via exhaustive pairwise computation instead
 of a distance transform, percentiles by hand instead of numpy, ranks via
 scipy.stats.rankdata, the challenge ranking and jackknife as plain loops
 over columns, pools and pairs, and the threshold sweep by applying and
-rescoring every candidate on every case.
+rescoring every candidate on every case, and the two-level ensemble mean
+voxel by voxel in Python floats.
 """
 
 from __future__ import annotations
@@ -212,3 +213,33 @@ def sweep_oracle(cases, candidates, policy=DEFAULT_POLICY) -> dict:
         "worst_counts": worst,
         "ranking_scores": brats_ranking_oracle(dice, hd95)[1],
     }
+
+
+def two_level_oracle(configurations, weights=None) -> list[np.ndarray]:
+    """The two-level ensemble mean of each region, voxel by voxel in Python
+    floats: each configuration's members summed in order from 0.0, divided
+    by their count and clipped to [0, 1]; then those means, each times its
+    weight, summed in configuration order from 0.0, divided by the weights'
+    sum and clipped again.
+
+    ``configurations`` is a list of lists of probability sets.
+    """
+    if weights is None:
+        weights = [1.0] * len(configurations)
+    total = 0.0
+    for weight in weights:
+        total += float(weight)
+    out = []
+    for field in ("p_wt", "p_tc", "p_et"):
+        maps = [[getattr(member, field) for member in members] for members in configurations]
+        result = np.empty(maps[0][0].shape)
+        for voxel in np.ndindex(result.shape):
+            acc = 0.0
+            for weight, members in zip(weights, maps):
+                s = 0.0
+                for m in members:
+                    s += float(m[voxel])
+                acc += float(weight) * min(max(s / len(members), 0.0), 1.0)
+            result[voxel] = min(max(acc / total, 0.0), 1.0)
+        out.append(result)
+    return out

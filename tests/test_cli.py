@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -580,6 +582,114 @@ def test_ensemble_threshold_is_checked_before_any_read(tmp_path, monkeypatch, ca
     assert reads == [] and not out_dir.exists()
     assert main(args + ["--threshold", "0.5"]) == 0
     assert len(reads) == 3
+
+
+ENSEMBLE_COLUMNS = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
+
+
+def write_ensemble_cases(tmp_path, count, shape=(3, 4, 5), bad=None):
+    """``count`` cases of seeded float32 maps, members 2 (configuration a)
+    + 1 (b).  ``bad`` maps a case index to ``("a" or "b", path)``: the file
+    for every map of its second member of a, or of its member of b."""
+    rng = np.random.default_rng(61)
+    rows = []
+    for i in range(count):
+        for configuration in ("a", "a", "b"):
+            names = []
+            for region in ("wt", "tc", "et"):
+                path = tmp_path / f"c{i}_{configuration}{len(rows)}_{region}.nii.gz"
+                data = (rng.integers(0, 257, shape) / 256).astype(np.float32)
+                write_volume(path, VolumeHeader(shape, "float32", Spacing()), data)
+                names.append(path.name)
+            rows.append([f"c{i}", configuration, *names])
+        if bad is not None and i in bad:
+            configuration, path = bad[i]
+            row = rows[-2] if configuration == "a" else rows[-1]
+            row[2:] = [path.name] * 3
+    return write_manifest(tmp_path / "ens.csv", rows, columns=ENSEMBLE_COLUMNS)
+
+
+def test_ensemble_jobs_write_identical_bytes(tmp_path):
+    manifest = write_ensemble_cases(tmp_path, 7)
+    written = {}
+    for jobs in ("1", "2", "3"):
+        out_dir = tmp_path / f"labels{jobs}"
+        assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == 0
+        written[jobs] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(written["1"]) == [f"c{i}.nii.gz" for i in range(7)]
+    assert written["2"] == written["1"] and written["3"] == written["1"]
+
+
+@pytest.mark.parametrize("jobs", ["1", "2", "3"])
+@pytest.mark.parametrize(
+    "mismatch, where, text",
+    [
+        ("shape", "b", "configuration 1 has shape (3, 4, 6), expected (3, 4, 5)"),
+        ("spacing", "b", "configuration 1 has spacing (1.0, 1.0, 2.0), expected (1.0, 1.0, 1.0)"),
+        ("shape", "a", "member 1 has shape (3, 4, 6), expected (3, 4, 5)"),
+    ],
+)
+def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkeypatch, capsys, jobs, mismatch, where, text):
+    bad = tmp_path / "bad.nii.gz"
+    shape, spacing = ((3, 4, 6), Spacing()) if mismatch == "shape" else ((3, 4, 5), Spacing(1, 1, 2))
+    write_volume(bad, VolumeHeader(shape, "float32", spacing), np.zeros(shape, np.float32))
+    manifest = write_ensemble_cases(tmp_path, 7, bad={2: (where, bad)})
+    real_read = voxeval.cli.read_probability_volume
+
+    def slow_bad_read(path):
+        if path == bad:
+            time.sleep(0.2)  # so that later cases finish first on a pool
+        return real_read(path)
+
+    monkeypatch.setattr(voxeval.cli, "read_probability_volume", slow_bad_read)
+    out_dir = tmp_path / "labels"
+    assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert message == f"case 'c2': {text} (configuration {where!r}, wt_path {bad})"
+    assert sorted(p.name for p in out_dir.iterdir()) == ["c0.nii.gz", "c1.nii.gz"]
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_ensemble_jobs_get_the_evaluate_check(tmp_path, monkeypatch, capsys, value):
+    manifest = write_ensemble_cases(tmp_path, 1)
+    reads = []
+    real_read = voxeval.cli.read_probability_volume
+    monkeypatch.setattr(voxeval.cli, "read_probability_volume", lambda path: reads.append(path) or real_read(path))
+    out_dir = tmp_path / "labels"
+    assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", value]) == 3
+    assert main(["evaluate", "--manifest", str(perfect_manifest(tmp_path)), "--out-metrics", str(tmp_path / "m.csv"),
+                 "--jobs", value]) == 3
+    ensemble_line, evaluate_line = capsys.readouterr().err.splitlines()
+    assert ensemble_line == evaluate_line
+    assert json.loads(ensemble_line)["error"]["message"] == f"--jobs must be at least 1, got {value}"
+    assert reads == [] and not out_dir.exists()
+
+
+def test_an_ensemble_case_holds_one_member_and_six_sums(tmp_path):
+    # 64^3 with members 3 + 2: the five members' 15 float32 maps take 15 MB
+    # and six float64 sums 12 MB, so holding every member would pass 25 MB.
+    shape = (64, 64, 64)
+    ramp = np.indices(shape).sum(axis=0)  # maps that gzip compresses fast
+    rows = []
+    for i, configuration in enumerate("aaabb"):
+        names = []
+        for j, region in enumerate(("wt", "tc", "et")):
+            path = tmp_path / f"{configuration}{i}_{region}.nii.gz"
+            data = (ramp * (3 * i + j + 1) % 257 / 256).astype(np.float32)
+            write_volume(path, VolumeHeader(shape, "float32", Spacing()), data)
+            names.append(path.name)
+        rows.append(["c0", configuration, *names])
+    manifest = write_manifest(tmp_path / "ens.csv", rows, columns=ENSEMBLE_COLUMNS)
+    out_dir = tmp_path / "labels"
+    tracemalloc.start()
+    try:
+        assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", "1"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # --------------------------------------------------------------------------

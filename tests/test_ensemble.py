@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from voxeval import (
     two_level_ensemble,
 )
 from helpers import constant_probset, random_probset
+from oracles import two_level_oracle
 
 
 def region_arrays(prob_set):
@@ -175,3 +178,97 @@ def test_mean_maps_are_kept_without_a_copy(monkeypatch):
     out = average_probs([random_probset(rng, (4, 4, 4)) for _ in range(2)])
     for got, built in zip(region_arrays(out), passed):
         assert np.shares_memory(got, built)
+
+
+def seeded_members(rng, counts, shape, dtype, order):
+    """One list of probability sets per configuration, with ``counts[i]``
+    members each; maps in ``dtype`` and memory ``order``."""
+    def prob_map():
+        return np.asarray(rng.random(shape, dtype=np.float64).astype(dtype), order=order)
+
+    return [
+        [RegionProbSet(prob_map(), prob_map(), prob_map(), Spacing(1, 1, 2)) for _ in range(count)]
+        for count in counts
+    ]
+
+
+def consumed_once(configurations):
+    """The configurations as a generator of generators that each refuse a
+    second pass."""
+    seen = set()
+
+    def members(i, config):
+        assert i not in seen, "a configuration was read twice"
+        seen.add(i)
+        yield from config
+
+    return (members(i, config) for i, config in enumerate(configurations))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("weights", [None, [0.3, 1.7, 0.9]])
+@pytest.mark.parametrize("as_generators", [False, True])
+def test_two_level_mean_equals_the_loop_oracle(dtype, order, weights, as_generators):
+    rng = np.random.default_rng(86)
+    configurations = seeded_members(rng, [3, 1, 2], (3, 4, 5), dtype, order)
+    given = consumed_once(configurations) if as_generators else configurations
+    out = two_level_ensemble(given, weights)
+    for got, want in zip(region_arrays(out), two_level_oracle(configurations, weights)):
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
+        # The sums are laid out like the members' maps.
+        assert got.flags.f_contiguous if order == "F" else got.flags.c_contiguous
+    assert out.spacing == Spacing(1, 1, 2)
+
+
+@pytest.mark.parametrize("as_generator", [False, True])
+def test_average_probs_equals_the_loop_oracle_on_mixed_members(as_generator):
+    rng = np.random.default_rng(87)
+    members = [m for config in seeded_members(rng, [2], (4, 3, 2), np.float32, "F") for m in config]
+    members += [m for config in seeded_members(rng, [2], (4, 3, 2), np.float64, "C") for m in config]
+    out = average_probs(iter(members) if as_generator else members)
+    for got, want in zip(region_arrays(out), two_level_oracle([members])):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("where", ["member", "configuration"])
+def test_a_smaller_map_is_rejected_not_broadcast(where):
+    big = constant_probset((1, 1, 2), 0.5, 0.5, 0.5)
+    small = constant_probset((1, 1, 1), 0.5, 0.5, 0.5)
+    if where == "member":
+        with pytest.raises(ValidationError, match=r"member 1 has shape \(1, 1, 1\), expected \(1, 1, 2\)"):
+            average_probs([big, small])
+        configurations = [[big], [big, small]]
+    else:
+        configurations = [[big], [small]]
+    with pytest.raises(ValidationError, match=rf"{where} 1 has shape \(1, 1, 1\), expected \(1, 1, 2\)"):
+        two_level_ensemble(configurations)
+
+
+def test_weights_are_checked_against_the_configurations_consumed():
+    config = [constant_probset((2, 2, 2), 0.5, 0.5, 0.5)]
+    for configurations, weights, count in (
+        ([config, config, config], [1.0], 3),
+        ([config], [1.0, 1.0], 1),
+        ([config, config], [], 2),
+        ([config, config], [[1.0, 1.0]], 2),
+    ):
+        with pytest.raises(ValidationError, match=rf"one weight per configuration \({count}\)"):
+            two_level_ensemble(iter(configurations), weights)
+
+
+def test_each_member_is_dropped_before_the_next_is_read():
+    rng = np.random.default_rng(88)
+    read = []
+
+    def members(count):
+        for _ in range(count):
+            assert all(ref() is None for ref in read), "a member was held across the next read"
+            member = random_probset(rng, (3, 3, 3))
+            read.append(weakref.ref(member))
+            yield member
+            del member
+
+    two_level_ensemble(members(count) for count in (3, 2))
+    assert len(read) == 5

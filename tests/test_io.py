@@ -437,7 +437,7 @@ def test_probability_maps_are_copied_at_most_once_on_load(tmp_path, dtype):
         write_volume(paths[-1], VolumeHeader(data.shape, dtype, Spacing()), data)
     maps = [read_probability_volume(path)[0] for path in paths]
     for arr in maps:
-        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert arr.dtype == data.dtype and not arr.flags.writeable
         assert np.array_equal(arr, data)
     probs = RegionProbSet(*maps, Spacing())
     for arr, kept in zip(maps, (probs.p_wt, probs.p_tc, probs.p_et)):

@@ -164,6 +164,32 @@ def test_regions_to_labels_decision_rule(probs, expected):
     assert regions_to_labels(prob_set).data[0, 0, 0] == expected
 
 
+def test_float32_maps_are_thresholded_in_float64():
+    # float32(0.7) is 0.699999988..., below 0.7: compared in float32 it
+    # would equal the threshold and pass.
+    shape = (1, 1, 2)
+    at = np.full(shape, 0.7, dtype=np.float32)
+    prob_set = RegionProbSet(at, at, at, Spacing())
+    assert not regions_to_labels(prob_set, 0.7).data.any()
+    assert not binarize_regions(prob_set, 0.7).wt.any()
+    assert (regions_to_labels(prob_set, float(np.float32(0.7))).data == 4).all()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("coding", [DEFAULT_CODING, LabelCoding(7, 300, 9, 0)])
+def test_regions_to_labels_matches_the_nested_rule(order, dtype, coding):
+    rng = np.random.default_rng(12)
+    maps = [np.asarray(rng.random((6, 5, 4)).astype(dtype), order=order) for _ in range(3)]
+    wt, tc, et = (m >= np.float64(0.4) for m in maps)
+    want = np.select(
+        [~wt, ~tc, ~et], [coding.background, coding.edema, coding.necrosis], default=coding.enhancing
+    )
+    out = regions_to_labels(RegionProbSet(*maps, Spacing()), 0.4, coding)
+    assert out.data.dtype == (np.uint8 if max(coding.codes) < 256 else np.int32)
+    assert np.array_equal(out.data, want)
+
+
 @pytest.mark.parametrize("threshold", [0.0, 1.0, -0.1, 1.5])
 def test_regions_to_labels_rejects_degenerate_threshold(threshold):
     prob_set = RegionProbSet(*(np.zeros((2, 2, 2)),) * 3, spacing=Spacing())
