@@ -633,15 +633,21 @@ def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkey
     bad = tmp_path / "bad.nii.gz"
     shape, spacing = ((3, 4, 6), Spacing()) if mismatch == "shape" else ((3, 4, 5), Spacing(1, 1, 2))
     write_volume(bad, VolumeHeader(shape, "float32", spacing), np.zeros(shape, np.float32))
-    manifest = write_ensemble_cases(tmp_path, 7, bad={2: (where, bad)})
-    real_read = voxeval.cli.read_probability_volume
+    manifest = write_ensemble_cases(tmp_path, 12, bad={2: (where, bad)})
+    real_read, real_labels = voxeval.cli.read_probability_volume, voxeval.cli._ensemble_labels
+    started = []
 
     def slow_bad_read(path):
         if path == bad:
             time.sleep(0.2)  # so that later cases finish first on a pool
         return real_read(path)
 
+    def counted_labels(case_id, *args):
+        started.append(case_id)
+        return real_labels(case_id, *args)
+
     monkeypatch.setattr(voxeval.cli, "read_probability_volume", slow_bad_read)
+    monkeypatch.setattr(voxeval.cli, "_ensemble_labels", counted_labels)
     out_dir = tmp_path / "labels"
     assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == 3
     lines = capsys.readouterr().err.splitlines()
@@ -649,6 +655,34 @@ def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkey
     message = json.loads(lines[0])["error"]["message"]
     assert message == f"case 'c2': {text} (configuration {where!r}, wt_path {bad})"
     assert sorted(p.name for p in out_dir.iterdir()) == ["c0.nii.gz", "c1.nii.gz"]
+    if jobs == "1":
+        assert started == ["c0", "c1", "c2"]
+    else:  # two cases written and 2 x jobs queued; later ones are never started
+        assert len(started) <= 2 + 2 * int(jobs)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_ensemble_bounds_the_cases_in_flight(tmp_path, monkeypatch, jobs):
+    manifest = write_ensemble_cases(tmp_path, 12)
+    real_labels, real_write = voxeval.cli._ensemble_labels, voxeval.cli.write_label_volume
+    started, written, in_flight = [], [], []
+
+    def counted_labels(*args):
+        started.append(1)
+        in_flight.append(len(started) - len(written))
+        return real_labels(*args)
+
+    def slow_write(path, volume):
+        time.sleep(0.02)  # so that the queue fills while the main thread writes
+        real_write(path, volume)
+        written.append(path.name)
+
+    monkeypatch.setattr(voxeval.cli, "_ensemble_labels", counted_labels)
+    monkeypatch.setattr(voxeval.cli, "write_label_volume", slow_write)
+    out_dir = tmp_path / "labels"
+    assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", str(jobs)]) == 0
+    assert written == [f"c{i}.nii.gz" for i in range(12)]
+    assert 1 < max(in_flight) <= 2 * jobs
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
