@@ -19,7 +19,7 @@ from scipy import ndimage
 
 from .aggregate import percentile
 from .errors import ValidationError
-from .volume import REGIONS, LabelVolume, Spacing, _region_masks
+from .volume import _EMPTY_BOX, REGIONS, LabelVolume, Spacing, _region_masks
 
 # Face connectivity (6 neighbours); used to find interior voxels.
 _FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
@@ -111,24 +111,38 @@ def dice(a, b) -> float:
             "dice is undefined for two empty masks; use evaluate_case, which "
             "applies the empty-region scoring policy"
         )
-    inter = int(np.count_nonzero(a & b))
-    return 2 * inter / (na + nb)
+    return _dice(a, b, na, nb)
+
+
+def _dice(a: np.ndarray, b: np.ndarray, na: int, nb: int) -> float:
+    """Dice of same-shape bool masks holding ``na`` and ``nb`` voxels, not both 0."""
+    return 2 * int(np.count_nonzero(a & b)) / (na + nb)
 
 
 def _union_bbox(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice, slice]:
     """The smallest box holding every true voxel of ``a`` and ``b``.
 
-    Two all-false masks give the empty box, which selects a (0, 0, 0) array.
+    It is read from projections of one union mask: onto the plane of the
+    last two axes, then onto the first axis within that plane's box.  Two
+    all-false masks give the empty box, which selects a (0, 0, 0) array.
     """
-    slices = []
-    for axis in range(3):
-        other = tuple(i for i in range(3) if i != axis)
-        line = np.any(a, axis=other) | np.any(b, axis=other)
-        idx = np.flatnonzero(line)
-        if not idx.size:
-            return (slice(0, 0),) * 3
-        slices.append(slice(int(idx[0]), int(idx[-1]) + 1))
-    return tuple(slices)
+    union = a | b
+    plane = union.any(axis=0)
+    ys, zs = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
+    if not ys.size:
+        return _EMPTY_BOX
+    y, z = slice(int(ys[0]), int(ys[-1]) + 1), slice(int(zs[0]), int(zs[-1]) + 1)
+    xs = np.flatnonzero(union[:, y, z].any(axis=(1, 2)))
+    return slice(int(xs[0]), int(xs[-1]) + 1), y, z
+
+
+def _join_boxes(a: tuple[slice, ...], b: tuple[slice, ...]) -> tuple[slice, ...]:
+    """The smallest box holding boxes ``a`` and ``b``; an empty box holds nothing."""
+    if a[0].start == a[0].stop:
+        return b
+    if b[0].start == b[0].stop:
+        return a
+    return tuple(slice(min(p.start, q.start), max(p.stop, q.stop)) for p, q in zip(a, b))
 
 
 def _surface(mask: np.ndarray) -> np.ndarray:
@@ -160,26 +174,42 @@ def surface_distances(a, b, spacing: Spacing) -> tuple[np.ndarray, np.ndarray]:
     a = _as_mask(a, "a")
     b = _as_mask(b, "b")
     _check_same_shape(a, b)
-    if not a.any():
-        raise ValidationError("mask a is empty; surface distances need nonempty masks")
-    if not b.any():
-        raise ValidationError("mask b is empty; surface distances need nonempty masks")
-
     # Crop to the union bounding box. Outside the box both masks are
     # background, and erosion with border_value=0 treats the cut edge
     # exactly like background, so surfaces and distances are unchanged.
     box = _union_bbox(a, b)
-    a = a[box]
-    b = b[box]
-
-    surf_a = _surface(a)
-    surf_b = _surface(b)
+    surf_a = _surface(a[box])
+    surf_b = _surface(b[box])
+    # A nonempty mask always has surface voxels, so these are the emptiness checks.
+    at_a = np.nonzero(surf_a)
+    if not at_a[0].size:
+        raise ValidationError("mask a is empty; surface distances need nonempty masks")
+    at_b = np.nonzero(surf_b)
+    if not at_b[0].size:
+        raise ValidationError("mask b is empty; surface distances need nonempty masks")
     sampling = spacing.as_tuple()
-    # distance_transform_edt assigns every voxel its distance to the
-    # nearest zero of the input, so ~surf gives nearest-surface distances.
-    dt_b = ndimage.distance_transform_edt(~surf_b, sampling=sampling)
-    dt_a = ndimage.distance_transform_edt(~surf_a, sampling=sampling)
-    return dt_b[surf_a], dt_a[surf_b]
+    return _distances_to(surf_b, at_a, sampling), _distances_to(surf_a, at_b, sampling)
+
+
+def _distances_to(surface: np.ndarray, at: tuple[np.ndarray, ...], sampling) -> np.ndarray:
+    """Distances from the voxels ``at`` to their nearest voxel of ``surface``.
+
+    Equal bit for bit to ``distance_transform_edt(~surface, sampling)[at]``:
+    scipy's exact feature transform names every voxel's nearest surface
+    voxel, and the distances are then taken at ``at`` only, with scipy's
+    arithmetic in its order (int32 offsets, float64, times the spacing per
+    axis, squared, summed over the axes, square root).  The feature
+    transform depends on the spacing, so it gets ``sampling`` too.
+    """
+    nearest = ndimage.distance_transform_edt(
+        ~surface, sampling=sampling, return_distances=False, return_indices=True
+    )
+    offsets = nearest[(slice(None),) + at] - np.array(at, dtype=nearest.dtype)
+    offsets = offsets.astype(np.float64)
+    for axis, step in enumerate(sampling):
+        offsets[axis] *= step
+    np.multiply(offsets, offsets, out=offsets)
+    return np.sqrt(np.add.reduce(offsets, axis=0))
 
 
 def hd95(a, b, spacing: Spacing) -> float:
@@ -243,13 +273,19 @@ def score_region(
     spacing: Spacing,
     policy: SpecialCasePolicy = DEFAULT_POLICY,
 ) -> MetricRecord:
-    """Score one region of one case: the empty-region rule, else Dice and HD95."""
-    record = empty_region_record(name, not mask_ref.any(), not mask_pred.any(), policy)
+    """Score one region of one case: the empty-region rule, else Dice and HD95.
+
+    The masks are bool arrays of one shape, as :func:`evaluate_case` and the
+    threshold sweep derive them.
+    """
+    na = int(np.count_nonzero(mask_ref))
+    nb = int(np.count_nonzero(mask_pred))
+    record = empty_region_record(name, na == 0, nb == 0, policy)
     if record is not None:
         return record
     return MetricRecord(
         name,
-        dice(mask_ref, mask_pred),
+        _dice(mask_ref, mask_pred, na, nb),
         hd95(mask_ref, mask_pred, spacing),
         SpecialCase.NONE,
     )
@@ -268,7 +304,8 @@ def evaluate_case(
     Dice and HD95 are computed from the masks.
 
     Both volumes are cropped once, to the box around the non-background
-    voxels of either, before the masks are derived.  The crop is exact:
+    voxels of either, before the masks are derived; each volume's box was
+    recorded when its labels were checked.  The crop is exact:
     outside the box both volumes are background, so every region is empty
     there on both sides and no count changes; erosion with border_value=0
     treats the cut face like the background voxels beyond it, so no
@@ -286,7 +323,7 @@ def evaluate_case(
     """
     check_pair(ref, pred)
     coding = ref.coding
-    box = _union_bbox(ref.data != coding.background, pred.data != coding.background)
+    box = _join_boxes(ref._box, pred._box)
     return tuple(  # type: ignore[return-value]
         score_region(name, mask_ref, mask_pred, ref.spacing, policy)
         for name, mask_ref, mask_pred in zip(

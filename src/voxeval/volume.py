@@ -41,6 +41,52 @@ def _check_probabilities(arr: np.ndarray, what: str) -> None:
         )
 
 
+#: Bytes of labels compared at a time, so that every compare runs in cache.
+_SLAB_BYTES = 256 * 1024
+
+#: The box that selects a (0, 0, 0) array: what an all-background volume holds.
+_EMPTY_BOX = (slice(0, 0),) * 3
+
+
+def _tumour_box(arr: np.ndarray, codes) -> tuple[slice, slice, slice] | None:
+    """The box around the voxels of 3-D ``arr`` that are not ``codes[0]``, or
+    None when a voxel holds none of ``codes``.
+
+    The labels are compared in slabs of about ``_SLAB_BYTES``, cut along the
+    array's slowest-varying axis; a slab of background only needs one compare.
+    """
+    background, *tumour_codes = codes
+    axes = sorted(range(3), key=lambda axis: -abs(arr.strides[axis]))
+    view = arr.transpose(axes)  # memory order, slowest-varying axis first
+    step = max(1, _SLAB_BYTES // max(1, arr.itemsize * view.shape[1] * view.shape[2]))
+    shape = (min(step, view.shape[0]),) + view.shape[1:]
+    tumour, invalid = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
+    rows = np.zeros(view.shape[0], dtype=bool)
+    plane = np.zeros(view.shape[1:], dtype=bool)
+    for start in range(0, view.shape[0], step):
+        slab = view[start : start + step]
+        n = len(slab)
+        np.not_equal(slab, background, out=tumour[:n])
+        np.any(tumour[:n], axis=(1, 2), out=rows[start : start + n])
+        if not rows[start : start + n].any():
+            continue
+        plane |= tumour[:n].any(axis=0)
+        np.not_equal(slab, tumour_codes[0], out=invalid[:n])
+        invalid[:n] &= tumour[:n]
+        for code in tumour_codes[1:]:  # the tumour mask is spent, so it holds each compare
+            invalid[:n] &= np.not_equal(slab, code, out=tumour[:n])
+        if invalid[:n].any():
+            return None
+    lines = (rows, plane.any(axis=1), plane.any(axis=0))
+    box = [None] * 3
+    for axis, line in zip(axes, lines):
+        idx = np.flatnonzero(line)
+        if not idx.size:
+            return _EMPTY_BOX
+        box[axis] = slice(int(idx[0]), int(idx[-1]) + 1)
+    return tuple(box)
+
+
 @dataclass(frozen=True)
 class Spacing:
     """Physical voxel size in millimetres along each axis."""
@@ -120,11 +166,12 @@ class LabelVolume:
             raise ValidationError(
                 f"label volume must have an integer dtype, got {arr.dtype}"
             )
-        background, *codes = self.coding.codes
-        invalid = arr != background
-        for code in codes:
-            invalid &= arr != code
-        if invalid.any():
+        box = _tumour_box(arr, self.coding.codes)
+        if box is None:
+            background, *codes = self.coding.codes
+            invalid = arr != background
+            for code in codes:
+                invalid &= arr != code
             idx = np.argwhere(invalid)[0]
             value = arr[tuple(idx)]
             raise ValidationError(
@@ -132,6 +179,8 @@ class LabelVolume:
                 f"is not one of the configured codes {self.coding.codes}"
             )
         object.__setattr__(self, "data", _freeze(arr))
+        # The box around the non-background voxels, which evaluate_case crops to.
+        object.__setattr__(self, "_box", box)
 
     @property
     def shape(self) -> tuple[int, int, int]:

@@ -32,6 +32,15 @@ def label_check_oracle(data, codes):
     return None
 
 
+def box_oracle(mask):
+    """The box around the true voxels of ``mask``, as slices taken from their
+    coordinates; no true voxel gives the empty box (0, 0, 0)."""
+    idx = np.argwhere(mask)
+    if not len(idx):
+        return (slice(0, 0),) * 3
+    return tuple(slice(int(lo), int(hi) + 1) for lo, hi in zip(idx.min(axis=0), idx.max(axis=0)))
+
+
 def dice_oracle(a, b) -> float:
     a = np.asarray(a, dtype=bool)
     b = np.asarray(b, dtype=bool)

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from voxeval import (
     LabelVolume,
@@ -13,6 +16,7 @@ from voxeval import (
     soft_dice,
     surface_distances,
 )
+from voxeval.metrics import _union_bbox
 from voxeval.volume import RegionMaskSet, RegionProbSet
 from helpers import (
     box_mask,
@@ -21,7 +25,7 @@ from helpers import (
     random_nested_masks,
     sphere_mask,
 )
-from oracles import dice_oracle, hd95_oracle, surface_distances_oracle, surface_oracle
+from oracles import box_oracle, dice_oracle, hd95_oracle, surface_distances_oracle, surface_oracle
 
 
 def single_voxel(shape, at):
@@ -156,6 +160,78 @@ def test_hd95_oracle_with_distant_masks_and_edges():
     b = box_mask(shape, (35, 25, 20), (40, 30, 25))
     spacing = Spacing(0.7, 1.3, 2.1)
     assert hd95(a, b, spacing) == pytest.approx(hd95_oracle(a, b, spacing), abs=1e-9)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_surface_distances_equal_the_distance_transform_at_the_surface(order):
+    # Anisotropic spacing moves the nearest surface voxel, so a feature
+    # transform taken without the spacing gives other distances.
+    rng = np.random.default_rng(1809)
+    for _ in range(40):
+        shape = tuple(int(n) for n in rng.integers(3, 25, size=3))
+        spacing = Spacing(*rng.uniform(0.3, 3.0, size=3))
+        a, b = (
+            np.asarray(random_mask(rng, shape, density=float(rng.uniform(0.02, 0.5))), order=order)
+            for _ in range(2)
+        )
+        a[0, 0, 0] = b[-1, -1, -1] = True  # the union box is the whole grid
+        surf_a, surf_b = surface_oracle(a), surface_oracle(b)
+        sampling = spacing.as_tuple()
+        d_ab, d_ba = surface_distances(a, b, spacing)
+        assert np.array_equal(d_ab, ndimage.distance_transform_edt(~surf_b, sampling=sampling)[surf_a])
+        assert np.array_equal(d_ba, ndimage.distance_transform_edt(~surf_a, sampling=sampling)[surf_b])
+
+
+def test_union_box_matches_the_box_of_the_union():
+    rng = np.random.default_rng(1810)
+    for order in ("C", "F"):
+        for _ in range(30):
+            shape = tuple(int(n) for n in rng.integers(1, 12, size=3))
+            a, b = (
+                np.asarray(rng.random(shape) < rng.choice([0.0, 0.01, 0.2]), order=order)
+                for _ in range(2)
+            )
+            assert _union_bbox(a, b) == box_oracle(a | b)
+
+
+def two_foci_labels(shape=(240, 240, 155)):
+    """A reference and a prediction, each with two BraTS-like lesions about
+    120 mm apart; the prediction is shifted and scaled a little."""
+    def paint(labels, center, radii, code):
+        lo = [max(0, int(c - r)) for c, r in zip(center, radii)]
+        hi = [min(n, int(c + r) + 2) for n, c, r in zip(shape, center, radii)]
+        box = tuple(slice(a, b) for a, b in zip(lo, hi))
+        grids = np.ogrid[box]
+        labels[box][sum(((g - c) / r) ** 2 for g, c, r in zip(grids, center, radii)) <= 1.0] = code
+
+    mid, offset, radii = np.array(shape) / 2.0, np.array([42.0, 36.0, 22.0]), np.array([11.0, 10.0, 9.0])
+    volumes = []
+    for shift, scale in ((0.0, 1.0), (1.5, 1.04)):
+        labels = np.zeros(shape, dtype=np.uint8)
+        for center in (mid - offset + shift, mid + offset + shift):
+            for code, factor in ((2, 1.0), (4, 0.6), (1, 0.35)):
+                paint(labels, center, radii * scale * factor, code)
+        labels.setflags(write=False)  # so LabelVolume keeps it without a copy
+        volumes.append(labels)
+    return volumes
+
+
+def test_evaluate_case_peak_memory_stays_under_twice_the_volumes():
+    # Cropped to the tumour box, with distances gathered at surface voxels
+    # only: before both, this pair peaked at 3.3 times the volumes' bytes.
+    tracemalloc.start()
+    try:
+        ref, pred = two_foci_labels()
+        held = ref.nbytes + pred.nbytes
+        tracemalloc.reset_peak()
+        ref_volume, pred_volume = LabelVolume(ref, Spacing()), LabelVolume(pred, Spacing())
+        records = evaluate_case(ref_volume, pred_volume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rec.special_case is SpecialCase.NONE for rec in records)
+    assert peak < 2 * held, f"peak {peak / 2**20:.1f} MB with {held / 2**20:.1f} MB held"
+    assert ref_volume._box == box_oracle(ref != 0)
 
 
 def test_hd95_symmetry_scale_and_self():

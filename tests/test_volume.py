@@ -25,7 +25,7 @@ from helpers import (
     random_label_volume,
     random_nested_masks,
 )
-from oracles import label_check_oracle
+from oracles import box_oracle, label_check_oracle
 
 
 def test_spacing_defaults_and_volume():
@@ -339,6 +339,71 @@ def test_label_check_matches_set_membership_oracle(coding, dtype, order):
             with pytest.raises(ValidationError, match=message):
                 LabelVolume(data, Spacing(), coding)
     assert outcomes == {True, False}
+
+
+def in_layout(data, layout, junk):
+    """``data`` as a C, F, strided or transposed array; a strided view skips
+    columns of ``junk``, which the label check must never read."""
+    if layout in ("C", "F"):
+        return np.array(data, order=layout)
+    if layout == "strided":
+        base = np.full((data.shape[0], 2 * data.shape[1], data.shape[2]), junk, dtype=data.dtype)
+        base[:, ::2] = data
+        return base[:, ::2]
+    return np.ascontiguousarray(data.transpose(1, 0, 2)).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("slab_bytes", [3000, voxeval.volume._SLAB_BYTES])
+@pytest.mark.parametrize("layout", ["C", "F", "strided", "transposed"])
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32])
+def test_slab_label_check_and_box_match_oracles(monkeypatch, dtype, layout, slab_bytes):
+    # 3000-byte slabs cut a 37 x 29 x 23 volume into 1 to 6 rows a slab, none a
+    # divisor of the slowest-varying axis; the real slab holds all of it.
+    monkeypatch.setattr(voxeval.volume, "_SLAB_BYTES", slab_bytes)
+    coding = CHECK_CODINGS["gaps"]
+    bad_value = 5  # every dtype holds it, and it is not a code
+    rng = np.random.default_rng(1400)
+    shape = (37, 29, 23)
+
+    def check(data):
+        arr = in_layout(data, layout, junk=bad_value)
+        expected = label_check_oracle(arr, coding.codes)
+        if expected is None:
+            vol = LabelVolume(arr, Spacing(), coding)
+            assert vol._box == box_oracle(arr != coding.background)
+            assert np.array_equal(vol.data, arr)
+        else:
+            value, voxel = expected
+            with pytest.raises(ValidationError, match=re.escape(f"label value {value} at voxel {voxel} ")):
+                LabelVolume(arr, Spacing(), coding)
+        return expected
+
+    background = np.full(shape, coding.background, dtype=dtype)
+    assert check(background) is None
+    assert LabelVolume(in_layout(background, layout, bad_value), Spacing(), coding)._box == (slice(0, 0),) * 3
+    for voxel in [(0, 0, 0), (36, 28, 22), (18, 3, 11)]:
+        one = background.copy()
+        one[voxel] = coding.enhancing
+        assert check(one) is None
+    tumour = background.copy()
+    tumour[5:30, 4:20, 2:21] = rng.choice(coding.codes, size=(25, 16, 19))
+    assert check(tumour) is None
+
+    slow = int(np.argmax(np.abs(in_layout(tumour, layout, bad_value).strides)))
+    last = shape[slow] - 1
+    for position in (0, last // 2, last):  # the first, a middle and the last slab
+        voxel = [int(rng.integers(0, n)) for n in shape]
+        voxel[slow] = position
+        bad = tumour.copy()
+        bad[tuple(voxel)] = bad_value
+        assert check(bad) == (bad_value, tuple(voxel))
+    # Bad voxels in the first and the last slab: the error names the first in
+    # C order, which in F and transposed layouts is the one in the last slab.
+    in_first, in_last = [n - 1 for n in shape], [0, 0, 0]
+    in_first[slow], in_last[slow] = 0, last
+    bad = tumour.copy()
+    bad[tuple(in_first)] = bad[tuple(in_last)] = bad_value
+    assert check(bad) == (bad_value, min(tuple(in_first), tuple(in_last)))
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
