@@ -30,10 +30,10 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from io import StringIO
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -81,6 +81,9 @@ _EXIT_VALIDATION = 3
 _EXIT_FORMAT = 4
 _EXIT_IO = 5
 
+# type() rather than isinstance(): JSON true/false are not numbers.
+_SCORE_TYPES = frozenset((int, float))
+
 
 # --------------------------------------------------------------------------
 # configuration
@@ -95,7 +98,7 @@ class ToolConfig:
     policy: SpecialCasePolicy = DEFAULT_POLICY
 
 
-def _build_from_keys(cls, raw: dict, what: str):
+def _build_from_keys(cls, raw: dict, what: str, numbers: bool = False):
     if not isinstance(raw, dict):
         raise ValidationError(f"config: {what} must be a JSON object, got {raw!r}")
     allowed = set(cls.__dataclass_fields__)
@@ -104,6 +107,9 @@ def _build_from_keys(cls, raw: dict, what: str):
         raise ValidationError(
             f"config: unknown {what} keys {sorted(unknown)}, expected {sorted(allowed)}"
         )
+    for key, value in raw.items():
+        if numbers and type(value) not in _SCORE_TYPES:
+            raise ValidationError(f"config: {what} {key} must be a JSON number, got {value!r}")
     return cls(**raw)
 
 
@@ -113,7 +119,9 @@ def load_config(path: str | None) -> ToolConfig:
     Recognized keys: "label_coding" (mapping with background/necrosis/
     edema/enhancing), "probability_threshold", and "special_case_policy"
     (mapping with worst_hd95/worst_dice/perfect_dice/perfect_hd95).
-    Partial mappings fall back to defaults; unknown keys are rejected.
+    Partial mappings fall back to defaults; unknown keys are rejected.  The
+    threshold and the policy values must be JSON numbers (not strings, not
+    true/false).
     """
     path = path or os.environ.get(CONFIG_ENV)
     if not path:
@@ -132,16 +140,13 @@ def load_config(path: str | None) -> ToolConfig:
         )
     coding = _build_from_keys(LabelCoding, raw.get("label_coding", {}), "label_coding")
     policy = _build_from_keys(
-        SpecialCasePolicy, raw.get("special_case_policy", {}), "special_case_policy"
+        SpecialCasePolicy, raw.get("special_case_policy", {}), "special_case_policy", numbers=True
     )
-    try:
-        threshold = float(raw.get("probability_threshold", 0.5))
-    except (TypeError, ValueError, OverflowError):
-        threshold = None
-    if threshold is None or not 0.0 < threshold < 1.0:
+    threshold = raw.get("probability_threshold", 0.5)
+    if type(threshold) not in _SCORE_TYPES or not 0.0 < threshold < 1.0:
         raise ValidationError(
             f"config {path}: probability_threshold must be a number strictly "
-            f"between 0 and 1, got {raw['probability_threshold']!r}"
+            f"between 0 and 1, got {threshold!r}"
         )
     return ToolConfig(coding=coding, threshold=threshold, policy=policy)
 
@@ -155,16 +160,11 @@ class ManifestRow:
     case_id: str
     reference_path: Path
     prediction_path: Path
-    probability_paths: dict[str, Path] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
 class Manifest:
     rows: tuple[ManifestRow, ...]
-
-
-#: Optional manifest columns carrying per-region probability maps.
-_PROB_COLUMNS = {"wt_prob_path": "WT", "tc_prob_path": "TC", "et_prob_path": "ET"}
 
 
 def _csv_rows(path: Path, required: Sequence[str], what: str) -> Iterator[tuple[str, str, dict]]:
@@ -211,8 +211,7 @@ def parse_manifest(path) -> Manifest:
     """Parse and validate a case manifest.
 
     The CSV must carry case_id, reference_path and prediction_path columns;
-    per-region probability columns (wt_prob_path, tc_prob_path,
-    et_prob_path) are optional.  Relative paths are resolved against the
+    other columns are ignored.  Relative paths are resolved against the
     manifest's directory, every referenced file must exist, and case ids
     must be unique.  Errors name the manifest and the offending row number.
     """
@@ -226,12 +225,7 @@ def parse_manifest(path) -> Manifest:
         seen.add(case_id)
         ref = _resolve(path.parent, row["reference_path"], where, "reference_path")
         pred = _resolve(path.parent, row["prediction_path"], where, "prediction_path")
-        probs = {
-            region: _resolve(path.parent, row[column], where, column)
-            for column, region in _PROB_COLUMNS.items()
-            if row.get(column)
-        }
-        rows.append(ManifestRow(case_id, ref, pred, probs))
+        rows.append(ManifestRow(case_id, ref, pred))
     return Manifest(tuple(rows))
 
 
@@ -416,98 +410,67 @@ def _valid_scores(dice: np.ndarray, hd95: np.ndarray, specials: set) -> bool:
 _Scores = tuple[list[str], np.ndarray, Iterator[tuple[str, str, float, float, str]]]
 
 
-def _scores_by_columns(path: Path) -> _Scores | None:
-    """Read a metrics file column by column and check all its rows at once.
+def _read_scores(path) -> _Scores:
+    """Read and check a metrics file.
 
-    Returns None for any file it cannot vouch for: unreadable, without the
-    columns or data rows, with a short, long or otherwise bad row, or
-    without exactly one row per (case, region).
+    The file is parsed once with :func:`csv.reader` and its rows are read
+    as :class:`csv.DictReader` reads them: blank lines skipped, missing
+    fields empty, extra fields dropped, and a column named twice taken at
+    its last occurrence.  All rows are checked at once.  Only a file that
+    fails is walked row by row through :func:`_record`, to raise the error
+    that names the file: a bad row first (by row), then a repeated (case,
+    region) (by row), then a missing region (by case).
     """
+    path = Path(path)
+    header, rows = [], []
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            header, *rows = csv.reader(fh)
-    except (csv.Error, ValueError):  # ValueError: undecodable bytes or an empty file
-        return None
-    if [] in rows:
-        rows = [row for row in rows if row]  # blank lines, which DictReader skips
-    column = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
-    if not (
-        rows and set(map(len, rows)) == {len(header)} and column.keys() >= set(_METRICS_COLUMNS)
-    ):
-        return None
-    columns = list(zip(*rows))
-    case_ids = list(map(str.strip, columns[column["case_id"]]))
-    regions = columns[column["region"]]
-    specials = ("none",) * len(rows)
-    if "special_case" in column:
-        specials = columns[column["special_case"]]
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            rows = [row for row in reader if row]  # DictReader skips blank lines
+    except (csv.Error, UnicodeDecodeError):
+        pass  # the walk below names the fault
+    columns = dict(zip(header, zip_longest(*rows, fillvalue="")))  # without rows, no columns
     try:
-        dice = list(map(float, columns[column["dice"]]))
-        hd95 = list(map(float, columns[column["hd95"]]))
-    except ValueError:
-        return None
-    scores = np.array([dice, hd95])
-    cases = sorted(set(case_ids))
-    if not (
-        all(case_ids)
-        and set(regions) <= _REGION_KEYS
+        case_ids = list(map(str.strip, columns["case_id"]))
+        cases = sorted(set(case_ids))
+        first = {case_id: j * len(REGIONS) for j, case_id in enumerate(cases)}
+        slots = np.add(
+            list(map(first.__getitem__, case_ids)),
+            list(map(_REGION_INDEX.__getitem__, columns["region"])),
+        )
+        dice = list(map(float, columns["dice"]))
+        hd95 = list(map(float, columns["hd95"]))
+        scores = np.array([dice, hd95])
+    except (KeyError, ValueError):  # a missing column, an unknown region or a bad score
+        slots = None
+    specials = columns.get("special_case", ("",) * len(rows))
+    if (
+        slots is not None
+        and all(case_ids)
         and _valid_scores(*scores, set(specials) - {""})
-        and len(rows) == len(cases) * len(REGIONS)
+        and (np.bincount(slots, minlength=len(cases) * len(REGIONS)) == 1).all()
     ):
-        return None
-    first = {case_id: j * len(REGIONS) for j, case_id in enumerate(cases)}
-    slots = np.add(
-        list(map(first.__getitem__, case_ids)), list(map(_REGION_INDEX.__getitem__, regions))
-    )
-    if np.bincount(slots).max() > 1:
-        return None  # a repeated (case, region), so another one is missing
-    block = np.empty_like(scores)
-    block[:, slots] = scores
-    rows = zip(case_ids, regions, dice, hd95, (special or "none" for special in specials))
-    return cases, block.reshape(2, len(cases), len(REGIONS)), rows
-
-
-def _scores_by_records(path: Path) -> _Scores:
-    """Read a metrics file row by row through :func:`_record`.
-
-    A fault raises :class:`ValidationError` naming the file: a bad row first
-    (by row), then a repeated (case, region) (by row), then a missing region
-    (by case).
-    """
-    per_case: dict[str, dict[str, MetricRecord]] = {}
+        block = np.empty_like(scores)
+        block[:, slots] = scores
+        rows = zip(case_ids, columns["region"], dice, hd95, (s or "none" for s in specials))
+        return cases, block.reshape(2, len(cases), len(REGIONS)), rows
+    per_case: dict[str, set[str]] = {}
     repeats = []
     for where, case_id, record in _metric_rows(path):
-        regions = per_case.setdefault(case_id, {})
+        regions = per_case.setdefault(case_id, set())
         if record.region in regions:
             repeats.append(f"{where}: duplicate record for case {case_id!r}, region {record.region}")
-        regions[record.region] = record
+        regions.add(record.region)
     if repeats:
         raise ValidationError(repeats[0])
-    cases = sorted(per_case)
-    for case_id in cases:
+    for case_id in sorted(per_case):
         if len(per_case[case_id]) != len(REGIONS):
             raise ValidationError(
                 f"metrics file {path} case {case_id!r}: expected one record per region "
                 f"{REGIONS}, got {sorted(per_case[case_id])}"
             )
-    records = [per_case[case_id][region] for case_id in cases for region in REGIONS]
-    block = np.array([[r.dice for r in records], [r.hd95 for r in records]])
-    rows = (
-        (case_id, r.region, r.dice, r.hd95, r.special_case.value)
-        for case_id, regions in per_case.items()
-        for r in regions.values()
-    )
-    return cases, block.reshape(2, len(cases), len(REGIONS)), rows
-
-
-def _read_scores(path) -> _Scores:
-    """Read and check a metrics file.
-
-    A file the columnar reader cannot vouch for goes row by row through
-    :func:`_record`, so each fault gets the record route's message.
-    """
-    path = Path(path)
-    return _scores_by_columns(path) or _scores_by_records(path)
+    raise AssertionError(f"metrics file {path} failed the check but has no faulty row")
 
 
 def _named_metrics_table(pairs: Sequence[str]) -> MetricTable:
@@ -806,10 +769,6 @@ def _store_lock(path: Path):
     with open(lock, "rb") as fh:
         fcntl.flock(fh, fcntl.LOCK_EX)
         yield
-
-
-# type() rather than isinstance(): JSON true/false are not scores.
-_SCORE_TYPES = frozenset((int, float))
 
 
 def _block(metrics: dict) -> np.ndarray:

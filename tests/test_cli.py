@@ -23,6 +23,7 @@ import voxeval.cli
 from voxeval.cli import (
     CONFIG_ENV,
     Manifest,
+    ManifestRow,
     load_config,
     main,
     parse_manifest,
@@ -108,17 +109,15 @@ def test_parse_manifest_missing_file(tmp_path):
         parse_manifest(path)
 
 
-def test_parse_manifest_probability_columns(tmp_path):
+def test_parse_manifest_ignores_other_columns(tmp_path):
     ref = write_case(tmp_path, "ref", nested_labels())
-    prob = tmp_path / "wt.nii"
-    write_volume(prob, VolumeHeader((2, 2, 2), "float32", Spacing()), np.zeros((2, 2, 2), np.float32))
     path = write_manifest(
         tmp_path / "m.csv",
-        [["c1", ref.name, ref.name, prob.name]],
+        [["c1", ref.name, ref.name, "absent.nii"]],
         columns=("case_id", "reference_path", "prediction_path", "wt_prob_path"),
     )
     manifest = parse_manifest(path)
-    assert manifest.rows[0].probability_paths == {"WT": prob}
+    assert manifest.rows == (ManifestRow("c1", ref, ref),)
 
 
 # --------------------------------------------------------------------------
@@ -981,6 +980,12 @@ def test_an_output_name_at_the_file_name_limit_is_written(tmp_path, suffix):
         ("rank", "case_id,region,dice,hd95\nc1,ET,1.0,-1\n", 3, " row 2: ET needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.0, hd95 -1.0"),
         ("rank", "case_id,region,dice,hd95\nc1,WT,1.0,inf\n", 3, " row 2: WT needs dice in [0, 1] and a finite nonnegative hd95, got dice 1.0, hd95 inf"),
         ("rank", "case_id,region,dice,hd95\nc\udcff1,WT,1.0,0.0\n", 4, "not a readable CSV file"),
+        ("rank", "", 3, ": missing columns ['case_id', 'region', 'dice', 'hd95']"),
+        ("rank", "\ufeff", 3, ": missing columns ['case_id', 'region', 'dice', 'hd95']"),
+        ("rank", "\ncase_id,region,dice,hd95\nc1,WT,1.0,0.0\n", 3, ": missing columns ['case_id', 'region', 'dice', 'hd95']"),
+        ("rank", "case_id,region,dice,hd95\n", 3, ": no data rows"),
+        ("rank", "case_id,region,dice,hd95\n ,WT,1,0\n ,TC,1,0\n ,ET,1,0\n", 3, " row 2: empty case_id"),
+        ("rank", "case_id,reg\udcffion,dice,hd95\nc1,WT,1.0,0.0\n", 4, ": not a readable CSV file ('utf-8' codec can't decode byte 0xff"),
     ],
     ids=[
         "manifest-duplicate-case",
@@ -998,6 +1003,12 @@ def test_an_output_name_at_the_file_name_limit_is_written(tmp_path, suffix):
         "metrics-negative-hd95",
         "metrics-infinite-hd95",
         "metrics-not-utf8",
+        "metrics-empty-file",
+        "metrics-bom-only",
+        "metrics-blank-first-line",
+        "metrics-header-only",
+        "metrics-every-case-id-blank",
+        "metrics-header-not-utf8",
     ],
 )
 def test_csv_input_errors_name_file_and_row(tmp_path, capsys, command, text, code, needle):
@@ -1197,6 +1208,9 @@ def test_config_partial_policy(tmp_path):
         {"probability_threshold": 5},
         {"probability_threshold": -0.1},
         {"label_coding": {"enhancing": 2147483648}},
+        {"probability_threshold": "0.5"},
+        {"special_case_policy": {"worst_dice": True}},
+        {"special_case_policy": {"worst_hd95": "373"}},
     ],
     ids=[
         "threshold-text",
@@ -1214,6 +1228,9 @@ def test_config_partial_policy(tmp_path):
         "threshold-five",
         "threshold-negative",
         "coding-above-int32",
+        "threshold-number-text",
+        "policy-dice-true",
+        "policy-number-text-hd95",
     ],
 )
 def test_config_bad_values_exit_three(tmp_path, capsys, document):

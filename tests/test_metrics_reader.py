@@ -1,9 +1,10 @@
-"""The columnar metrics.csv reader against the record-by-record route.
+"""The metrics.csv reader of the CLI against the record route.
 
-``rank``, ``stability`` and ``leaderboard add`` read metrics files column by
-column and check all rows at once; a file that reader cannot vouch for goes
-row by row through ``read_metrics_csv``'s records.  Both must give the same
-table, bit for bit, and the same store bytes.
+``rank``, ``stability`` and ``leaderboard add`` read each metrics file once,
+column by column, and check all rows at once; only a file that fails is walked
+row by row, to name its fault.  They must give the table that
+``read_metrics_csv`` and ``MetricTable.from_records`` build from records, bit
+for bit, and the same store bytes, or fail in one line naming the file.
 """
 
 import csv
@@ -16,12 +17,12 @@ import pytest
 import voxeval.cli
 from voxeval.cli import (
     _named_metrics_table,
-    _scores_by_columns,
-    _scores_by_records,
+    _read_scores,
     leaderboard_add,
     main,
     read_metrics_csv,
 )
+from voxeval.errors import FormatError, ValidationError
 from voxeval.metrics import SpecialCase
 from voxeval.ranking import MetricTable
 
@@ -89,13 +90,15 @@ def assert_same_table(got: MetricTable, want: MetricTable) -> None:
 
 
 def both_routes(path):
-    """The columnar and the record route's (cases, block, sorted rows) of one file."""
-    fast = _scores_by_columns(path)
-    assert fast is not None, "the columnar reader must vouch for a valid file"
-    results = []
-    for cases, block, rows in (fast, _scores_by_records(path)):
-        results.append((cases, block.tobytes(), sorted(rows, key=lambda row: row[0])))
-    return results
+    """``_read_scores`` and the record route's (cases, block, sorted rows) of one file."""
+    cases, block, rows = _read_scores(path)
+    records = read_metrics_csv(path)
+    table = MetricTable.from_records({"A": records})
+    want = [(c, r.region, r.dice, r.hd95, r.special_case.value) for c in sorted(records) for r in records[c]]
+    return [
+        (cases, block.tobytes(), sorted(rows, key=lambda row: row[0])),
+        (list(table.cases), np.stack([table.dice[0], table.hd95[0]]).tobytes(), want),
+    ]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -126,20 +129,19 @@ def test_leaderboard_add_writes_the_record_route_store(tmp_path, monkeypatch, se
 
 
 HEADER = "case_id,region,dice,hd95,special_case\n"
+#: Valid files with a long row and with a short one (no special_case).
+ROW_SHAPES = [
+    HEADER + "c1,WT,1,0,none,extra\nc1,TC,1,0,none\nc1,ET,-0.0,0,none\n",
+    HEADER + "c1,WT,1,0\nc1,TC,1,0,none\nc1,ET,1,0,none\n",
+]
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        HEADER + "c1,WT,1,0,none,extra\nc1,TC,1,0,none\nc1,ET,-0.0,0,none\n",
-        HEADER + "c1,WT,1,0\nc1,TC,1,0,none\nc1,ET,1,0,none\n",
-    ],
-    ids=["long-row", "short-row-without-special-case"],
-)
+@pytest.mark.parametrize("text", ROW_SHAPES, ids=["long-row", "short-row-without-special-case"])
 def test_files_the_columnar_reader_declines_still_read(tmp_path, text):
     path = tmp_path / "m.csv"
     path.write_text(text)
-    assert _scores_by_columns(path) is None
+    fast, slow = both_routes(path)
+    assert fast == slow
     got = _named_metrics_table([f"A={path}", f"B={path}"])
     want = MetricTable.from_records({"A": read_metrics_csv(path), "B": read_metrics_csv(path)})
     assert_same_table(got, want)
@@ -152,14 +154,100 @@ def test_valid_files_build_no_records(tmp_path, monkeypatch):
     monkeypatch.setattr(voxeval.cli, "MetricRecord", lambda *args: built.append(args) or real(*args))
     rng = np.random.default_rng(7)
     cases = ["c0", "c1", "c2", "a,b"]
-    pairs = [f"{n}={write_random_metrics(tmp_path / f'{n}.csv', rng, cases)}" for n in "ABC"]
-    assert main(["rank", *pairs, "--out", str(tmp_path / "rank.json")]) == 0
-    assert main(["stability", *pairs, "--out", str(tmp_path / "flips.csv")]) == 0
-    for pair in pairs:
-        name, _, path = pair.partition("=")
-        args = ["--store", str(tmp_path / "store.json"), "--metrics", path, "--algorithm", name]
-        assert main(["leaderboard", "add", *args]) == 0
+    groups = [[f"{n}={write_random_metrics(tmp_path / f'{n}.csv', rng, cases)}" for n in "ABC"]]
+    for k, text in enumerate(ROW_SHAPES):
+        (tmp_path / f"rows{k}.csv").write_text(text)
+        groups.append([f"{n}={tmp_path / f'rows{k}.csv'}" for n in "ABC"])
+    for k, pairs in enumerate(groups):
+        assert main(["rank", *pairs, "--out", str(tmp_path / "rank.json")]) == 0
+        assert main(["stability", *pairs, "--out", str(tmp_path / "flips.csv")]) == 0
+        for pair in pairs:
+            name, _, path = pair.partition("=")
+            args = ["--store", str(tmp_path / f"store{k}.json"), "--metrics", path, "--algorithm", name]
+            assert main(["leaderboard", "add", *args]) == 0
     assert built == []
     # The record route still builds them, so the wrapper sees its calls.
-    read_metrics_csv(pairs[0].partition("=")[2])
+    read_metrics_csv(groups[0][0].partition("=")[2])
     assert len(built) == 3 * len(cases)
+
+
+BAD_SCORES = ["high", "0,5", "1.0.0", "", "nan", "NaN", "inf", "-inf", "1.5", "-0.1", "-1", "1e400"]
+EDITS = ["score", "case", "region", "special", "delete", "repeat", "truncate", "extra", "byte", "quote"]
+
+
+def mutated_metrics(rng, cases) -> bytes:
+    """A file of ``random_metrics_text`` with 1-3 random edits: a bad,
+    non-finite or out-of-range score, a blank case id, an unknown region or
+    special_case, a deleted, repeated or truncated row, an extra field, an
+    undecodable byte or a quote that opens a row."""
+    text = random_metrics_text(rng, cases)
+    bom = "\ufeff" if text.startswith("\ufeff") else ""
+    header, *rows = csv.reader(StringIO(text[len(bom):], newline=""))
+
+    def put(row, name, value):  # into the column DictReader reads: the last of that name
+        k = len(header) - 1 - header[::-1].index(name) if name in header else len(row)
+        if k < len(row):
+            row[k] = value
+
+    edits = [str(edit) for edit in rng.choice(EDITS, size=int(rng.integers(1, 4)))]
+    for edit in edits:
+        full = [i for i, row in enumerate(rows) if len(row) > 1]
+        if not full:
+            break
+        i = int(rng.choice(full))
+        row = rows[i]
+        if edit == "score":
+            put(row, str(rng.choice(["dice", "hd95"])), str(rng.choice(BAD_SCORES)))
+        elif edit == "case":
+            put(row, "case_id", str(rng.choice(["", "  "])))
+        elif edit == "region":
+            put(row, "region", str(rng.choice(["XX", "wt", " WT", ""])))
+        elif edit == "special":
+            put(row, "special_case", str(rng.choice(["odd", "None", " none"])))
+        elif edit == "delete":
+            del rows[i]
+        elif edit == "repeat":
+            rows.insert(int(rng.integers(len(rows) + 1)), list(row))
+        elif edit == "truncate":
+            del row[int(rng.integers(1, len(row))):]
+        elif edit == "extra":
+            row.append(str(rng.choice(["x", "", "1.0"])))
+    out = StringIO()
+    quoting = [csv.QUOTE_MINIMAL, csv.QUOTE_ALL][rng.integers(2)]
+    csv.writer(out, quoting=quoting, lineterminator=["\n", "\r\n"][rng.integers(2)]).writerows([header, *rows])
+    lines = out.getvalue().splitlines(keepends=True)
+    if "quote" in edits:
+        k = int(rng.integers(len(lines)))
+        lines[k] = '"' + lines[k]
+    data = (bom + "".join(lines)).encode()
+    if "byte" in edits:
+        k = int(rng.integers(len(data) + 1))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_mutated_metrics_files_read_as_the_record_route_or_fail_in_one_line(tmp_path, capsys, seed):
+    rng = np.random.default_rng(3000 + seed)
+    path = tmp_path / "m.csv"
+    rejected = 0
+    for _ in range(50):
+        cases = [str(c) for c in rng.choice(CASE_IDS, size=int(rng.integers(1, 5)), replace=False)]
+        path.write_bytes(mutated_metrics(rng, cases))
+        code = main(["rank", f"A={path}", f"B={path}", "--out", str(tmp_path / "rank.json")])
+        lines = capsys.readouterr().err.splitlines()
+        try:
+            MetricTable.from_records({"A": read_metrics_csv(path)})
+        except (ValidationError, FormatError) as exc:
+            rejected += 1
+            assert code == (4 if isinstance(exc, FormatError) else 3)
+            assert len(lines) == 1
+            message = json.loads(lines[0])["error"]["message"]
+            assert message.startswith(f"metrics file {path}")
+            if str(exc).startswith("metrics file"):  # a row fault: the record route's own message
+                assert message == str(exc)
+            continue
+        assert code == 0 and lines == []
+        fast, slow = both_routes(path)
+        assert fast == slow
+    assert 0 < rejected < 50
