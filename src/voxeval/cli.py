@@ -71,6 +71,7 @@ from .volume import (
     LabelCoding,
     LabelVolume,
     RegionProbSet,
+    _ReadProbSet,
     regions_to_labels,
 )
 
@@ -627,7 +628,7 @@ def _load_prob_set(member: dict[str, Path]) -> RegionProbSet:
                 f"{member[region]}: spacing {sp.as_tuple()} differs from the "
                 f"case's other maps {spacing.as_tuple()}"
             )
-    return RegionProbSet(maps["WT"], maps["TC"], maps["ET"], spacing)
+    return _ReadProbSet(maps["WT"], maps["TC"], maps["ET"], spacing)
 
 
 def _loaded(label: str, members: list[dict[str, Path]], held: list[str]) -> Iterator[RegionProbSet]:

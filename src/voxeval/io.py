@@ -309,6 +309,15 @@ def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume
                 f"{path}: non-integral label value {float(value)} at voxel "
                 f"{tuple(int(i) for i in idx)}"
             )
+        # Casting a float outside int32's range is undefined, so the codes
+        # are checked first and the message names the value in the file.
+        invalid = ~np.isin(rounded, coding.codes)
+        if invalid.any():
+            idx = np.argwhere(invalid)[0]
+            raise ValidationError(
+                f"{path}: label value {int(rounded[tuple(idx)])} at voxel "
+                f"{tuple(int(i) for i in idx)} is not one of the configured codes {coding.codes}"
+            )
         data = rounded.astype(np.int32)
     return LabelVolume(data, header.spacing, coding)
 

@@ -15,14 +15,14 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import ndimage
 
 from .aggregate import percentile
 from .errors import ValidationError
 from .volume import _EMPTY_BOX, REGIONS, LabelVolume, Spacing, _region_masks
 
-# Face connectivity (6 neighbours); used to find interior voxels.
-_FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
+# About the float64 elements (2 MB) that one chunk of a distance search
+# keeps per array, so its memory does not grow with the tumour box.
+_CHUNK = 1 << 18
 
 
 class SpecialCase(str, Enum):
@@ -148,11 +148,21 @@ def _join_boxes(a: tuple[slice, ...], b: tuple[slice, ...]) -> tuple[slice, ...]
 def _surface(mask: np.ndarray) -> np.ndarray:
     """Voxels of ``mask`` with at least one face neighbour outside the mask.
 
-    border_value=0 makes the array edge count as outside, so a mask voxel
-    on the volume boundary is always surface.
+    The neighbours are read from six slices of the mask padded with False,
+    so the array edge counts as outside and a mask voxel on the volume
+    boundary is always surface.  The padded copy is C-contiguous whatever
+    the mask's memory order, and so is the result.
     """
-    interior = ndimage.binary_erosion(mask, structure=_FACE_STRUCT, border_value=0)
-    return mask & ~interior
+    padded = np.zeros(tuple(n + 2 for n in mask.shape), dtype=bool)
+    inner = padded[1:-1, 1:-1, 1:-1]
+    inner[...] = mask
+    interior = inner.copy()
+    for axis, n in enumerate(mask.shape):
+        for start in (0, 2):
+            interior &= padded[
+                tuple(slice(start, start + n) if i == axis else slice(1, -1) for i in range(3))
+            ]
+    return np.not_equal(inner, interior, out=interior)
 
 
 def surface_distances(a, b, spacing: Spacing) -> tuple[np.ndarray, np.ndarray]:
@@ -175,16 +185,17 @@ def surface_distances(a, b, spacing: Spacing) -> tuple[np.ndarray, np.ndarray]:
     b = _as_mask(b, "b")
     _check_same_shape(a, b)
     # Crop to the union bounding box. Outside the box both masks are
-    # background, and erosion with border_value=0 treats the cut edge
-    # exactly like background, so surfaces and distances are unchanged.
+    # background, and the surface treats the cut edge exactly like
+    # background, so surfaces and distances are unchanged.
     box = _union_bbox(a, b)
     surf_a = _surface(a[box])
     surf_b = _surface(b[box])
-    # A nonempty mask always has surface voxels, so these are the emptiness checks.
-    at_a = np.nonzero(surf_a)
+    # A nonempty mask always has surface voxels, so these are the emptiness
+    # checks.  flatnonzero gives np.nonzero's C order about ten times faster.
+    at_a = np.unravel_index(np.flatnonzero(surf_a), surf_a.shape)
     if not at_a[0].size:
         raise ValidationError("mask a is empty; surface distances need nonempty masks")
-    at_b = np.nonzero(surf_b)
+    at_b = np.unravel_index(np.flatnonzero(surf_b), surf_b.shape)
     if not at_b[0].size:
         raise ValidationError("mask b is empty; surface distances need nonempty masks")
     sampling = spacing.as_tuple()
@@ -194,22 +205,113 @@ def surface_distances(a, b, spacing: Spacing) -> tuple[np.ndarray, np.ndarray]:
 def _distances_to(surface: np.ndarray, at: tuple[np.ndarray, ...], sampling) -> np.ndarray:
     """Distances from the voxels ``at`` to their nearest voxel of ``surface``.
 
-    Equal bit for bit to ``distance_transform_edt(~surface, sampling)[at]``:
-    scipy's exact feature transform names every voxel's nearest surface
-    voxel, and the distances are then taken at ``at`` only, with scipy's
-    arithmetic in its order (int32 offsets, float64, times the spacing per
-    axis, squared, summed over the axes, square root).  The feature
-    transform depends on the spacing, so it gets ``sampling`` too.
+    ``at`` lists voxels in C order, as ``np.nonzero`` gives them.  Equal bit
+    for bit to ``distance_transform_edt(~surface, sampling)[at]``: each
+    distance is the square root of the least ((x·s0)² + (y·s1)²) + (z·s2)²
+    over the surface voxels, for offsets x, y, z and spacings s0, s1, s2 in
+    float64, with the terms added in that order.  Rounding is monotone in
+    each operand, so the least sum can be taken one axis at a time, as in
+    Felzenszwalb & Huttenlocher's separable distance transform (Theory of
+    Computing 8, 2012), and only at the voxels ``at``:
+
+    1. for each column along axis 0, the step to its nearest surface voxel
+       (:func:`_axis0_steps`);
+    2. for each (axis-0, axis-1) line that holds a voxel of ``at``, the least
+       (x·s0)² + (y·s1)² over the axis-1 planes at offsets 0, ±1, ±2, ...;
+    3. for each voxel, the least sum over axis 2.
+
+    After the planes at offsets up to ±(e-1), no further plane can give a
+    voxel a sum below (e·s1)², so a voxel whose least sum is at most that is
+    done; and only axis-2 offsets whose square is at most that bound can
+    decide it.  The check runs after each of the offsets 0 to 4, then after
+    blocks a quarter as long as the offset reached, so a voxel far from the
+    surface costs few checks.  Box-sized arrays are int32; float arrays hold
+    one chunk of lines.
     """
-    nearest = ndimage.distance_transform_edt(
-        ~surface, sampling=sampling, return_distances=False, return_indices=True
-    )
-    offsets = nearest[(slice(None),) + at] - np.array(at, dtype=nearest.dtype)
-    offsets = offsets.astype(np.float64)
-    for axis, step in enumerate(sampling):
-        offsets[axis] *= step
-    np.multiply(offsets, offsets, out=offsets)
-    return np.sqrt(np.add.reduce(offsets, axis=0))
+    n0, n1, n2 = surface.shape
+    # (i·s)² for each step i along an axis, rounded as the distances are.
+    sq0 = np.square(np.arange(2 * n0) * sampling[0])
+    sq0[n0:] = np.inf  # a step of n0 or more: no surface voxel in the column
+    sq1 = np.square(np.arange(n1 + 1) * sampling[1])
+    sq1[n1] = np.inf  # an offset of n1: every plane has been searched
+    sq2 = np.square(np.arange(n2) * sampling[2])
+    rows = _axis0_steps(surface).reshape(n0 * n1, n2)
+    # Positions from -n to 2n - 1, stored from index 0, clipped into [0, n).
+    # A plane or an axis-2 offset past the box edge repeats the edge one,
+    # whose sum with its larger square cannot undercut its own.
+    edge1 = np.arange(-n1, 2 * n1).clip(0, n1 - 1)
+    edge2 = np.arange(-n2, 2 * n2).clip(0, n2 - 1)
+    line = at[0].astype(np.intp) * n1 + at[1]  # sorted, since ``at`` is
+    first = _run_starts(line)
+    out = np.empty(len(line))
+    # Chunks of whole lines, each of at least _CHUNK // n2 voxels but the last.
+    starts = np.append(np.flatnonzero(first), len(line))
+    q0 = 0
+    while q0 < len(line):
+        q1 = int(starts[np.searchsorted(starts, min(q0 + max(1, _CHUNK // n2), len(line)))])
+        todo = np.arange(q0, q1)
+        lines = line[q0:q1][first[q0:q1]]
+        qline = np.cumsum(first[q0:q1]) - 1
+        # Axis-1 and axis-2 positions in the numbering of edge1 and edge2.
+        qk = at[2][q0:q1] + n2
+        lb = lines % n1 + n1
+        base = lines - lines % n1  # the line's row in plane 0
+        best = np.full((len(lines), n2), np.inf)
+        d = 0
+        while True:
+            stop = min(max(d + 1, d + d // 4), n1)
+            for e in range(d, stop):
+                for j in (lb - e, lb + e) if e else (lb,):
+                    plane = sq0.take(rows.take(base + edge1.take(j), axis=0))
+                    plane += sq1[e]
+                    np.minimum(best, plane, out=best)
+            d, bound = stop, sq1[stop]
+            w = int(np.searchsorted(sq2, bound, side="right")) - 1
+            offsets = np.arange(-w, w + 1)
+            at_k = edge2.take(qk[:, None] + offsets)
+            at_k += qline[:, None] * n2
+            least = (best.take(at_k) + sq2[np.abs(offsets)]).min(axis=1)
+            done = least <= bound
+            out[todo[done]] = least[done]
+            if done.all():
+                break
+            keep = ~done
+            todo, qline, qk = todo[keep], qline[keep], qk[keep]
+            left = _run_starts(qline)
+            kept = qline[left]
+            qline = np.cumsum(left) - 1
+            best, lb, base = best[kept], lb[kept], base[kept]
+        q0 = q1
+    return np.sqrt(out, out=out)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Whether each element of the sorted ``keys`` starts a run of equal keys."""
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
+
+
+def _axis0_steps(surface: np.ndarray) -> np.ndarray:
+    """For every voxel, the int32 axis-0 step to the nearest surface voxel of
+    its column; n0 or more where the column holds none.
+
+    Two passes over the axis-0 planes: the forward step from the last
+    surface voxel at or before each plane, then the least of that and the
+    backward step.  A plane at a time keeps the passes in cache.
+    """
+    steps = np.empty(surface.shape, dtype=np.int32)
+    steps[0] = len(surface)
+    np.copyto(steps[0], 0, where=surface[0])
+    for i in range(1, len(surface)):
+        np.add(steps[i - 1], 1, out=steps[i])
+        np.copyto(steps[i], 0, where=surface[i])
+    after = np.empty_like(steps[0])
+    for i in range(len(surface) - 2, -1, -1):
+        np.add(steps[i + 1], 1, out=after)
+        np.minimum(steps[i], after, out=steps[i])
+    return steps
 
 
 def hd95(a, b, spacing: Spacing) -> float:
@@ -307,8 +409,8 @@ def evaluate_case(
     voxels of either, before the masks are derived; each volume's box was
     recorded when its labels were checked.  The crop is exact:
     outside the box both volumes are background, so every region is empty
-    there on both sides and no count changes; erosion with border_value=0
-    treats the cut face like the background voxels beyond it, so no
+    there on both sides and no count changes; the surface treats the cut
+    face like the background voxels beyond it, so no
     surface changes; and :func:`surface_distances` crops each region to its
     own union box within this one.  Two all-background volumes give the
     empty box, whose empty masks score the both-empty pair.

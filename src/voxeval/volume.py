@@ -244,6 +244,9 @@ class RegionProbSet:
     p_et: np.ndarray
     spacing: Spacing
 
+    # Not a field: whether the constructor checks each map's range.
+    _check_range = True
+
     def __post_init__(self) -> None:
         shape = None
         for name in ("p_wt", "p_tc", "p_et"):
@@ -258,7 +261,8 @@ class RegionProbSet:
                 raise ValidationError(
                     f"probability maps disagree on shape: {shape} vs {arr.shape}"
                 )
-            _check_probabilities(arr, f"{name} map")
+            if self._check_range:
+                _check_probabilities(arr, f"{name} map")
             object.__setattr__(self, name, _freeze(arr))
 
     @property
@@ -270,6 +274,14 @@ class RegionProbSet:
             return {"WT": self.p_wt, "TC": self.p_tc, "ET": self.p_et}[name]
         except KeyError:
             raise ValidationError(f"unknown region {name!r}, expected one of {REGIONS}")
+
+
+class _ReadProbSet(RegionProbSet):
+    """Maps from :func:`voxeval.io.read_probability_volume`, which has
+    checked each map's range in a message that names its file; so the
+    constructor does not check them again."""
+
+    _check_range = False
 
 
 def labels_to_regions(volume: LabelVolume) -> RegionMaskSet:

@@ -1,9 +1,9 @@
 """Independent reference implementations the tests check against.
 
 Each oracle deliberately takes a different route from the library code:
-label checks by set membership voxel by voxel, surfaces via padded shifts
-instead of erosion, distances via exhaustive pairwise computation instead
-of a distance transform, percentiles by hand instead of numpy, ranks via
+label checks by set membership voxel by voxel, surfaces by rolling a padded
+mask instead of slicing it, distances via exhaustive pairwise computation
+instead of a separable search, percentiles by hand instead of numpy, ranks via
 scipy.stats.rankdata, the challenge ranking and jackknife as plain loops
 over columns, pools and pairs, and the threshold sweep by applying and
 rescoring every candidate on every case, and the two-level ensemble mean

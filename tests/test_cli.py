@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,7 +14,9 @@ import pytest
 from voxeval import (
     LabelCoding,
     LabelVolume,
+    RegionProbSet,
     Spacing,
+    ValidationError,
     VolumeHeader,
     read_label_volume,
     write_label_volume,
@@ -538,6 +541,22 @@ def test_ensemble_command_averages_per_configuration(tmp_path):
     # the pooled member mean 0.467 would have crossed the threshold
     assert labels.data[0, 0, 0] == 0
     assert labels.data[0, 0, 1] == 2
+
+
+def test_each_probability_map_is_range_checked_once(tmp_path, monkeypatch):
+    checked = []
+    for module in (voxeval.io, voxeval.volume):
+        real = module._check_probabilities
+        monkeypatch.setattr(
+            module, "_check_probabilities", lambda arr, what, real=real: checked.append(what) or real(arr, what)
+        )
+    paths = {region: write_prob(tmp_path / f"{region}.nii", [0.2, 0.8]) for region in ("WT", "TC", "ET")}
+    probs = voxeval.cli._load_prob_set(paths)
+    assert checked == [f"{paths[region]}: probability map" for region in ("WT", "TC", "ET")]
+    assert isinstance(probs, RegionProbSet) and np.array_equal(probs.p_tc, np.float32([[[0.2, 0.8]]]))
+    write_prob(paths["TC"], [0.2, 1.5])
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(paths['TC']))}: probability map .*outside \[0, 1\]"):
+        voxeval.cli._load_prob_set(paths)
 
 
 def test_ensemble_errors_name_the_case(tmp_path, capsys):
@@ -1351,18 +1370,62 @@ def test_io_error_exit_code(tmp_path, capsys):
     assert err["error"]["category"] == "io"
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    # Importing scipy.stats costs about half a second and 40 MB, which would
-    # show in every subcommand's start-up time and memory.
+def fresh_python(*args, **env_vars):
+    """Run ``python *args`` in a fresh interpreter that imports this checkout."""
     src = str(Path(voxeval.cli.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    code = "import sys, voxeval.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
+def test_cli_import_does_not_load_scipy():
+    # Importing scipy costs every subcommand 0.3-0.5 s and about 30 MB at
+    # start-up; scipy.stats alone would add about half a second and 40 MB.
+    done = fresh_python(
+        "-c", "import sys, voxeval.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_far_future_source_date_epoch_fails_in_one_line(tmp_path):
+    # An epoch past year 9999 must reach main's own check: no module the CLI
+    # imports may fail on it first (numpy.f2py, which scipy imported, did).
+    strong, _ = dominance_metrics(tmp_path)
+    store = tmp_path / "store.json"
+    done = fresh_python(
+        "-m", "voxeval.cli", "leaderboard", "add", "--store", str(store),
+        "--metrics", str(strong), "--algorithm", "A",
+        SOURCE_DATE_EPOCH="100000000000000000",
+    )
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert "SOURCE_DATE_EPOCH" in json.loads(lines[0])["error"]["message"]
+    assert not store.exists()
+
+
+def test_float_label_outside_int32_is_named_in_one_line(tmp_path):
+    # Casting 3e9 to int32 is undefined (-2147483648 here, with RuntimeWarning
+    # lines on stderr), so the value must be checked before the cast.
+    data = nested_labels().astype(np.float32)
+    data[3, 4, 5] = 3e9
+    ref = write_case(tmp_path, "ref", nested_labels())
+    pred = tmp_path / "pred.nii"
+    write_volume(pred, VolumeHeader(data.shape, "float32", Spacing()), data)
+    manifest = write_manifest(tmp_path / "m.csv", [["case1", ref.name, pred.name]])
+    out = tmp_path / "metrics.csv"
+    done = fresh_python(
+        "-m", "voxeval.cli", "evaluate", "--manifest", str(manifest), "--out-metrics", str(out)
+    )
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    message = json.loads(lines[0])["error"]["message"]
+    assert "label value 3000000000 at voxel (3, 4, 5)" in message and str(pred) in message
+    assert not out.exists()
 
 
 def uint8_coding_300_setup(tmp_path):

@@ -16,6 +16,7 @@ from voxeval import (
     soft_dice,
     surface_distances,
 )
+from voxeval import metrics
 from voxeval.metrics import _union_bbox
 from voxeval.volume import RegionMaskSet, RegionProbSet
 from helpers import (
@@ -180,6 +181,60 @@ def test_surface_distances_equal_the_distance_transform_at_the_surface(order):
         d_ab, d_ba = surface_distances(a, b, spacing)
         assert np.array_equal(d_ab, ndimage.distance_transform_edt(~surf_b, sampling=sampling)[surf_a])
         assert np.array_equal(d_ba, ndimage.distance_transform_edt(~surf_a, sampling=sampling)[surf_b])
+
+
+def edge_and_spacing_cases(rng, order):
+    """Mask pairs with axes of length 1, masks on the box edge, and a focus
+    far along axis 1, under isotropic and strongly anisotropic spacings."""
+    spacings = [Spacing(), Spacing(0.5, 0.5, 5.0), Spacing(0.3, 0.3, 3.0), Spacing(5.0, 0.4, 0.7)]
+    shapes = [(1, 1, 1), (1, 9, 7), (8, 1, 6), (7, 9, 1), (1, 1, 12), (1, 12, 1), (12, 1, 1), (9, 11, 8)]
+    for spacing in spacings:
+        for shape in shapes:
+            a, b = (
+                np.asarray(random_mask(rng, shape, density=float(rng.uniform(0.05, 0.5))), order=order)
+                for _ in range(2)
+            )
+            a[0, 0, 0] = b[-1, -1, -1] = True  # both masks touch the union box's edge
+            yield a, b, spacing
+        # A false-positive focus at the far end of axis 1: its lines search
+        # through the whole axis before any surface voxel is near.
+        a = np.zeros((7, 40, 6), dtype=bool, order=order)
+        a[2:5, 0:4, 1:5] = True
+        b = a.copy(order=order)
+        b[3, 39, 2] = True
+        yield a, b, spacing
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 50])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_surface_distances_match_the_oracle_on_edges_and_spacings(order, chunk, monkeypatch):
+    # Small chunks split the search's lines over many chunks, as a large box does.
+    if chunk is not None:
+        monkeypatch.setattr(metrics, "_CHUNK", chunk)
+    rng = np.random.default_rng(1811)
+    for a, b, spacing in edge_and_spacing_cases(rng, order):
+        d_ab, d_ba = surface_distances(a, b, spacing)
+        o_ab, o_ba = surface_distances_oracle(a, b, spacing)
+        # The oracle subtracts physical coordinates, so it rounds differently.
+        assert np.allclose(np.sort(d_ab), np.sort(o_ab), rtol=0, atol=1e-9)
+        assert np.allclose(np.sort(d_ba), np.sort(o_ba), rtol=0, atol=1e-9)
+        surf_a, surf_b = surface_oracle(a), surface_oracle(b)
+        sampling = spacing.as_tuple()
+        assert np.array_equal(d_ab, ndimage.distance_transform_edt(~surf_b, sampling=sampling)[surf_a])
+        assert np.array_equal(d_ba, ndimage.distance_transform_edt(~surf_a, sampling=sampling)[surf_b])
+
+
+def test_surface_matches_the_oracle():
+    rng = np.random.default_rng(1812)
+    masks = [np.zeros((3, 4, 5), dtype=bool), np.ones((3, 4, 5), dtype=bool), np.ones((1, 1, 1), dtype=bool)]
+    for _ in range(40):
+        shape = tuple(int(n) for n in rng.integers(1, 14, size=3))
+        masks.append(random_mask(rng, shape, density=float(rng.uniform(0.05, 0.9))))
+    for mask in masks:
+        for view in (mask, np.asfortranarray(mask), np.pad(mask, 2)[2:-2, 2:-2, 2:-2]):
+            surface = metrics._surface(view)
+            assert surface.flags.c_contiguous
+            assert np.array_equal(surface, surface_oracle(mask))
 
 
 def test_union_box_matches_the_box_of_the_union():
