@@ -26,14 +26,16 @@ import json
 import os
 import sys
 import time
+import zlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from io import StringIO
 from itertools import islice, zip_longest
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -268,13 +270,13 @@ def _jobs(jobs: int | None) -> int:
 
 @contextmanager
 def _case(case_id: str, **files):
-    """Prefix a :class:`ValidationError` raised inside with the case id and
-    its files: "case '<id>' (<role> <path>, ...): <message>"."""
+    """Prefix a :class:`ValidationError` or :class:`FormatError` raised inside
+    with the case id and its files: "case '<id>' (<role> <path>, ...): <message>"."""
     try:
         yield
-    except ValidationError as exc:
+    except (ValidationError, FormatError) as exc:
         named = ", ".join(f"{role} {path}" for role, path in files.items())
-        raise ValidationError(f"case {case_id!r}{f' ({named})' if named else ''}: {exc}") from None
+        raise type(exc)(f"case {case_id!r}{f' ({named})' if named else ''}: {exc}") from None
 
 
 def _read_pair(row: ManifestRow, coding: LabelCoding) -> tuple[LabelVolume, LabelVolume]:
@@ -752,9 +754,56 @@ def _encode(obj, level: int) -> str:
     return json.dumps(obj, indent=2).replace("\n", "\n" + "  " * level)
 
 
-def _ranking_tail(ranking) -> str:
-    """The canonical store text after its last submission."""
-    return '\n  ],\n  "ranking": ' + _encode(ranking, 1) + "\n}\n"
+def _encode_submission(submission: dict) -> str:
+    """``_encode(submission, 2)`` of a submission as an add builds it (string
+    ids, nonempty mappings, finite float scores), by a template with the
+    string escape and float repr that ``json.dumps`` uses."""
+    q, r = encode_basestring_ascii, float.__repr__
+    cases = ",\n".join(f"        {q(case_id)}: {{\n" + ",\n".join(
+        f'          {q(region)}: {{\n            "dice": {r(e["dice"])},\n'
+        f'            "hd95": {r(e["hd95"])},\n            "special_case": {q(e["special_case"])}\n'
+        "          }" for region, e in regions.items()
+    ) + "\n        }" for case_id, regions in submission["metrics"].items())
+    return (f'{{\n      "algorithm_id": {q(submission["algorithm_id"])},\n      "timestamp": '
+            f'{q(submission["timestamp"])},\n      "metrics": {{\n{cases}\n      }}\n    }}')
+
+
+def _ranking_tail(ranking) -> bytes:
+    """The canonical store bytes after its last submission."""
+    return ('\n  ],\n  "ranking": ' + _encode(ranking, 1) + "\n}\n").encode()
+
+
+_TABLE_FORMAT = "voxeval-store-table-1"
+
+
+def _write_table(path: Path, data: bytes, tail: bytes, table: MetricTable) -> None:
+    """Write ``<store>.table`` for the store bytes ``data`` if they end in the
+    ranking ``tail``: a JSON header line, the (2, N, M, 3) scores and their
+    CRC-32.  A failed write is left out: an older table has another key."""
+    if data.endswith(tail):
+        head = {"format": _TABLE_FORMAT, "bytes": len(data), "crc32": zlib.crc32(data),
+                "algorithms": table.algorithms, "cases": table.cases, "cut": len(data) - len(tail)}
+        body = json.dumps(head).encode() + b"\n" + np.stack([table.dice, table.hd95]).astype("<f8").tobytes()
+        with suppress(OSError):
+            write_atomic(path.with_name(path.name + ".table"), body + zlib.crc32(body).to_bytes(4, "little"))
+
+
+def _read_table(path: Path, data: bytes) -> tuple[MetricTable, int] | None:
+    """The score table and tail offset that ``<store>.table`` holds for the
+    store bytes ``data``, or None if that file is missing, damaged, foreign,
+    keyed to other bytes, or fails the checks of stored scores."""
+    try:
+        raw = path.with_name(path.name + ".table").read_bytes()
+        head, _, block = raw[:-4].partition(b"\n")
+        meta = json.loads(head)
+        key = (zlib.crc32(raw[:-4]).to_bytes(4, "little"), meta["format"], meta["bytes"], meta["crc32"])
+        if key != (raw[-4:], _TABLE_FORMAT, len(data), zlib.crc32(data)):
+            return None
+        algorithms, cases = tuple(meta["algorithms"]), tuple(meta["cases"])
+        scores = np.frombuffer(block, "<f8").reshape(2, len(algorithms), len(cases), len(REGIONS))
+        return MetricTable(algorithms, cases, *scores), meta["cut"]
+    except (OSError, ValueError, KeyError, TypeError, RecursionError, ValidationError):
+        return None  # MetricTable checks shapes, Dice in [0, 1] and HD95 finite and >= 0
 
 
 @contextmanager
@@ -877,19 +926,26 @@ def _load_store(path: Path) -> tuple[str | None, dict, MetricTable | None]:
     return text, raw, _tabulate(path, submissions) if submissions else None
 
 
-def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
+def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
     """Append a submission to the store and recompute the ranking.
 
     The new submission must cover exactly the case ids already in the
     store (any submission order), and the algorithm id must be new.  The
     store is locked for the whole add and rewritten atomically; on any
-    validation failure it is left untouched.  When the old text ends in the
+    validation failure it is left untouched.  A ``<store>.table`` keyed to
+    the store's bytes spares parsing it.  When the old text ends in the
     canonical encoding of its ranking, only the new submission and the
     ranking are encoded and spliced onto the old text.
     """
     store_path = Path(store_path)
     with _store_lock(store_path):
-        text, store, stored = _load_store(store_path)
+        data = store_path.read_bytes() if store_path.exists() else None
+        stored, cut = data and _read_table(store_path, data) or (None, None)
+        if stored is None:
+            _, store, stored = _load_store(store_path)
+            canonical = stored is not None and list(store) == ["submissions", "ranking"]
+            old_tail = _ranking_tail(store["ranking"]) if canonical else None
+            cut = len(data) - len(old_tail) if canonical and data.endswith(old_tail) else None
         if stored is not None and algorithm_id in stored.algorithms:
             raise ValidationError(f"algorithm id {algorithm_id!r} already in store")
         cases, block, rows = _read_scores(metrics_path)
@@ -912,19 +968,19 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> dict:
             algorithms = stored.algorithms + algorithms
             scores = np.concatenate([np.stack([stored.dice, stored.hd95]), scores], axis=1)
         table = MetricTable(algorithms, cases, *scores)
-        cut = None
-        if stored is not None and list(store) == ["submissions", "ranking"]:
-            old_tail = _ranking_tail(store["ranking"])
-            if text.endswith(old_tail):
-                cut = len(text) - len(old_tail)
-        store["submissions"].append(submission)
-        store["ranking"] = _rank_result_document(brats_ranking(table))
+        ranking = _rank_result_document(brats_ranking(table))
+        tail = _ranking_tail(ranking)
         if cut is None:
+            store["submissions"].append(submission)
+            store["ranking"] = ranking
             _write_json(store_path, store)
+            data = store_path.read_bytes()
         else:
-            tail = ",\n    " + _encode(submission, 2) + _ranking_tail(store["ranking"])
-            write_atomic(store_path, (text[:cut] + tail).encode())
-    return store
+            # One join over a view of the old bytes: no intermediate copy of them.
+            new = (",\n    " + _encode_submission(submission)).encode()
+            data = b"".join([memoryview(data)[:cut], new, tail])
+            write_atomic(store_path, data)
+        _write_table(store_path, data, tail, table)
 
 
 def leaderboard_recompute(store_path) -> dict:
@@ -936,6 +992,7 @@ def leaderboard_recompute(store_path) -> dict:
             raise ValidationError("leaderboard store has no submissions")
         store["ranking"] = _rank_result_document(brats_ranking(table))
         _write_json(store_path, store)
+        _write_table(store_path, store_path.read_bytes(), _ranking_tail(store["ranking"]), table)
     return store
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .volume import DEFAULT_CODING, LabelCoding, LabelVolume, RegionProbSet, Spacing, regions_to_labels
+from .volume import _ReadProbSet
 
 
 def _check_like(member: RegionProbSet, shape: tuple, spacing: Spacing, what: str) -> None:
@@ -69,7 +70,7 @@ def _mean_maps(
 def _prob_set(maps: list[np.ndarray], spacing: Spacing) -> RegionProbSet:
     for m in maps:
         m.setflags(write=False)  # so the constructor keeps it without a copy
-    return RegionProbSet(*maps, spacing=spacing)
+    return _ReadProbSet(*maps, spacing=spacing)
 
 
 def average_probs(members: Iterable[RegionProbSet]) -> RegionProbSet:

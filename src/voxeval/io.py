@@ -155,7 +155,7 @@ def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
     spacing = Spacing(*(float(p) for p in pixdim[1:4]))
 
     vox_offset, slope, intercept = struct.unpack_from(order + "3f", raw, 108)
-    if vox_offset != int(vox_offset) or int(vox_offset) < _HEADER_SIZE:
+    if not vox_offset.is_integer() or vox_offset < _HEADER_SIZE:  # NaN and inf are not integers
         raise FormatError(f"{path}: invalid vox_offset {vox_offset}")
     offset = int(vox_offset)
 
@@ -174,6 +174,8 @@ def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
         data = data.astype(np_dtype)
     header = VolumeHeader(dims, tag, spacing, float(slope), float(intercept))
     if slope != 0.0 and (slope != 1.0 or intercept != 0.0):
+        if not np.isfinite([slope, intercept]).all():
+            raise FormatError(f"{path}: non-finite scaling scl_slope {slope}, scl_inter {intercept}")
         data = data.astype(np.float64) * float(slope) + float(intercept)
     return header, data
 
@@ -221,8 +223,8 @@ def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
     """Read a volume file, dispatching on the extension.
 
     Supports ``.nii``, ``.nii.gz`` and ``.rv1``.  Data comes back in the
-    file's dtype, except that slope/intercept scaling (when the header
-    carries a nonzero slope different from identity) yields float64.
+    file's dtype, except that slope/intercept scaling (a nonzero slope, not
+    the identity; both finite, or :class:`FormatError`) yields float64.
 
     Returns:
         The parsed :class:`VolumeHeader` and the 3-D array.

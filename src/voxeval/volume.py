@@ -277,9 +277,9 @@ class RegionProbSet:
 
 
 class _ReadProbSet(RegionProbSet):
-    """Maps from :func:`voxeval.io.read_probability_volume`, which has
-    checked each map's range in a message that names its file; so the
-    constructor does not check them again."""
+    """Maps whose range is already known, so the constructor does not check
+    it again: read by :func:`voxeval.io.read_probability_volume`, which
+    names the file, or clipped means of such maps."""
 
     _check_range = False
 

@@ -6,13 +6,17 @@ mask instead of slicing it, distances via exhaustive pairwise computation
 instead of a separable search, percentiles by hand instead of numpy, ranks via
 scipy.stats.rankdata, the challenge ranking and jackknife as plain loops
 over columns, pools and pairs, and the threshold sweep by applying and
-rescoring every candidate on every case, and the two-level ensemble mean
-voxel by voxel in Python floats.
+rescoring every candidate on every case, the two-level ensemble mean
+voxel by voxel in Python floats, and NIfTI-1 files field by field and voxel
+by voxel with zlib's own gzip wrapper.
 """
 
 from __future__ import annotations
 
 import math
+import struct
+import zlib
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -252,3 +256,77 @@ def two_level_oracle(configurations, weights=None) -> list[np.ndarray]:
             result[voxel] = min(max(acc / total, 0.0), 1.0)
         out.append(result)
     return out
+
+
+#: NIfTI-1 datatype code -> (struct format of one voxel, numpy dtype name)
+NIFTI_TYPES = {2: ("B", "uint8"), 4: ("h", "int16"), 8: ("i", "int32"), 16: ("f", "float32"), 64: ("d", "float64")}
+
+
+def nifti_oracle(path):
+    """``(spacing, voxels)`` of a volume file as voxeval's NIfTI-1 subset
+    reads it, or None when the subset rejects the file.
+
+    The subset: one file, gzipped iff named ``.nii.gz`` (members in a row,
+    zero padding between them, reserved flag bits ignored); sizeof_hdr 348
+    in either byte order, which then holds for every field; magic
+    "n+1\\0"; dim[0] 3 and positive dim[1:4]; one of five datatypes with
+    its own bitpix; finite positive pixdim[1:4]; an integral vox_offset of
+    at least 348; and exactly the payload the header declares after it.
+    Voxels keep the stored type, or are float64 ``value * scl_slope +
+    scl_inter`` when scl_slope is nonzero and the pair is not (1, 0); such
+    a pair must be finite.
+
+    A separate route from ``voxeval.io``: gzip members through zlib's own
+    gzip wrapper, each field unpacked at its offset, and each voxel
+    unpacked by its Fortran-order index.
+    """
+    raw = Path(path).read_bytes()
+    if str(path).lower().endswith(".nii.gz"):
+        members = []
+        while raw:
+            if len(raw) > 3:  # Python's gzip ignores the reserved flag bits; zlib refuses them
+                raw = raw[:3] + bytes([raw[3] & 0x1F]) + raw[4:]
+            inflate = zlib.decompressobj(31)
+            try:
+                members.append(inflate.decompress(raw))
+            except zlib.error:
+                return None
+            if not inflate.eof:
+                return None
+            raw = inflate.unused_data.lstrip(b"\0")
+        raw = b"".join(members)
+    if len(raw) < 348:
+        return None
+    if int.from_bytes(raw[:4], "little", signed=True) == 348:
+        order = "<"
+    elif int.from_bytes(raw[:4], "big", signed=True) == 348:
+        order = ">"
+    else:
+        return None
+    dim = struct.unpack(order + "8h", raw[40:56])
+    datatype, bitpix = struct.unpack(order + "2h", raw[70:74])
+    pixdim = struct.unpack(order + "8f", raw[76:108])
+    vox_offset, slope, intercept = struct.unpack(order + "3f", raw[108:120])
+    if raw[344:348] != b"n+1\0" or dim[0] != 3 or min(dim[1:4]) < 1 or datatype not in NIFTI_TYPES:
+        return None
+    fmt, dtype = NIFTI_TYPES[datatype]
+    size = struct.calcsize(fmt)
+    if bitpix != 8 * size or not all(0.0 < p < math.inf for p in pixdim[1:4]):
+        return None
+    if not (math.isfinite(vox_offset) and vox_offset == int(vox_offset) and vox_offset >= 348):
+        return None
+    nx, ny, nz = dim[1:4]
+    start = int(vox_offset)
+    if len(raw) - start != nx * ny * nz * size:
+        return None
+    voxels = np.empty((nx, ny, nz), dtype)
+    for x, y, z in np.ndindex(nx, ny, nz):
+        voxels[x, y, z] = struct.unpack_from(order + fmt, raw, start + size * (x + nx * (y + ny * z)))[0]
+    if slope != 0.0 and (slope, intercept) != (1.0, 0.0):
+        if not (math.isfinite(slope) and math.isfinite(intercept)):
+            return None
+        scaled = np.empty(voxels.shape)
+        for voxel in np.ndindex(voxels.shape):
+            scaled[voxel] = float(voxels[voxel]) * slope + intercept
+        voxels = scaled
+    return (pixdim[1], pixdim[2], pixdim[3]), voxels

@@ -559,6 +559,25 @@ def test_each_probability_map_is_range_checked_once(tmp_path, monkeypatch):
         voxeval.cli._load_prob_set(paths)
 
 
+def test_ensemble_means_are_not_range_checked_again(tmp_path, monkeypatch):
+    checked = []
+    for module in (voxeval.io, voxeval.volume):
+        real = module._check_probabilities
+        monkeypatch.setattr(
+            module, "_check_probabilities", lambda arr, what, real=real: checked.append(what) or real(arr, what)
+        )
+    columns = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
+    rows = [
+        ["case1", "a", *(write_prob(tmp_path / f"m{k}{r}.nii", [0.1 * k, 0.9]).name for r in "WTE")]
+        for k in range(3)
+    ]
+    manifest = write_manifest(tmp_path / "ens.csv", rows, columns=columns)
+    args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels"), "--jobs", "1"]
+    assert main(args) == 0
+    # Three members of three maps, each checked once on read; their means are not checked again.
+    assert len(checked) == 9 and all(what.endswith(": probability map") for what in checked)
+
+
 def test_ensemble_errors_name_the_case(tmp_path, capsys):
     probs = write_prob(tmp_path / "p.nii", [0.2, 0.8])
     wide = tmp_path / "wide.nii"
@@ -1385,6 +1404,15 @@ def test_cli_import_does_not_load_scipy():
     # start-up; scipy.stats alone would add about half a second and 40 MB.
     done = fresh_python(
         "-c", "import sys, voxeval.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_does_not_load_hashlib():
+    # hashlib loads OpenSSL, about 3.5 MB of RSS; the store table is keyed by zlib's CRC-32.
+    done = fresh_python(
+        "-c", "import sys, voxeval.cli; print(sorted(m for m in sys.modules if m in ('hashlib', '_hashlib')))"
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"

@@ -4,6 +4,7 @@ import os
 import re
 import stat
 import struct
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -125,6 +126,24 @@ def test_rejects_unsupported_datatype(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="datatype code 1280"):
         read_volume(path)
+
+
+@pytest.mark.parametrize("offset, value, message", [
+    (108, float("inf"), "invalid vox_offset inf"),
+    (108, float("nan"), "invalid vox_offset nan"),
+    (112, float("inf"), "non-finite scaling scl_slope inf"),
+    (116, float("-inf"), "non-finite scaling scl_slope 1.0, scl_inter -inf"),
+])
+def test_rejects_non_finite_offset_and_scaling_without_warnings(tmp_path, offset, value, message):
+    # int(inf) raised OverflowError, and an infinite slope times a zero voxel warned.
+    raw = valid_nifti_bytes()
+    struct.pack_into("<f", raw, offset, value)
+    path = tmp_path / "odd.nii"
+    path.write_bytes(bytes(raw))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FormatError, match=re.escape(message)):
+            read_volume(path)
 
 
 def test_rejects_truncated_and_padded_payload(tmp_path):

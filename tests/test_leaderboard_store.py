@@ -1,6 +1,7 @@
 """Leaderboard store: spliced adds against the full encoding, the fallbacks,
-the tabulated load against the record-by-record route, store messages, and
-concurrent adds under the store lock."""
+the tabulated load against the record-by-record route, adds through the
+store table against the full route, store messages, and concurrent adds
+under the store lock."""
 
 import copy
 import csv
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import voxeval.cli
 from voxeval.cli import (
@@ -27,7 +30,7 @@ from voxeval.cli import (
     main,
     read_metrics_csv,
 )
-from voxeval.errors import FormatError
+from voxeval.errors import FormatError, ValidationError
 from voxeval.metrics import MetricRecord, SpecialCase
 from voxeval.ranking import MetricTable, brats_ranking
 
@@ -525,6 +528,186 @@ def test_mutated_stores_load_as_the_record_route_or_fail_in_one_line(tmp_path, c
 
 
 # --------------------------------------------------------------------------
+# store table
+
+
+#: Case ids whose CSV and JSON forms quote, escape or hold non-ASCII.
+ODD_CASES = ["c1", "ça", 'q"c', "b\\c", "n\nc", "c10", "模"]
+#: How the table beside the store is left before an add.  Only "present" and
+#: "recomputed" may take the table route; every state must give the bytes and
+#: the error of "absent", the full route.
+TABLE_STATES = ["absent", "stale", "truncated", "garbled", "foreign", "recomputed", "present"]
+
+
+@pytest.mark.parametrize("how", ["extra-key", "reversed-keys"])
+def test_a_store_in_its_own_layout_is_added_to_by_the_full_route(tmp_path, full_encodes, how):
+    # The full encoding keeps such a store's keys, so its ranking does not
+    # end the text; no table may then point the next add at a splice.
+    rng = np.random.default_rng(5)
+    store = tmp_path / "store.json"
+    for k, algorithm_id in enumerate(IDS[:2]):
+        leaderboard_add(store, write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2"]), algorithm_id)
+    store.write_text(reformat(store.read_text(), how))
+    full_encodes.clear()
+    for algorithm_id in ("new", "newer"):
+        before = json.loads(store.read_text())
+        metrics = write_metrics(tmp_path / f"{algorithm_id}.csv", rng, ["c1", "c2"])
+        leaderboard_add(store, metrics, algorithm_id)
+        assert store.read_text() == canonical(expected_after_add(before, algorithm_id, metrics))
+    assert full_encodes == [store, store]
+
+
+def write_odd_metrics(path, rng, cases):
+    """A metrics.csv over ``cases`` in shuffled order, -0.0 scores included."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["case_id", "region", "dice", "hd95", "special_case"])
+        for case in rng.permutation(cases):
+            for region in rng.permutation(REGIONS):
+                writer.writerow([case, region, rng.choice(DICE_TEXT + ["-0.0", "0.1"]),
+                                 rng.choice(HD95_TEXT + ["-0.0", "1e-7"]), rng.choice(SPECIALS)])
+    return path
+
+
+def add_in_every_table_state(store, metrics, algorithm_id, rng, stale, foreign, loads):
+    """The outcome of one add for each state of the table: the new store and
+    table bytes, or the error; the store and table are restored before each."""
+    table = store.with_name(store.name + ".table")
+    before, good = store.read_bytes(), table.read_bytes()
+    outcomes = {}
+    for state in TABLE_STATES:
+        store.write_bytes(before)
+        table.write_bytes({"stale": stale, "foreign": foreign}.get(state, good))
+        if state == "absent":
+            table.unlink()
+        elif state == "truncated":
+            table.write_bytes(good[: rng.integers(len(good))])
+        elif state == "garbled":
+            k = int(rng.integers(len(good)))
+            table.write_bytes(good[:k] + bytes([good[k] ^ 1 << int(rng.integers(8))]) + good[k + 1:])
+        elif state == "recomputed":
+            assert main(["leaderboard", "recompute", "--store", str(store)]) == 0
+            assert store.read_bytes() == before
+        loads.clear()
+        try:
+            leaderboard_add(store, metrics, algorithm_id)
+            outcomes[state] = store.read_bytes(), table.read_bytes()
+        except (ValidationError, FormatError) as exc:
+            outcomes[state] = type(exc), str(exc)
+            assert store.read_bytes() == before
+        assert bool(loads) == (state not in ("present", "recomputed")), state
+    return outcomes
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_adds_through_the_table_match_the_full_route(tmp_path, monkeypatch, seed):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    loads = []
+    real_load = voxeval.cli._load_store
+    monkeypatch.setattr(voxeval.cli, "_load_store", lambda path: loads.append(path) or real_load(path))
+    rng = np.random.default_rng(300 + seed)
+    cases = [str(c) for c in rng.choice(ODD_CASES, size=int(rng.integers(1, 6)), replace=False)]
+    other = tmp_path / "other" / "store.json"
+    for k in range(2):
+        leaderboard_add(other, write_odd_metrics(tmp_path / f"o{k}.csv", rng, ["x1", "x2"]), IDS[k])
+    foreign = other.with_name("store.json.table").read_bytes()
+    store = tmp_path / "store.json"
+    leaderboard_add(store, write_odd_metrics(tmp_path / "m.csv", rng, cases), IDS[0])
+    stale = store.with_name("store.json.table").read_bytes()
+    leaderboard_add(store, write_odd_metrics(tmp_path / "m.csv", rng, cases), IDS[1])
+    added, errors = 2, 0
+    for k in range(8):
+        choice = rng.random()
+        if choice < 0.15:  # an id already in the store
+            metrics, algorithm_id = write_odd_metrics(tmp_path / f"m{k}.csv", rng, cases), IDS[0]
+        elif choice < 0.3:  # a case missing
+            metrics, algorithm_id = write_odd_metrics(tmp_path / f"m{k}.csv", rng, cases[1:] or ["z"]), f"x{k}"
+        else:
+            metrics = write_odd_metrics(tmp_path / f"m{k}.csv", rng, cases)
+            algorithm_id = IDS[added % len(IDS)] + str(k)
+        table, doc = store.with_name("store.json.table").read_bytes(), json.loads(store.read_text())
+        outcomes = add_in_every_table_state(store, metrics, algorithm_id, rng, stale, foreign, loads)
+        assert all(outcome == outcomes["absent"] for outcome in outcomes.values()), outcomes
+        if isinstance(outcomes["absent"][0], bytes):
+            added, stale = added + 1, table
+            assert store.read_text() == canonical(expected_after_add(doc, algorithm_id, metrics))
+        else:
+            errors += 1
+    assert added > 3 and errors
+
+
+SCORES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([5e-324, 1e16, 1e-7, 373.13, -0.0])
+#: Any code point, control characters and lone surrogates included.
+TEXT = st.text(st.characters(exclude_categories=()), max_size=6)
+#: Submissions with their keys in the order an add builds them.
+ENTRIES = st.builds(lambda d, h, s: {"dice": d, "hd95": h, "special_case": s}, SCORES, SCORES, TEXT)
+SUBMISSIONS = st.builds(
+    lambda a, t, m: {"algorithm_id": a, "timestamp": t, "metrics": m},
+    TEXT, TEXT, st.dictionaries(TEXT, st.dictionaries(TEXT, ENTRIES, min_size=1, max_size=3), min_size=1, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(SUBMISSIONS)
+def test_submission_template_matches_the_encoder(submission):
+    assert voxeval.cli._encode_submission(submission) == voxeval.cli._encode(submission, 2)
+
+
+def test_submission_template_covers_the_awkward_values():
+    scores = [5e-324, 1e16, 1e-7, 373.13, -0.0, 1.0, 0.0, 2.0**70]
+    submission = {
+        "algorithm_id": "a\x00\x1f\u2028\ud800z",
+        "timestamp": "t\n",
+        "metrics": {
+            case: {
+                region: {"dice": d, "hd95": h, "special_case": "none\udfff"}
+                for region, d, h in zip(REGIONS, scores, scores[::-1])
+            }
+            for case in ["\x7f", "é", 'q"\\', "\ud83d"]
+        },
+    }
+    assert voxeval.cli._encode_submission(submission) == voxeval.cli._encode(submission, 2)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_mutated_stores_beside_a_valid_table_fail_in_one_line(tmp_path, capsys, monkeypatch, seed):
+    """A table keyed to the store before an edit does not let the edited
+    store through: a rejected store exits 4 in one line and stays as it is,
+    and an accepted one takes the full route's bytes."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    rng = np.random.default_rng(2000 + seed)
+    store = tmp_path / "store.json"
+    table = store.with_name("store.json.table")
+    rejected = 0
+    for _ in range(40):
+        doc = random_store(rng)
+        store.write_text(canonical(doc))
+        assert main(["leaderboard", "recompute", "--store", str(store)]) == 0
+        valid = table.read_bytes()
+        doc = json.loads(store.read_text())
+        metrics = write_metrics(tmp_path / "m.csv", rng, sorted(doc["submissions"][0]["metrics"]))
+        for _ in range(int(rng.integers(1, 4))):
+            mutate(doc, rng)
+        store.write_text(canonical(doc))
+        before = store.read_bytes()
+        args = ["leaderboard", "add", "--store", str(store), "--metrics", str(metrics), "--algorithm", "new"]
+        try:
+            _load_store(store)
+        except FormatError:
+            rejected += 1
+            assert main(args) == 4
+            assert len(capsys.readouterr().err.splitlines()) == 1
+            assert store.read_bytes() == before and table.read_bytes() == valid
+            continue
+        code, err = main(args), capsys.readouterr().err
+        got = store.read_bytes()
+        store.write_bytes(before)
+        table.unlink()
+        assert (main(args), capsys.readouterr().err, store.read_bytes()) == (code, err, got)
+    assert 0 < rejected < 40
+
+
+# --------------------------------------------------------------------------
 # store lock
 
 
@@ -576,4 +759,4 @@ def test_concurrent_adds_keep_every_submission(tmp_path, monkeypatch):
     assert doc["ranking"] == _rank_result_document(brats_ranking(records_route(doc["submissions"])))
     # Lists of lines: a failing comparison of two long strings takes minutes to explain.
     assert text.splitlines(keepends=True) == canonical(doc).splitlines(keepends=True)
-    assert sorted(p.name for p in store.parent.iterdir()) == ["store.json", "store.json.lock"]
+    assert sorted(p.name for p in store.parent.iterdir()) == ["store.json", "store.json.lock", "store.json.table"]
