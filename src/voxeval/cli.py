@@ -248,8 +248,10 @@ def _write_csv(path, header: Sequence[str], rows: Sequence[Sequence[str]]) -> No
     write_atomic(path, text.getvalue().encode())
 
 
-def _write_json(path, document) -> None:
-    write_atomic(path, (json.dumps(document, indent=2) + "\n").encode())
+def _write_json(path, document) -> bytes:
+    data = (json.dumps(document, indent=2) + "\n").encode()
+    write_atomic(path, data)
+    return data
 
 
 def _default_jobs() -> int:
@@ -630,6 +632,11 @@ def _load_prob_set(member: dict[str, Path]) -> RegionProbSet:
                 f"{member[region]}: spacing {sp.as_tuple()} differs from the "
                 f"case's other maps {spacing.as_tuple()}"
             )
+        elif data.shape != maps["WT"].shape:
+            raise ValidationError(
+                f"{member[region]}: shape {data.shape} differs from the "
+                f"case's other maps {maps['WT'].shape}"
+            )
     return _ReadProbSet(maps["WT"], maps["TC"], maps["ET"], spacing)
 
 
@@ -774,34 +781,41 @@ def _ranking_tail(ranking) -> bytes:
 
 
 _TABLE_FORMAT = "voxeval-store-table-1"
+#: The store bytes at a table's ``cut``: the end of the submissions list, then the ranking.
+_CUT_MARK = b'\n  ],\n  "ranking": '
 
 
 def _write_table(path: Path, data: bytes, tail: bytes, table: MetricTable) -> None:
-    """Write ``<store>.table`` for the store bytes ``data`` if they end in the
-    ranking ``tail``: a JSON header line, the (2, N, M, 3) scores and their
-    CRC-32.  A failed write is left out: an older table has another key."""
-    if data.endswith(tail):
-        head = {"format": _TABLE_FORMAT, "bytes": len(data), "crc32": zlib.crc32(data),
-                "algorithms": table.algorithms, "cases": table.cases, "cut": len(data) - len(tail)}
-        body = json.dumps(head).encode() + b"\n" + np.stack([table.dice, table.hd95]).astype("<f8").tobytes()
-        with suppress(OSError):
-            write_atomic(path.with_name(path.name + ".table"), body + zlib.crc32(body).to_bytes(4, "little"))
+    """Write ``<store>.table`` for the bytes ``data`` of a store that holds
+    just its submissions and then its ranking, encoded as ``tail``: a JSON
+    header line, the (2, N, M, 3) scores and their CRC-32.  A failed write is
+    left out: an older table has another key."""
+    head = {"format": _TABLE_FORMAT, "bytes": len(data), "crc32": zlib.crc32(data),
+            "algorithms": table.algorithms, "cases": table.cases, "cut": len(data) - len(tail)}
+    body = json.dumps(head).encode() + b"\n" + np.stack([table.dice, table.hd95]).astype("<f8").tobytes()
+    with suppress(OSError):
+        write_atomic(path.with_name(path.name + ".table"), body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def _read_table(path: Path, data: bytes) -> tuple[MetricTable, int] | None:
-    """The score table and tail offset that ``<store>.table`` holds for the
+    """The score table and splice offset that ``<store>.table`` holds for the
     store bytes ``data``, or None if that file is missing, damaged, foreign,
-    keyed to other bytes, or fails the checks of stored scores."""
+    keyed to other bytes, or fails the checks of stored scores.  Its ids must
+    be lists of strings, and its offset must mark the end of the
+    submissions list in ``data``."""
     try:
         raw = path.with_name(path.name + ".table").read_bytes()
         head, _, block = raw[:-4].partition(b"\n")
         meta = json.loads(head)
         key = (zlib.crc32(raw[:-4]).to_bytes(4, "little"), meta["format"], meta["bytes"], meta["crc32"])
-        if key != (raw[-4:], _TABLE_FORMAT, len(data), zlib.crc32(data)):
+        algorithms, cases, cut = meta["algorithms"], meta["cases"], meta["cut"]
+        if key != (raw[-4:], _TABLE_FORMAT, len(data), zlib.crc32(data)) or not (
+            type(algorithms) is type(cases) is list and all(type(i) is str for i in algorithms + cases)
+            and type(cut) is int and data.startswith(_CUT_MARK, cut)
+        ):
             return None
-        algorithms, cases = tuple(meta["algorithms"]), tuple(meta["cases"])
         scores = np.frombuffer(block, "<f8").reshape(2, len(algorithms), len(cases), len(REGIONS))
-        return MetricTable(algorithms, cases, *scores), meta["cut"]
+        return MetricTable(tuple(algorithms), tuple(cases), *scores), cut
     except (OSError, ValueError, KeyError, TypeError, RecursionError, ValidationError):
         return None  # MetricTable checks shapes, Dice in [0, 1] and HD95 finite and >= 0
 
@@ -933,9 +947,9 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
     store (any submission order), and the algorithm id must be new.  The
     store is locked for the whole add and rewritten atomically; on any
     validation failure it is left untouched.  A ``<store>.table`` keyed to
-    the store's bytes spares parsing it.  When the old text ends in the
-    canonical encoding of its ranking, only the new submission and the
-    ranking are encoded and spliced onto the old text.
+    the store's bytes gives the stored scores, and the add splices only the
+    new submission and the ranking onto the old text; otherwise it parses
+    the store and writes it whole, as :func:`leaderboard_recompute` does.
     """
     store_path = Path(store_path)
     with _store_lock(store_path):
@@ -943,9 +957,6 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
         stored, cut = data and _read_table(store_path, data) or (None, None)
         if stored is None:
             _, store, stored = _load_store(store_path)
-            canonical = stored is not None and list(store) == ["submissions", "ranking"]
-            old_tail = _ranking_tail(store["ranking"]) if canonical else None
-            cut = len(data) - len(old_tail) if canonical and data.endswith(old_tail) else None
         if stored is not None and algorithm_id in stored.algorithms:
             raise ValidationError(f"algorithm id {algorithm_id!r} already in store")
         cases, block, rows = _read_scores(metrics_path)
@@ -973,17 +984,17 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
         if cut is None:
             store["submissions"].append(submission)
             store["ranking"] = ranking
-            _write_json(store_path, store)
-            data = store_path.read_bytes()
+            data = _write_json(store_path, store)
         else:
             # One join over a view of the old bytes: no intermediate copy of them.
             new = (",\n    " + _encode_submission(submission)).encode()
             data = b"".join([memoryview(data)[:cut], new, tail])
             write_atomic(store_path, data)
-        _write_table(store_path, data, tail, table)
+        if cut is not None or list(store) == ["submissions", "ranking"]:  # a splice keeps the keys
+            _write_table(store_path, data, tail, table)
 
 
-def leaderboard_recompute(store_path) -> dict:
+def leaderboard_recompute(store_path) -> None:
     """Recompute the stored ranking and rewrite the whole store canonically."""
     store_path = Path(store_path)
     with _store_lock(store_path):
@@ -991,9 +1002,9 @@ def leaderboard_recompute(store_path) -> dict:
         if table is None:
             raise ValidationError("leaderboard store has no submissions")
         store["ranking"] = _rank_result_document(brats_ranking(table))
-        _write_json(store_path, store)
-        _write_table(store_path, store_path.read_bytes(), _ranking_tail(store["ranking"]), table)
-    return store
+        data = _write_json(store_path, store)
+        if list(store) == ["submissions", "ranking"]:
+            _write_table(store_path, data, _ranking_tail(store["ranking"]), table)
 
 
 def _cmd_leaderboard(args) -> int:

@@ -110,6 +110,8 @@ def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
     raw = path.read_bytes()
     if volume_suffix(path) == ".nii.gz":
         try:
+            if raw[:2] == b"\x1f\x8b" and len(raw) > 3 and raw[3] & 0xE0:  # reserved FLG bits (RFC 1952)
+                raise gzip.BadGzipFile("unknown header flags set")
             raw = gzip.decompress(raw)
         except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
             raise FormatError(f"{path}: not a valid gzip stream ({exc})")

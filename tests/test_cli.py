@@ -698,6 +698,29 @@ def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkey
         assert len(started) <= 2 + 2 * int(jobs)
 
 
+@pytest.mark.parametrize(
+    "tc_shape, tc_spacing, text",
+    [
+        ((2, 2, 3), Spacing(), "shape (2, 2, 3) differs from the case's other maps (2, 2, 2)"),
+        ((2, 2, 2), Spacing(1, 1, 2), "spacing (1.0, 1.0, 2.0) differs from the case's other maps (1.0, 1.0, 1.0)"),
+    ],
+)
+def test_a_member_whose_maps_disagree_is_named_by_its_file(tmp_path, capsys, tc_shape, tc_spacing, text):
+    paths = {region: tmp_path / f"{region}.nii.gz" for region in ("wt", "tc", "et")}
+    for region, path in paths.items():
+        shape, spacing = (tc_shape, tc_spacing) if region == "tc" else ((2, 2, 2), Spacing())
+        write_volume(path, VolumeHeader(shape, "float32", spacing), np.full(shape, 0.5, np.float32))
+    manifest = write_manifest(
+        tmp_path / "ens.csv", [["c1", "a", *(path.name for path in paths.values())]], columns=ENSEMBLE_COLUMNS
+    )
+    out_dir = tmp_path / "labels"
+    assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", "1"]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == f"case 'c1': {paths['tc']}: {text}"
+    assert not any(out_dir.iterdir())
+
+
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_ensemble_bounds_the_cases_in_flight(tmp_path, monkeypatch, jobs):
     manifest = write_ensemble_cases(tmp_path, 12)

@@ -1,5 +1,6 @@
 import ast
 import gzip
+import json
 import os
 import re
 import stat
@@ -24,7 +25,7 @@ from voxeval import (
     write_volume,
 )
 import voxeval
-from voxeval.cli import _write_csv, _write_json, leaderboard_add
+from voxeval.cli import _write_csv, _write_json, leaderboard_add, main
 from voxeval.io import write_atomic
 
 DTYPES = ["uint8", "int16", "int32", "float32", "float64"]
@@ -177,6 +178,28 @@ def test_rejects_corrupt_gzip(tmp_path):
     path.write_bytes(b"not gzip at all")
     with pytest.raises(FormatError, match="gzip"):
         read_volume(path)
+
+
+def test_rejects_reserved_gzip_header_flags(tmp_path, capsys):
+    # RFC 1952 asks a reader to refuse a member whose FLG byte sets a
+    # reserved bit; gzip.decompress alone reads such a file.
+    ref, pred = tmp_path / "ref.nii.gz", tmp_path / "pred.nii.gz"
+    for path in (ref, pred):
+        write_label_volume(path, LabelVolume(np.ones((2, 2, 2), np.uint8), Spacing()))
+    raw = bytearray(pred.read_bytes())
+    raw[3] |= 0x20
+    pred.write_bytes(bytes(raw))
+    assert gzip.decompress(bytes(raw)) == gzip.decompress(ref.read_bytes())
+    manifest = tmp_path / "m.csv"
+    manifest.write_text("case_id,reference_path,prediction_path\nc1,ref.nii.gz,pred.nii.gz\n")
+    args = ["evaluate", "--manifest", str(manifest), "--out-metrics", str(tmp_path / "o.csv"), "--jobs", "1"]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == (
+        f"case 'c1' (reference {ref}, prediction {pred}): {pred}: not a valid gzip stream (unknown header flags set)"
+    )
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_reads_big_endian_files(tmp_path):

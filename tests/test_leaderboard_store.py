@@ -13,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import zlib
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -115,7 +116,7 @@ def full_encodes(monkeypatch):
 
     def spy(path, document):
         written.append(Path(path))
-        real(path, document)
+        return real(path, document)
 
     monkeypatch.setattr(voxeval.cli, "_write_json", spy)
     return written
@@ -147,10 +148,14 @@ def reformat(text: str, how: str) -> str:
         return json.dumps(doc, indent=4) + "\n"
     if how == "no-final-newline":
         return text[:-1]
+    if how == "reformatted-submission":
+        return text.replace(voxeval.cli._encode(doc["submissions"][0], 2), json.dumps(doc["submissions"][0]))
     if how == "extra-key":
         doc["note"] = "réviewed"
     elif how == "reversed-keys":
         doc = {"ranking": doc["ranking"], "submissions": doc["submissions"]}
+    elif how == "list-before-ranking":
+        doc = {"submissions": doc["submissions"], "notes": ["réviewed"], "ranking": doc["ranking"]}
     elif how == "ranking-null":
         doc["ranking"] = None
     elif how == "no-submissions":
@@ -172,8 +177,9 @@ def reformat(text: str, how: str) -> str:
         ("extra-key", False),
         ("reversed-keys", False),
         ("no-submissions", False),
-        ("ranking-null", True),
-        ("integer-scores", True),
+        ("ranking-null", False),
+        ("integer-scores", False),
+        ("reformatted-submission", False),
         ("untouched", True),
     ],
 )
@@ -192,24 +198,6 @@ def test_add_falls_back_to_the_full_encoding(tmp_path, full_encodes, how, splice
     assert full_encodes == ([] if spliced else [store])
     if how == "integer-scores":
         assert '"dice": 1,' in store.read_text()
-
-
-def test_add_keeps_a_reformatted_submission_when_the_tail_is_canonical(tmp_path, full_encodes):
-    rng = np.random.default_rng(3)
-    store = tmp_path / "store.json"
-    for k, algorithm_id in enumerate(IDS[:2]):
-        leaderboard_add(store, write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2"]), algorithm_id)
-    doc = json.loads(store.read_text())
-    first = json.dumps(doc["submissions"][0])
-    text = canonical(doc).replace(voxeval.cli._encode(doc["submissions"][0], 2), first)
-    store.write_text(text)
-    metrics = write_metrics(tmp_path / "new.csv", rng, ["c1", "c2"])
-    leaderboard_add(store, metrics, "new")
-    assert first in store.read_text()
-    assert json.loads(store.read_text()) == expected_after_add(doc, "new", metrics)
-    # recompute rewrites the canonical form.
-    assert main(["leaderboard", "recompute", "--store", str(store)]) == 0
-    assert store.read_text() == canonical(json.loads(store.read_text()))
 
 
 # --------------------------------------------------------------------------
@@ -539,15 +527,17 @@ ODD_CASES = ["c1", "ça", 'q"c', "b\\c", "n\nc", "c10", "模"]
 TABLE_STATES = ["absent", "stale", "truncated", "garbled", "foreign", "recomputed", "present"]
 
 
-@pytest.mark.parametrize("how", ["extra-key", "reversed-keys"])
+@pytest.mark.parametrize("how", ["extra-key", "reversed-keys", "list-before-ranking"])
 def test_a_store_in_its_own_layout_is_added_to_by_the_full_route(tmp_path, full_encodes, how):
-    # The full encoding keeps such a store's keys, so its ranking does not
-    # end the text; no table may then point the next add at a splice.
+    # The full encoding keeps such a store's keys, so its submissions list
+    # is not followed by the ranking alone; no table that recompute or an add
+    # writes may then point the next add at a splice.
     rng = np.random.default_rng(5)
     store = tmp_path / "store.json"
     for k, algorithm_id in enumerate(IDS[:2]):
         leaderboard_add(store, write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2"]), algorithm_id)
     store.write_text(reformat(store.read_text(), how))
+    assert main(["leaderboard", "recompute", "--store", str(store)]) == 0
     full_encodes.clear()
     for algorithm_id in ("new", "newer"):
         before = json.loads(store.read_text())
@@ -555,6 +545,66 @@ def test_a_store_in_its_own_layout_is_added_to_by_the_full_route(tmp_path, full_
         leaderboard_add(store, metrics, algorithm_id)
         assert store.read_text() == canonical(expected_after_add(before, algorithm_id, metrics))
     assert full_encodes == [store, store]
+
+
+def resigned(table: bytes, **fields) -> bytes:
+    """``table`` with header ``fields`` replaced and its own CRC-32 made valid
+    again; its key still matches the store."""
+    head, _, block = table[:-4].partition(b"\n")
+    body = json.dumps({**json.loads(head), **fields}).encode() + b"\n" + block
+    return body + zlib.crc32(body).to_bytes(4, "little")
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        lambda data, head: {"cut": "abc"},
+        lambda data, head: {"cut": 5},
+        lambda data, head: {"cut": len(data) + 3},
+        lambda data, head: {"cut": True},
+        lambda data, head: {"algorithms": list(range(len(head["algorithms"])))},
+        lambda data, head: {"cases": list(range(len(head["cases"])))},
+    ],
+    ids=["cut-text", "cut-inside", "cut-past-end", "cut-bool", "integer-algorithms", "integer-cases"],
+)
+def test_a_table_with_a_bad_header_is_not_trusted(tmp_path, monkeypatch, fields):
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    loads = []
+    real_load = voxeval.cli._load_store
+    monkeypatch.setattr(voxeval.cli, "_load_store", lambda path: loads.append(path) or real_load(path))
+    rng = np.random.default_rng(9)
+    store, table = tmp_path / "store.json", tmp_path / "store.json.table"
+    for k, algorithm_id in enumerate(IDS[:2]):
+        leaderboard_add(store, write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2"]), algorithm_id)
+    data, good = store.read_bytes(), table.read_bytes()
+    metrics = write_metrics(tmp_path / "new.csv", rng, ["c1", "c2"])
+    table.unlink()
+    leaderboard_add(store, metrics, "new")
+    want = store.read_bytes(), table.read_bytes()
+    store.write_bytes(data)
+    table.write_bytes(resigned(good, **fields(data, json.loads(good.partition(b"\n")[0]))))
+    loads.clear()
+    leaderboard_add(store, metrics, "new")
+    assert (store.read_bytes(), table.read_bytes()) == want
+    assert loads == [store]
+
+
+def test_adds_succeed_when_the_table_cannot_be_written(tmp_path, full_encodes):
+    rng = np.random.default_rng(13)
+    store, table = tmp_path / "store.json", tmp_path / "store.json.table"
+    table.mkdir()
+    (table / "keep").write_text("kept")
+    before = {"submissions": [], "ranking": None}
+    for k, algorithm_id in enumerate(IDS[:3]):
+        metrics = write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2"])
+        args = ["leaderboard", "add", "--store", str(store), "--metrics", str(metrics), "--algorithm", algorithm_id]
+        assert main(args) == 0
+        assert store.read_text() == canonical(expected_after_add(before, algorithm_id, metrics))
+        before = json.loads(store.read_text())
+    assert full_encodes == [store] * 3
+    names = ["m0.csv", "m1.csv", "m2.csv", "store.json", "store.json.lock", "store.json.table"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    assert [p.name for p in table.iterdir()] == ["keep"] and (table / "keep").read_text() == "kept"
 
 
 def write_odd_metrics(path, rng, cases):
