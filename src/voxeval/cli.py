@@ -619,56 +619,39 @@ def parse_ensemble_manifest(path) -> dict[str, dict[str, list[dict[str, Path]]]]
     return cases
 
 
-def _load_prob_set(member: dict[str, Path]) -> RegionProbSet:
-    maps = {}
-    spacing = None
+def _load_prob_set(member: dict[str, Path], first: list) -> RegionProbSet:
+    """Read one member's maps, checking each as it is read against the case's
+    first map, whose path, shape and spacing ``first`` holds (the case's first
+    read fills it), so a map that disagrees stops the case there."""
+    maps = []
     for region in REGIONS:
-        data, sp = read_probability_volume(member[region])
-        maps[region] = data
-        if spacing is None:
-            spacing = sp
-        elif sp != spacing:
+        data, spacing = read_probability_volume(member[region])
+        if not first:
+            first += member[region], data.shape, spacing
+        path, shape, first_spacing = first
+        if spacing != first_spacing:
             raise ValidationError(
-                f"{member[region]}: spacing {sp.as_tuple()} differs from the "
-                f"case's other maps {spacing.as_tuple()}"
+                f"{member[region]}: spacing {spacing.as_tuple()} differs from "
+                f"{first_spacing.as_tuple()} of the case's first map {path}"
             )
-        elif data.shape != maps["WT"].shape:
+        if data.shape != shape:
             raise ValidationError(
-                f"{member[region]}: shape {data.shape} differs from the "
-                f"case's other maps {maps['WT'].shape}"
+                f"{member[region]}: shape {data.shape} differs from "
+                f"{shape} of the case's first map {path}"
             )
-    return _ReadProbSet(maps["WT"], maps["TC"], maps["ET"], spacing)
-
-
-def _loaded(label: str, members: list[dict[str, Path]], held: list[str]) -> Iterator[RegionProbSet]:
-    """Load ``members`` one at a time; while the consumer holds one, ``held``
-    names it by its configuration label and WT map."""
-    for member in members:
-        prob_set = _load_prob_set(member)
-        held.append(f"configuration {label!r}, wt_path {member['WT']}")
-        yield prob_set
-        del prob_set  # so the next member is read with this one freed
-        held.clear()
+        maps.append(data)
+    return _ReadProbSet(*maps, spacing)
 
 
 def _ensemble_labels(
     case_id: str, configurations: dict[str, list[dict[str, Path]]], threshold: float, coding: LabelCoding
 ) -> LabelVolume:
-    """One case's labels, streaming its members through the two-level mean.
-
-    A member that does not match the case's first is named by the
-    configuration label and WT map after the mismatch.
-    """
-    held: list[str] = []
+    """One case's labels, streaming its members through the two-level mean."""
+    first: list = []
     with _case(case_id):
-        try:
-            combined = two_level_ensemble(
-                _loaded(label, members, held) for label, members in configurations.items()
-            )
-        except ValidationError as exc:
-            if not held:
-                raise
-            raise ValidationError(f"{exc} ({held[0]})") from None
+        combined = two_level_ensemble(
+            (_load_prob_set(member, first) for member in members) for members in configurations.values()
+        )
     return regions_to_labels(combined, threshold, coding)
 
 
@@ -920,24 +903,24 @@ def _tabulate(path: Path, submissions: list) -> MetricTable:
     return MetricTable(tuple(blocks), tuple(sorted(first)), *np.stack(list(blocks.values()), axis=1))
 
 
-def _load_store(path: Path) -> tuple[str | None, dict, MetricTable | None]:
-    """Return the store's text, its document and its score table.
+def _load_store(path: Path, data: bytes | None) -> tuple[dict, MetricTable | None]:
+    """Return the document and score table of the store at ``path`` that
+    holds ``data``, or of an empty store when ``data`` is None.
 
-    A missing store has no text and no table, as has a store without
-    submissions.  Invalid JSON, or a store that :func:`_tabulate` rejects,
-    raises :class:`FormatError` naming the store.
+    A store without submissions has no table.  Invalid UTF-8 or JSON, or a
+    store that :func:`_tabulate` rejects, raises :class:`FormatError`
+    naming the store.
     """
-    if not path.exists():
-        return None, {"submissions": [], "ranking": None}, None
+    if data is None:
+        return {"submissions": [], "ranking": None}, None
     try:
-        text = path.read_text()
-        raw = json.loads(text)
+        raw = json.loads(data.decode())
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"leaderboard store {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict) or not isinstance(raw.get("submissions"), list):
         raise FormatError(f"leaderboard store {path}: expected a 'submissions' list")
     submissions = raw["submissions"]
-    return text, raw, _tabulate(path, submissions) if submissions else None
+    return raw, _tabulate(path, submissions) if submissions else None
 
 
 def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
@@ -956,7 +939,7 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
         data = store_path.read_bytes() if store_path.exists() else None
         stored, cut = data and _read_table(store_path, data) or (None, None)
         if stored is None:
-            _, store, stored = _load_store(store_path)
+            store, stored = _load_store(store_path, data)
         if stored is not None and algorithm_id in stored.algorithms:
             raise ValidationError(f"algorithm id {algorithm_id!r} already in store")
         cases, block, rows = _read_scores(metrics_path)
@@ -998,7 +981,8 @@ def leaderboard_recompute(store_path) -> None:
     """Recompute the stored ranking and rewrite the whole store canonically."""
     store_path = Path(store_path)
     with _store_lock(store_path):
-        _, store, table = _load_store(store_path)
+        data = store_path.read_bytes() if store_path.exists() else None
+        store, table = _load_store(store_path, data)
         if table is None:
             raise ValidationError("leaderboard store has no submissions")
         store["ranking"] = _rank_result_document(brats_ranking(table))

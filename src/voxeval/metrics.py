@@ -471,25 +471,13 @@ def soft_dice(probs, refs, mode: str = "sample", smooth: float = 1e-5) -> float:
                 f"reference shape {g.shape}"
             )
 
-    if mode == "sample":
-        values = []
-        for p, g in zip(probs, refs):
-            for name in REGIONS:
-                pm = np.asarray(p.region(name), dtype=np.float64)
-                gm = g.region(name)
-                num = 2.0 * float(np.sum(pm, where=gm)) + smooth
-                den = float(pm.sum()) + int(np.count_nonzero(gm)) + smooth
-                values.append(num / den)
-        return float(np.mean(values))
-
-    per_region = []
-    for name in REGIONS:
-        overlap = 0.0
-        total = 0.0
-        for p, g in zip(probs, refs):
+    sums = []  # (overlap, total) per sample and region
+    for p, g in zip(probs, refs):
+        for name in REGIONS:
             pm = np.asarray(p.region(name), dtype=np.float64)
             gm = g.region(name)
-            overlap += float(np.sum(pm, where=gm))
-            total += float(pm.sum()) + int(np.count_nonzero(gm))
-        per_region.append((2.0 * overlap + smooth) / (total + smooth))
-    return float(np.mean(per_region))
+            sums.append((float(np.sum(pm, where=gm)), float(pm.sum()) + int(np.count_nonzero(gm))))
+    sums = np.array(sums).reshape(len(probs), len(REGIONS), 2)
+    if mode == "batch":
+        sums = np.cumsum(sums, axis=0)[-1]  # summed over the samples in sample order
+    return float(np.mean((2.0 * sums[..., 0] + smooth) / (sums[..., 1] + smooth)))

@@ -122,6 +122,34 @@ def evaluate_case_oracle(ref, pred, policy=DEFAULT_POLICY) -> list[tuple]:
     return out
 
 
+def soft_dice_oracle(probs, refs, mode: str, smooth: float = 1e-5) -> float:
+    """Soft Dice from each (sample, region) overlap ``np.sum(p, where=g)`` and
+    total ``p.sum() + count_nonzero(g)`` of float64 maps, combined in Python
+    floats: "sample" mode takes (2 * overlap + s) / (total + s) of each pair;
+    "batch" mode first sums each region's overlaps and totals from 0.0 in
+    sample order.  The terms, sample by sample and WT, TC, ET within one,
+    are averaged by ``np.mean``."""
+    regions = ("WT", "TC", "ET")
+    sums = []
+    for p, g in zip(probs, refs):
+        row = []
+        for name in regions:
+            pm, gm = np.asarray(p.region(name), dtype=np.float64), g.region(name)
+            row.append((float(np.sum(pm, where=gm)), float(pm.sum()) + int(np.count_nonzero(gm))))
+        sums.append(row)
+    if mode == "batch":
+        batch = []
+        for k in range(len(regions)):
+            overlap = total = 0.0
+            for row in sums:
+                overlap += row[k][0]
+                total += row[k][1]
+            batch.append((overlap, total))
+        sums = [batch]
+    terms = [(2.0 * overlap + smooth) / (total + smooth) for row in sums for overlap, total in row]
+    return float(np.mean(terms))
+
+
 def rank_oracle(values, direction: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if direction == "higher_better":

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from voxeval import (
     write_volume,
 )
 import voxeval.cli
+import voxeval.ensemble
 from voxeval.cli import (
     CONFIG_ENV,
     Manifest,
@@ -551,12 +553,12 @@ def test_each_probability_map_is_range_checked_once(tmp_path, monkeypatch):
             module, "_check_probabilities", lambda arr, what, real=real: checked.append(what) or real(arr, what)
         )
     paths = {region: write_prob(tmp_path / f"{region}.nii", [0.2, 0.8]) for region in ("WT", "TC", "ET")}
-    probs = voxeval.cli._load_prob_set(paths)
+    probs = voxeval.cli._load_prob_set(paths, [])
     assert checked == [f"{paths[region]}: probability map" for region in ("WT", "TC", "ET")]
     assert isinstance(probs, RegionProbSet) and np.array_equal(probs.p_tc, np.float32([[[0.2, 0.8]]]))
     write_prob(paths["TC"], [0.2, 1.5])
     with pytest.raises(ValidationError, match=rf"^{re.escape(str(paths['TC']))}: probability map .*outside \[0, 1\]"):
-        voxeval.cli._load_prob_set(paths)
+        voxeval.cli._load_prob_set(paths, [])
 
 
 def test_ensemble_means_are_not_range_checked_again(tmp_path, monkeypatch):
@@ -593,7 +595,10 @@ def test_ensemble_errors_name_the_case(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
-    assert message.startswith("case 'case7': configuration 1 has shape (1, 1, 3)")
+    assert message == (
+        f"case 'case7': {wide}: shape (1, 1, 3) differs from (1, 1, 2) "
+        f"of the case's first map {probs}"
+    )
 
 
 @pytest.mark.parametrize("value", ["5", "0", "1", "-0.5", "nan", "inf", "config"])
@@ -646,6 +651,22 @@ def write_ensemble_cases(tmp_path, count, shape=(3, 4, 5), bad=None):
     return write_manifest(tmp_path / "ens.csv", rows, columns=ENSEMBLE_COLUMNS)
 
 
+def spy_failed_checks(monkeypatch):
+    """The ``what`` of each call of the library's member check,
+    ``voxeval.ensemble._check_like``, that raised."""
+    failed, real = [], voxeval.ensemble._check_like
+
+    def check(member, shape, spacing, what):
+        try:
+            real(member, shape, spacing, what)
+        except ValidationError:
+            failed.append(what)
+            raise
+
+    monkeypatch.setattr(voxeval.ensemble, "_check_like", check)
+    return failed
+
+
 def test_ensemble_jobs_write_identical_bytes(tmp_path):
     manifest = write_ensemble_cases(tmp_path, 7)
     written = {}
@@ -661,9 +682,9 @@ def test_ensemble_jobs_write_identical_bytes(tmp_path):
 @pytest.mark.parametrize(
     "mismatch, where, text",
     [
-        ("shape", "b", "configuration 1 has shape (3, 4, 6), expected (3, 4, 5)"),
-        ("spacing", "b", "configuration 1 has spacing (1.0, 1.0, 2.0), expected (1.0, 1.0, 1.0)"),
-        ("shape", "a", "member 1 has shape (3, 4, 6), expected (3, 4, 5)"),
+        ("shape", "b", "shape (3, 4, 6) differs from (3, 4, 5)"),
+        ("spacing", "b", "spacing (1.0, 1.0, 2.0) differs from (1.0, 1.0, 1.0)"),
+        ("shape", "a", "shape (3, 4, 6) differs from (3, 4, 5)"),
     ],
 )
 def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkeypatch, capsys, jobs, mismatch, where, text):
@@ -685,12 +706,15 @@ def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkey
 
     monkeypatch.setattr(voxeval.cli, "read_probability_volume", slow_bad_read)
     monkeypatch.setattr(voxeval.cli, "_ensemble_labels", counted_labels)
+    failed = spy_failed_checks(monkeypatch)
     out_dir = tmp_path / "labels"
     assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
-    assert message == f"case 'c2': {text} (configuration {where!r}, wt_path {bad})"
+    first = tmp_path / "c2_a6_wt.nii.gz"  # case c2's first map: rows 0-5 hold cases c0 and c1
+    assert message == f"case 'c2': {bad}: {text} of the case's first map {first}"
+    assert failed == []
     assert sorted(p.name for p in out_dir.iterdir()) == ["c0.nii.gz", "c1.nii.gz"]
     if jobs == "1":
         assert started == ["c0", "c1", "c2"]
@@ -701,11 +725,11 @@ def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkey
 @pytest.mark.parametrize(
     "tc_shape, tc_spacing, text",
     [
-        ((2, 2, 3), Spacing(), "shape (2, 2, 3) differs from the case's other maps (2, 2, 2)"),
-        ((2, 2, 2), Spacing(1, 1, 2), "spacing (1.0, 1.0, 2.0) differs from the case's other maps (1.0, 1.0, 1.0)"),
+        ((2, 2, 3), Spacing(), "shape (2, 2, 3) differs from (2, 2, 2)"),
+        ((2, 2, 2), Spacing(1, 1, 2), "spacing (1.0, 1.0, 2.0) differs from (1.0, 1.0, 1.0)"),
     ],
 )
-def test_a_member_whose_maps_disagree_is_named_by_its_file(tmp_path, capsys, tc_shape, tc_spacing, text):
+def test_a_member_whose_maps_disagree_is_named_by_its_file(tmp_path, monkeypatch, capsys, tc_shape, tc_spacing, text):
     paths = {region: tmp_path / f"{region}.nii.gz" for region in ("wt", "tc", "et")}
     for region, path in paths.items():
         shape, spacing = (tc_shape, tc_spacing) if region == "tc" else ((2, 2, 2), Spacing())
@@ -713,12 +737,62 @@ def test_a_member_whose_maps_disagree_is_named_by_its_file(tmp_path, capsys, tc_
     manifest = write_manifest(
         tmp_path / "ens.csv", [["c1", "a", *(path.name for path in paths.values())]], columns=ENSEMBLE_COLUMNS
     )
+    failed = spy_failed_checks(monkeypatch)
     out_dir = tmp_path / "labels"
     assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", "1"]) == 3
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
-    assert json.loads(lines[0])["error"]["message"] == f"case 'c1': {paths['tc']}: {text}"
-    assert not any(out_dir.iterdir())
+    message = json.loads(lines[0])["error"]["message"]
+    assert message == f"case 'c1': {paths['tc']}: {text} of the case's first map {paths['wt']}"
+    assert not any(out_dir.iterdir()) and failed == []
+
+
+def write_three_two_case(tmp_path, bad_wt=None):
+    """One case of members 3 (configuration a) + 2 (b), each with its own
+    2x2x2 maps; ``bad_wt``, when given, is the second member's WT file.
+    Returns the manifest and each member's [WT, TC, ET] paths."""
+    members = []
+    for k in range(5):
+        paths = [tmp_path / f"m{k}_{region}.nii" for region in ("wt", "tc", "et")]
+        for path in paths:
+            data = np.full((2, 2, 2), 0.1 * k, np.float32)
+            write_volume(path, VolumeHeader(data.shape, "float32", Spacing()), data)
+        members.append(paths)
+    if bad_wt is not None:
+        members[1][0] = bad_wt
+    rows = [["c1", "aaabb"[k], *(path.name for path in paths)] for k, paths in enumerate(members)]
+    return write_manifest(tmp_path / "ens.csv", rows, columns=ENSEMBLE_COLUMNS), members
+
+
+def test_ensemble_drops_each_member_before_reading_the_next(tmp_path, monkeypatch):
+    manifest, _ = write_three_two_case(tmp_path)
+    real_load, loaded = voxeval.cli._load_prob_set, []
+
+    def load(member, first):
+        assert all(ref() is None for ref in loaded), "a member was held across the next read"
+        prob_set = real_load(member, first)
+        loaded.append(weakref.ref(prob_set))
+        return prob_set
+
+    monkeypatch.setattr(voxeval.cli, "_load_prob_set", load)
+    args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels"), "--jobs", "1"]
+    assert main(args) == 0
+    assert len(loaded) == 5
+
+
+def test_ensemble_reads_no_map_after_one_that_disagrees(tmp_path, monkeypatch, capsys):
+    bad = tmp_path / "bad.nii"
+    write_volume(bad, VolumeHeader((2, 2, 3), "float32", Spacing()), np.zeros((2, 2, 3), np.float32))
+    manifest, members = write_three_two_case(tmp_path, bad)
+    real_read, reads = voxeval.cli.read_probability_volume, []
+    monkeypatch.setattr(voxeval.cli, "read_probability_volume", lambda path: reads.append(path) or real_read(path))
+    failed = spy_failed_checks(monkeypatch)
+    args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels"), "--jobs", "1"]
+    assert main(args) == 3
+    message = json.loads(capsys.readouterr().err)["error"]["message"]
+    first = members[0][0]
+    assert message == f"case 'c1': {bad}: shape (2, 2, 3) differs from (2, 2, 2) of the case's first map {first}"
+    assert reads == [*members[0], bad] and failed == []
 
 
 @pytest.mark.parametrize("jobs", [2, 3])

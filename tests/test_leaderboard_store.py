@@ -235,9 +235,9 @@ def test_tabulated_load_matches_the_record_route(tmp_path, seed):
     doc = random_store(np.random.default_rng(seed))
     store = tmp_path / "store.json"
     store.write_text(canonical(doc))
-    text, loaded, table = _load_store(store)
+    loaded, table = _load_store(store, store.read_bytes())
     want = records_route(doc["submissions"])
-    assert text == store.read_text() and loaded == doc
+    assert loaded == doc
     assert table.algorithms == want.algorithms and table.cases == want.cases
     assert np.array_equal(table.dice, want.dice) and np.array_equal(table.hd95, want.hd95)
     assert np.array_equal(np.signbit(table.dice), np.signbit(want.dice))
@@ -303,7 +303,7 @@ def test_every_broken_store_is_rejected_by_both_routes(tmp_path, capsys, name, a
     BREAKS[name](doc)
     store.write_text(canonical(doc))
     with pytest.raises(FormatError, match="^" + re.escape(f"leaderboard store {store}: submission ")):
-        _load_store(store)
+        _load_store(store, store.read_bytes())
     before = store.read_bytes()
     args = ["leaderboard", action, "--store", str(store)]
     if action == "add":
@@ -418,7 +418,7 @@ def test_an_entry_fault_is_named_before_the_other_faults(tmp_path, submissions, 
     store = tmp_path / "store.json"
     store.write_text(json.dumps({"submissions": submissions, "ranking": None}))
     with pytest.raises(FormatError) as exc:
-        _load_store(store)
+        _load_store(store, store.read_bytes())
     assert str(exc.value) == f"leaderboard store {store}: {message}"
 
 
@@ -500,7 +500,7 @@ def test_mutated_stores_load_as_the_record_route_or_fail_in_one_line(tmp_path, c
         store.write_text(canonical(doc))
         before = store.read_bytes()
         try:
-            table = _load_store(store)[2]
+            table = _load_store(store, store.read_bytes())[1]
         except FormatError as exc:
             assert str(exc).startswith(f"leaderboard store {store}: ")
             rejected += 1
@@ -571,7 +571,7 @@ def test_a_table_with_a_bad_header_is_not_trusted(tmp_path, monkeypatch, fields)
     monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
     loads = []
     real_load = voxeval.cli._load_store
-    monkeypatch.setattr(voxeval.cli, "_load_store", lambda path: loads.append(path) or real_load(path))
+    monkeypatch.setattr(voxeval.cli, "_load_store", lambda path, data: loads.append(path) or real_load(path, data))
     rng = np.random.default_rng(9)
     store, table = tmp_path / "store.json", tmp_path / "store.json.table"
     for k, algorithm_id in enumerate(IDS[:2]):
@@ -654,7 +654,7 @@ def test_adds_through_the_table_match_the_full_route(tmp_path, monkeypatch, seed
     monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
     loads = []
     real_load = voxeval.cli._load_store
-    monkeypatch.setattr(voxeval.cli, "_load_store", lambda path: loads.append(path) or real_load(path))
+    monkeypatch.setattr(voxeval.cli, "_load_store", lambda path, data: loads.append(path) or real_load(path, data))
     rng = np.random.default_rng(300 + seed)
     cases = [str(c) for c in rng.choice(ODD_CASES, size=int(rng.integers(1, 6)), replace=False)]
     other = tmp_path / "other" / "store.json"
@@ -742,7 +742,7 @@ def test_mutated_stores_beside_a_valid_table_fail_in_one_line(tmp_path, capsys, 
         before = store.read_bytes()
         args = ["leaderboard", "add", "--store", str(store), "--metrics", str(metrics), "--algorithm", "new"]
         try:
-            _load_store(store)
+            _load_store(store, store.read_bytes())
         except FormatError:
             rejected += 1
             assert main(args) == 4

@@ -26,7 +26,14 @@ from helpers import (
     random_nested_masks,
     sphere_mask,
 )
-from oracles import box_oracle, dice_oracle, hd95_oracle, surface_distances_oracle, surface_oracle
+from oracles import (
+    box_oracle,
+    dice_oracle,
+    hd95_oracle,
+    soft_dice_oracle,
+    surface_distances_oracle,
+    surface_oracle,
+)
 
 
 def single_voxel(shape, at):
@@ -445,6 +452,21 @@ def test_soft_dice_modes_agree_for_single_sample():
     sample_value = soft_dice(probs, refs, "sample")
     batch_value = soft_dice(probs, refs, "batch")
     assert sample_value == pytest.approx(batch_value, abs=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["sample", "batch"])
+def test_soft_dice_matches_the_loop_reference_exactly(mode, dtype):
+    rng = np.random.default_rng(49)
+    for samples in [1, 2, 3, 4, 5] * 20:
+        shape = tuple(int(d) for d in rng.integers(1, 9, size=3))
+        refs = [
+            RegionMaskSet(*random_nested_masks(rng, shape, p_wt=float(rng.random())), Spacing())
+            for _ in range(samples)
+        ]
+        probs = [RegionProbSet(*rng.random((3, *shape)).astype(dtype), Spacing()) for _ in range(samples)]
+        smooth = float(rng.choice([1e-5, 1.0]))
+        assert soft_dice(probs, refs, mode, smooth) == soft_dice_oracle(probs, refs, mode, smooth)
 
 
 def test_soft_dice_rejects_bad_batches():
