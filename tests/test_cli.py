@@ -580,7 +580,23 @@ def test_ensemble_means_are_not_range_checked_again(tmp_path, monkeypatch):
     assert len(checked) == 9 and all(what.endswith(": probability map") for what in checked)
 
 
-def test_ensemble_errors_name_the_case(tmp_path, capsys):
+def spy_failed_checks(monkeypatch):
+    """The ``what`` of each call of the library's member check,
+    ``voxeval.ensemble._check_like``, that raised."""
+    failed, real = [], voxeval.ensemble._check_like
+
+    def check(member, shape, spacing, what):
+        try:
+            real(member, shape, spacing, what)
+        except ValidationError:
+            failed.append(what)
+            raise
+
+    monkeypatch.setattr(voxeval.ensemble, "_check_like", check)
+    return failed
+
+
+def test_ensemble_errors_name_the_case(tmp_path, monkeypatch, capsys):
     probs = write_prob(tmp_path / "p.nii", [0.2, 0.8])
     wide = tmp_path / "wide.nii"
     write_volume(wide, VolumeHeader((1, 1, 3), "float32", Spacing()), np.zeros((1, 1, 3), np.float32))
@@ -590,8 +606,9 @@ def test_ensemble_errors_name_the_case(tmp_path, capsys):
         ["case7", "b", wide.name, wide.name, wide.name],
     ]
     manifest = write_manifest(tmp_path / "ens.csv", rows, columns=columns)
+    failed = spy_failed_checks(monkeypatch)
     code = main(["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels")])
-    assert code == 3
+    assert code == 3 and failed == []
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
@@ -649,22 +666,6 @@ def write_ensemble_cases(tmp_path, count, shape=(3, 4, 5), bad=None):
             row = rows[-2] if configuration == "a" else rows[-1]
             row[2:] = [path.name] * 3
     return write_manifest(tmp_path / "ens.csv", rows, columns=ENSEMBLE_COLUMNS)
-
-
-def spy_failed_checks(monkeypatch):
-    """The ``what`` of each call of the library's member check,
-    ``voxeval.ensemble._check_like``, that raised."""
-    failed, real = [], voxeval.ensemble._check_like
-
-    def check(member, shape, spacing, what):
-        try:
-            real(member, shape, spacing, what)
-        except ValidationError:
-            failed.append(what)
-            raise
-
-    monkeypatch.setattr(voxeval.ensemble, "_check_like", check)
-    return failed
 
 
 def test_ensemble_jobs_write_identical_bytes(tmp_path):
