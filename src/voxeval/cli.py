@@ -758,43 +758,41 @@ def _encode_submission(submission: dict) -> str:
             f'{q(submission["timestamp"])},\n      "metrics": {{\n{cases}\n      }}\n    }}')
 
 
-def _ranking_tail(ranking) -> bytes:
-    """The canonical store bytes after its last submission."""
-    return ('\n  ],\n  "ranking": ' + _encode(ranking, 1) + "\n}\n").encode()
-
-
 _TABLE_FORMAT = "voxeval-store-table-1"
-#: The store bytes at a table's ``cut``: the end of the submissions list, then the ranking.
+#: The canonical store bytes between the end of the submissions list and the
+#: ranking.  They occur once in such a store: JSON escapes a newline inside a
+#: string, and the ranking's own lines are indented at least four spaces.
 _CUT_MARK = b'\n  ],\n  "ranking": '
 
 
-def _write_table(path: Path, data: bytes, tail: bytes, table: MetricTable) -> None:
-    """Write ``<store>.table`` for the bytes ``data`` of a store that holds
-    just its submissions and then its ranking, encoded as ``tail``: a JSON
-    header line, the (2, N, M, 3) scores and their CRC-32.  A failed write is
-    left out: an older table has another key."""
+def _write_table(path: Path, data: bytes, table: MetricTable) -> None:
+    """Write ``<store>.table`` for the bytes ``data`` of a canonical store
+    that holds just its submissions and then its ranking: a JSON header line,
+    the (2, N, M, 3) scores and their CRC-32.  A failed write is left out: an
+    older table has another key."""
     head = {"format": _TABLE_FORMAT, "bytes": len(data), "crc32": zlib.crc32(data),
-            "algorithms": table.algorithms, "cases": table.cases, "cut": len(data) - len(tail)}
+            "algorithms": table.algorithms, "cases": table.cases}
     body = json.dumps(head).encode() + b"\n" + np.stack([table.dice, table.hd95]).astype("<f8").tobytes()
     with suppress(OSError):
         write_atomic(path.with_name(path.name + ".table"), body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def _read_table(path: Path, data: bytes) -> tuple[MetricTable, int] | None:
-    """The score table and splice offset that ``<store>.table`` holds for the
-    store bytes ``data``, or None if that file is missing, damaged, foreign,
+    """The score table that ``<store>.table`` holds for the store bytes
+    ``data`` and the splice offset, the last :data:`_CUT_MARK` in ``data``;
+    or None if there is no mark, or that file is missing, damaged, foreign,
     keyed to other bytes, or fails the checks of stored scores.  Its ids must
-    be lists of strings, and its offset must mark the end of the
-    submissions list in ``data``."""
+    be lists of strings.  A header field the table does not use is ignored."""
+    cut = data.rfind(_CUT_MARK)
     try:
         raw = path.with_name(path.name + ".table").read_bytes()
         head, _, block = raw[:-4].partition(b"\n")
         meta = json.loads(head)
         key = (zlib.crc32(raw[:-4]).to_bytes(4, "little"), meta["format"], meta["bytes"], meta["crc32"])
-        algorithms, cases, cut = meta["algorithms"], meta["cases"], meta["cut"]
+        algorithms, cases = meta["algorithms"], meta["cases"]
         if key != (raw[-4:], _TABLE_FORMAT, len(data), zlib.crc32(data)) or not (
             type(algorithms) is type(cases) is list and all(type(i) is str for i in algorithms + cases)
-            and type(cut) is int and data.startswith(_CUT_MARK, cut)
+            and cut >= 0
         ):
             return None
         scores = np.frombuffer(block, "<f8").reshape(2, len(algorithms), len(cases), len(REGIONS))
@@ -810,7 +808,6 @@ def _store_lock(path: Path):
     The lock file sits beside the store, so the rename that replaces the
     store leaves it alone; it stays empty.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
     lock = path.with_name(path.name + ".lock")
     lock.touch()
     with open(lock, "rb") as fh:
@@ -818,33 +815,15 @@ def _store_lock(path: Path):
         yield
 
 
-def _block(metrics: dict) -> np.ndarray:
-    """One submission's (2, cases, regions) Dice and HD95 block, cases sorted.
-    All entries are checked at once: a missing region raises KeyError (so
-    equal counts rule out an extra one), any other fault TypeError,
-    ValueError or OverflowError."""
-    per_case = [metrics[case] for case in sorted(metrics)]
-    entries = [regions[region] for regions in per_case for region in REGIONS]
-    scores = [e["dice"] for e in entries] + [e["hd95"] for e in entries]
-    specials = {e.get("special_case", "none") for e in entries}
-    if not (sum(map(len, per_case)) == len(entries) and set(map(type, scores)) <= _SCORE_TYPES):
-        raise TypeError("entries")
-    block = np.array(scores, dtype=np.float64).reshape(2, len(per_case), len(REGIONS))
-    if not _valid_scores(*block, specials):
-        raise ValueError("entries")
-    return block
-
-
 def _tabulate(path: Path, submissions: list) -> MetricTable:
-    """The score table of a nonempty store, checked in one document-order pass.
+    """The score table of a nonempty store, checked in one document-order walk.
 
-    Each submission's shape and id are checked, then all its entries at once
-    (:func:`_block`); only a submission that fails there is walked through
-    :func:`_record` to name its first bad entry.  Case and region sets come
-    last, so an entry error anywhere comes first.  Every fault raises
-    :class:`FormatError` naming the store, submission and case.
+    Each submission's shape and id are checked, then each of its entries
+    through :func:`_record`.  Case and region sets come after the walk, so
+    an entry error anywhere comes first.  Every fault raises
+    :class:`FormatError` naming the store, submission and case.  The scores
+    are gathered from the checked store, cases sorted.
     """
-    blocks = {}
     try:
         seen = set()
         for n, submission in enumerate(submissions):
@@ -863,21 +842,17 @@ def _tabulate(path: Path, submissions: list) -> MetricTable:
             if algorithm_id in seen:
                 raise ValidationError(f"{where}: duplicate algorithm_id {algorithm_id!r}")
             seen.add(algorithm_id)
-            try:
-                blocks[algorithm_id] = _block(submission["metrics"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                # A walk that passes leaves a missing region for the set checks.
-                for case_id, regions in submission["metrics"].items():
-                    at = f"{where} case {case_id}"
-                    for region, entry in regions.items():
-                        if not isinstance(entry, dict) or not all(
-                            type(entry.get(key)) in _SCORE_TYPES for key in ("dice", "hd95")
-                        ):
-                            raise ValidationError(
-                                f"{at}: region {region!r} needs numeric dice and hd95"
-                            )
-                        special = entry.get("special_case", "none")
-                        _record(at, region, entry["dice"], entry["hd95"], special)
+            for case_id, regions in submission["metrics"].items():
+                at = f"{where} case {case_id}"
+                for region, entry in regions.items():
+                    if not isinstance(entry, dict) or not all(
+                        type(entry.get(key)) in _SCORE_TYPES for key in ("dice", "hd95")
+                    ):
+                        raise ValidationError(
+                            f"{at}: region {region!r} needs numeric dice and hd95"
+                        )
+                    special = entry.get("special_case", "none")
+                    _record(at, region, entry["dice"], entry["hd95"], special)
         first = submissions[0]["metrics"]
         if not first:
             raise ValidationError(f"leaderboard store {path}: submission 0 has no cases")
@@ -890,8 +865,6 @@ def _tabulate(path: Path, submissions: list) -> MetricTable:
                     f"{where} case {differing[0]}: {state} submission 0; "
                     "every submission must cover the same cases"
                 )
-            if submission["algorithm_id"] in blocks:
-                continue  # a built block holds exactly WT, TC and ET
             for case_id, regions in submission["metrics"].items():
                 if regions.keys() != _REGION_KEYS:
                     raise ValidationError(
@@ -900,7 +873,11 @@ def _tabulate(path: Path, submissions: list) -> MetricTable:
                     )
     except ValidationError as exc:
         raise FormatError(str(exc)) from None
-    return MetricTable(tuple(blocks), tuple(sorted(first)), *np.stack(list(blocks.values()), axis=1))
+    cases = sorted(first)
+    entries = [s["metrics"][case][region] for s in submissions for case in cases for region in REGIONS]
+    scores = np.array([[e["dice"] for e in entries], [e["hd95"] for e in entries]], dtype=np.float64)
+    return MetricTable(tuple(s["algorithm_id"] for s in submissions), tuple(cases),
+                       *scores.reshape(2, len(submissions), len(cases), len(REGIONS)))
 
 
 def _load_store(path: Path, data: bytes | None) -> tuple[dict, MetricTable | None]:
@@ -935,6 +912,7 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
     the store and writes it whole, as :func:`leaderboard_recompute` does.
     """
     store_path = Path(store_path)
+    store_path.parent.mkdir(parents=True, exist_ok=True)
     with _store_lock(store_path):
         data = store_path.read_bytes() if store_path.exists() else None
         stored, cut = data and _read_table(store_path, data) or (None, None)
@@ -963,7 +941,6 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
             scores = np.concatenate([np.stack([stored.dice, stored.hd95]), scores], axis=1)
         table = MetricTable(algorithms, cases, *scores)
         ranking = _rank_result_document(brats_ranking(table))
-        tail = _ranking_tail(ranking)
         if cut is None:
             store["submissions"].append(submission)
             store["ranking"] = ranking
@@ -971,24 +948,29 @@ def leaderboard_add(store_path, metrics_path, algorithm_id: str) -> None:
         else:
             # One join over a view of the old bytes: no intermediate copy of them.
             new = (",\n    " + _encode_submission(submission)).encode()
-            data = b"".join([memoryview(data)[:cut], new, tail])
+            tail = (_encode(ranking, 1) + "\n}\n").encode()
+            data = b"".join([memoryview(data)[:cut], new, _CUT_MARK, tail])
             write_atomic(store_path, data)
         if cut is not None or list(store) == ["submissions", "ranking"]:  # a splice keeps the keys
-            _write_table(store_path, data, tail, table)
+            _write_table(store_path, data, table)
 
 
 def leaderboard_recompute(store_path) -> None:
-    """Recompute the stored ranking and rewrite the whole store canonically."""
+    """Recompute the stored ranking and rewrite the whole store canonically.
+
+    A missing store raises the :class:`OSError` that names it, and nothing
+    is created: no directory and no lock file.
+    """
     store_path = Path(store_path)
+    store_path.stat()
     with _store_lock(store_path):
-        data = store_path.read_bytes() if store_path.exists() else None
-        store, table = _load_store(store_path, data)
+        store, table = _load_store(store_path, store_path.read_bytes())
         if table is None:
-            raise ValidationError("leaderboard store has no submissions")
+            raise ValidationError(f"leaderboard store {store_path} has no submissions")
         store["ranking"] = _rank_result_document(brats_ranking(table))
         data = _write_json(store_path, store)
         if list(store) == ["submissions", "ranking"]:
-            _write_table(store_path, data, _ranking_tail(store["ranking"]), table)
+            _write_table(store_path, data, table)
 
 
 def _cmd_leaderboard(args) -> int:

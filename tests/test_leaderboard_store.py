@@ -556,18 +556,16 @@ def resigned(table: bytes, **fields) -> bytes:
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "fields, loaded",
     [
-        lambda data, head: {"cut": "abc"},
-        lambda data, head: {"cut": 5},
-        lambda data, head: {"cut": len(data) + 3},
-        lambda data, head: {"cut": True},
-        lambda data, head: {"algorithms": list(range(len(head["algorithms"])))},
-        lambda data, head: {"cases": list(range(len(head["cases"])))},
+        # Older tables held the splice offset; the add finds it in the store.
+        (lambda data, head: {"cut": 5}, False),
+        (lambda data, head: {"algorithms": list(range(len(head["algorithms"])))}, True),
+        (lambda data, head: {"cases": list(range(len(head["cases"])))}, True),
     ],
-    ids=["cut-text", "cut-inside", "cut-past-end", "cut-bool", "integer-algorithms", "integer-cases"],
+    ids=["cut-ignored", "integer-algorithms", "integer-cases"],
 )
-def test_a_table_with_a_bad_header_is_not_trusted(tmp_path, monkeypatch, fields):
+def test_a_table_with_a_bad_header_is_not_trusted(tmp_path, monkeypatch, fields, loaded):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
     loads = []
     real_load = voxeval.cli._load_store
@@ -586,7 +584,63 @@ def test_a_table_with_a_bad_header_is_not_trusted(tmp_path, monkeypatch, fields)
     loads.clear()
     leaderboard_add(store, metrics, "new")
     assert (store.read_bytes(), table.read_bytes()) == want
-    assert loads == [store]
+    assert loads == [store] * loaded
+
+
+@pytest.mark.parametrize("how", ["compact", "reversed-keys"])
+def test_a_table_keyed_to_a_store_without_the_splice_mark_is_not_used(tmp_path, full_encodes, how):
+    rng = np.random.default_rng(19)
+    store, table = tmp_path / "store.json", tmp_path / "store.json.table"
+    for k, algorithm_id in enumerate(IDS[:2]):
+        leaderboard_add(store, write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2"]), algorithm_id)
+    store.write_text(reformat(store.read_text(), how))
+    data = store.read_bytes()
+    table.write_bytes(resigned(table.read_bytes(), bytes=len(data), crc32=zlib.crc32(data)))
+    full_encodes.clear()
+    before = json.loads(data)
+    metrics = write_metrics(tmp_path / "new.csv", rng, ["c1", "c2"])
+    leaderboard_add(store, metrics, "new")
+    assert store.read_text() == canonical(expected_after_add(before, "new", metrics))
+    assert full_encodes == [store]
+
+
+def test_ids_holding_the_splice_mark_are_added_through_the_table(tmp_path, full_encodes):
+    # JSON escapes their newlines, so the store's own mark stays the only one.
+    # A metrics file's case ids are stripped, so the case id wraps the mark.
+    mark = '\n  ],\n  "ranking": '
+    cases = [f"c{mark}c", "c2"]
+    rng = np.random.default_rng(21)
+    store = tmp_path / "store.json"
+    leaderboard_add(store, write_metrics(tmp_path / "m.csv", rng, cases), "first")
+    full_encodes.clear()
+    for algorithm_id in (mark, "last"):
+        before = json.loads(store.read_text())
+        metrics = write_metrics(tmp_path / "m.csv", rng, cases)
+        leaderboard_add(store, metrics, algorithm_id)
+        assert store.read_text() == canonical(expected_after_add(before, algorithm_id, metrics))
+    assert full_encodes == []
+    assert store.read_bytes().count(mark.encode()) == 1
+
+
+@pytest.mark.parametrize("where", ["store.json", "x/a/store.json"])
+def test_recompute_of_a_missing_store_creates_nothing(tmp_path, capsys, where):
+    store = tmp_path / where
+    assert main(["leaderboard", "recompute", "--store", str(store)]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == {
+        "category": "io", "message": f"[Errno 2] No such file or directory: {str(store)!r}"
+    }
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_recompute_of_an_empty_store_names_the_store(tmp_path, capsys):
+    store = tmp_path / "store.json"
+    store.write_text(canonical({"submissions": [], "ranking": None}))
+    assert main(["leaderboard", "recompute", "--store", str(store)]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "category": "validation", "message": f"leaderboard store {store} has no submissions"
+    }
 
 
 def test_adds_succeed_when_the_table_cannot_be_written(tmp_path, full_encodes):
