@@ -366,18 +366,22 @@ def _summary_rows(results) -> tuple[list[str], list[list[str]]]:
     return header, rows
 
 
-def _record(where: str, region, dice, hd95, special) -> MetricRecord:
-    """Build one region's record from values read from a file; errors name ``where``."""
+def _record(where: str, region, dice, hd95, special) -> tuple[float, float]:
+    """Check one region's values read from a file and return ``(dice, hd95)``
+    as floats; errors name ``where``.  Only a bad region or special case
+    builds a record, so that the constructors raise their own messages."""
     try:
-        record = MetricRecord(region, float(dice), float(hd95), SpecialCase(special))
+        dice, hd95 = float(dice), float(hd95)
+        if region not in REGIONS or type(special) is not str or special not in _SPECIAL_CASES:
+            MetricRecord(region, dice, hd95, SpecialCase(special))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    if not (0.0 <= record.dice <= 1.0 and 0.0 <= record.hd95 < float("inf")):
+    if not (0.0 <= dice <= 1.0 and 0.0 <= hd95 < np.inf):
         raise ValidationError(
             f"{where}: {region} needs dice in [0, 1] and a finite nonnegative hd95, "
-            f"got dice {record.dice!r}, hd95 {record.hd95!r}"
+            f"got dice {dice!r}, hd95 {hd95!r}"
         )
-    return record
+    return dice, hd95
 
 
 _METRICS_COLUMNS = ("case_id", "region", "dice", "hd95")
@@ -386,18 +390,14 @@ _REGION_INDEX = {region: k for k, region in enumerate(REGIONS)}
 _SPECIAL_CASES = frozenset(case.value for case in SpecialCase)
 
 
-def _metric_rows(path: Path) -> Iterator[tuple[str, str, MetricRecord]]:
-    """Yield ``(where, case_id, record)`` for each row of a metrics file."""
-    for where, case_id, row in _csv_rows(path, _METRICS_COLUMNS, "metrics file"):
-        special = row.get("special_case") or "none"
-        yield where, case_id, _record(where, row["region"], row["dice"], row["hd95"], special)
-
-
 def read_metrics_csv(path) -> dict[str, list[MetricRecord]]:
-    """Read a metrics.csv produced by `evaluate` back into records."""
+    """Read a metrics.csv produced by `evaluate` back into records, each row
+    checked by :func:`_record`."""
     per_case: dict[str, list[MetricRecord]] = {}
-    for _, case_id, record in _metric_rows(Path(path)):
-        per_case.setdefault(case_id, []).append(record)
+    for where, case_id, row in _csv_rows(Path(path), _METRICS_COLUMNS, "metrics file"):
+        special = row.get("special_case") or "none"
+        dice, hd95 = _record(where, row["region"], row["dice"], row["hd95"], special)
+        per_case.setdefault(case_id, []).append(MetricRecord(row["region"], dice, hd95, SpecialCase(special)))
     return per_case
 
 
@@ -462,11 +462,12 @@ def _read_scores(path) -> _Scores:
         return cases, block.reshape(2, len(cases), len(REGIONS)), rows
     per_case: dict[str, set[str]] = {}
     repeats = []
-    for where, case_id, record in _metric_rows(path):
+    for where, case_id, row in _csv_rows(path, _METRICS_COLUMNS, "metrics file"):
+        _record(where, row["region"], row["dice"], row["hd95"], row.get("special_case") or "none")
         regions = per_case.setdefault(case_id, set())
-        if record.region in regions:
-            repeats.append(f"{where}: duplicate record for case {case_id!r}, region {record.region}")
-        regions.add(record.region)
+        if row["region"] in regions:
+            repeats.append(f"{where}: duplicate record for case {case_id!r}, region {row['region']}")
+        regions.add(row["region"])
     if repeats:
         raise ValidationError(repeats[0])
     for case_id in sorted(per_case):
@@ -806,8 +807,11 @@ def _store_lock(path: Path):
     """Hold an exclusive ``flock`` on ``<store>.lock`` for a whole read–rank–write.
 
     The lock file sits beside the store, so the rename that replaces the
-    store leaves it alone; it stays empty.
+    store leaves it alone; it stays empty.  A store path that exists and is
+    not a regular file raises :class:`OSError` naming it, and no lock is made.
     """
+    if path.exists() and not path.is_file():
+        raise OSError(f"leaderboard store {path} is not a regular file")
     lock = path.with_name(path.name + ".lock")
     lock.touch()
     with open(lock, "rb") as fh:
@@ -819,13 +823,13 @@ def _tabulate(path: Path, submissions: list) -> MetricTable:
     """The score table of a nonempty store, checked in one document-order walk.
 
     Each submission's shape and id are checked, then each of its entries
-    through :func:`_record`.  Case and region sets come after the walk, so
-    an entry error anywhere comes first.  Every fault raises
-    :class:`FormatError` naming the store, submission and case.  The scores
-    are gathered from the checked store, cases sorted.
+    through :func:`_record`; the walk keeps its scores by submission, case
+    and region, for the table (cases sorted).  Case and region sets come
+    after the walk, so an entry error anywhere comes first.  Every fault
+    raises :class:`FormatError` naming the store, submission and case.
     """
     try:
-        seen = set()
+        kept = {}
         for n, submission in enumerate(submissions):
             where = f"leaderboard store {path}: submission {n}"
             if not (
@@ -839,20 +843,21 @@ def _tabulate(path: Path, submissions: list) -> MetricTable:
                     "case -> region -> {dice, hd95, special_case}"
                 )
             algorithm_id = submission["algorithm_id"]
-            if algorithm_id in seen:
+            if algorithm_id in kept:
                 raise ValidationError(f"{where}: duplicate algorithm_id {algorithm_id!r}")
-            seen.add(algorithm_id)
+            rows = kept[algorithm_id] = {}
             for case_id, regions in submission["metrics"].items():
                 at = f"{where} case {case_id}"
+                row = rows[case_id] = {}
                 for region, entry in regions.items():
-                    if not isinstance(entry, dict) or not all(
-                        type(entry.get(key)) in _SCORE_TYPES for key in ("dice", "hd95")
+                    if not isinstance(entry, dict) or not (
+                        type(entry.get("dice")) in _SCORE_TYPES and type(entry.get("hd95")) in _SCORE_TYPES
                     ):
                         raise ValidationError(
                             f"{at}: region {region!r} needs numeric dice and hd95"
                         )
                     special = entry.get("special_case", "none")
-                    _record(at, region, entry["dice"], entry["hd95"], special)
+                    row[region] = _record(at, region, entry["dice"], entry["hd95"], special)
         first = submissions[0]["metrics"]
         if not first:
             raise ValidationError(f"leaderboard store {path}: submission 0 has no cases")
@@ -874,10 +879,9 @@ def _tabulate(path: Path, submissions: list) -> MetricTable:
     except ValidationError as exc:
         raise FormatError(str(exc)) from None
     cases = sorted(first)
-    entries = [s["metrics"][case][region] for s in submissions for case in cases for region in REGIONS]
-    scores = np.array([[e["dice"] for e in entries], [e["hd95"] for e in entries]], dtype=np.float64)
-    return MetricTable(tuple(s["algorithm_id"] for s in submissions), tuple(cases),
-                       *scores.reshape(2, len(submissions), len(cases), len(REGIONS)))
+    flat = [v for rows in kept.values() for case in cases for region in REGIONS for v in rows[case][region]]
+    scores = np.reshape(flat, (len(kept), len(cases), len(REGIONS), 2))
+    return MetricTable(tuple(kept), tuple(cases), *np.moveaxis(scores, -1, 0))
 
 
 def _load_store(path: Path, data: bytes | None) -> tuple[dict, MetricTable | None]:

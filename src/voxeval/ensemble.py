@@ -103,6 +103,11 @@ def two_level_ensemble(
         combine to 0.4, not 0.4667.
     """
     w = None if weights is None else np.asarray(list(weights), dtype=np.float64)
+    if w is not None:  # before any member is read; the count waits for the iterable
+        if not np.isfinite(w).all() or (w < 0.0).any():
+            raise ValidationError("weights must be finite and nonnegative")
+        if w.size and not w.any():
+            raise ValidationError("weights must not all be zero")
     configurations = iter(configurations)
     sums = like = None
     n = 0
@@ -123,15 +128,8 @@ def two_level_ensemble(
         del maps  # so the next configuration's sums are allocated with these freed
     if n == 0:
         raise ValidationError("two_level_ensemble requires at least one configuration")
-    if w is not None:
-        if w.shape != (n,):
-            raise ValidationError(
-                f"expected one weight per configuration ({n}), got shape {w.shape}"
-            )
-        if not np.all(np.isfinite(w)) or w.min() < 0.0:
-            raise ValidationError("weights must be finite and nonnegative")
-        if w.sum() == 0.0:
-            raise ValidationError("weights must not all be zero")
+    if w is not None and w.shape != (n,):
+        raise ValidationError(f"expected one weight per configuration ({n}), got shape {w.shape}")
     total = n if w is None else float(w.sum())
     for acc in sums:
         acc /= total

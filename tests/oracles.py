@@ -7,8 +7,9 @@ instead of a separable search, percentiles by hand instead of numpy, ranks via
 scipy.stats.rankdata, the challenge ranking and jackknife as plain loops
 over columns, pools and pairs, and the threshold sweep by applying and
 rescoring every candidate on every case, the two-level ensemble mean
-voxel by voxel in Python floats, and NIfTI-1 files field by field and voxel
-by voxel with zlib's own gzip wrapper.
+voxel by voxel in Python floats, NIfTI-1 files field by field and voxel
+by voxel with zlib's own gzip wrapper, and a leaderboard store's check by
+building a record for every entry.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from voxeval import DEFAULT_POLICY, apply_et_threshold, evaluate_case
+from voxeval import DEFAULT_POLICY, REGIONS, MetricRecord, SpecialCase, apply_et_threshold, evaluate_case
 
 
 def label_check_oracle(data, codes):
@@ -358,3 +359,56 @@ def nifti_oracle(path):
             scaled[voxel] = float(voxels[voxel]) * slope + intercept
         voxels = scaled
     return (pixdim[1], pixdim[2], pixdim[3]), voxels
+
+
+def store_walk_oracle(path, submissions) -> str | None:
+    """The message that rejects a nonempty store's submissions, or None when
+    they are valid, by a walk that builds a ``MetricRecord`` and a
+    ``SpecialCase`` for every entry: each submission's shape and id, then
+    its entries in document order; then, over all submissions, the case
+    sets against submission 0's and each case's region set.
+    """
+    seen = set()
+    for n, submission in enumerate(submissions):
+        where = f"leaderboard store {path}: submission {n}"
+        if not (
+            isinstance(submission, dict)
+            and isinstance(submission.get("algorithm_id"), str)
+            and isinstance(submission.get("metrics"), dict)
+            and all(isinstance(regions, dict) for regions in submission["metrics"].values())
+        ):
+            return (f"{where} needs a string 'algorithm_id' and 'metrics' mapping "
+                    "case -> region -> {dice, hd95, special_case}")
+        if submission["algorithm_id"] in seen:
+            return f"{where}: duplicate algorithm_id {submission['algorithm_id']!r}"
+        seen.add(submission["algorithm_id"])
+        for case_id, regions in submission["metrics"].items():
+            at = f"{where} case {case_id}"
+            for region, entry in regions.items():
+                if not isinstance(entry, dict) or any(
+                    type(entry.get(key)) not in (int, float) for key in ("dice", "hd95")
+                ):
+                    return f"{at}: region {region!r} needs numeric dice and hd95"
+                special = entry.get("special_case", "none")
+                try:  # the arguments in order: scores, special case, then the region check
+                    record = MetricRecord(region, float(entry["dice"]), float(entry["hd95"]), SpecialCase(special))
+                except (TypeError, ValueError, OverflowError) as exc:
+                    return f"{at}: {exc}"
+                if not (0.0 <= record.dice <= 1.0 and 0.0 <= record.hd95 < math.inf):
+                    return (f"{at}: {region} needs dice in [0, 1] and a finite nonnegative hd95, "
+                            f"got dice {record.dice!r}, hd95 {record.hd95!r}")
+    first = submissions[0]["metrics"]
+    if not first:
+        return f"leaderboard store {path}: submission 0 has no cases"
+    for n, submission in enumerate(submissions):
+        where = f"leaderboard store {path}: submission {n}"
+        differing = sorted(set(first) ^ set(submission["metrics"]))
+        if differing:
+            state = "missing, but in" if differing[0] in first else "not in"
+            return (f"{where} case {differing[0]}: {state} submission 0; "
+                    "every submission must cover the same cases")
+        for case_id, regions in submission["metrics"].items():
+            if set(regions) != set(REGIONS):
+                return (f"{where} case {case_id}: needs one entry per region "
+                        f"{list(REGIONS)}, got {sorted(regions)}")
+    return None

@@ -258,6 +258,30 @@ def test_weights_are_checked_against_the_configurations_consumed():
             two_level_ensemble(iter(configurations), weights)
 
 
+@pytest.mark.parametrize(
+    "weights, message",
+    [
+        ([1.0, -1.0, 1.0], "finite and nonnegative"),
+        ([1.0, np.nan, 1.0], "finite and nonnegative"),
+        ([1.0, np.inf, 1.0], "finite and nonnegative"),
+        ([0.0, 0.0, 0.0], "must not all be zero"),
+        # Too short and negative: the value check comes before the count.
+        ([-1.0], "finite and nonnegative"),
+    ],
+)
+def test_weight_values_are_checked_before_any_member_is_read(weights, message):
+    read = []
+
+    def members(k):
+        for _ in range(2):
+            read.append(k)
+            yield constant_probset((2, 2, 2), 0.5, 0.5, 0.5)
+
+    with pytest.raises(ValidationError, match=message):
+        two_level_ensemble((members(k) for k in range(3)), weights)
+    assert read == []
+
+
 def test_each_member_is_dropped_before_the_next_is_read():
     rng = np.random.default_rng(88)
     read = []

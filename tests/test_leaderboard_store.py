@@ -34,6 +34,7 @@ from voxeval.cli import (
 from voxeval.errors import FormatError, ValidationError
 from voxeval.metrics import MetricRecord, SpecialCase
 from voxeval.ranking import MetricTable, brats_ranking
+from oracles import store_walk_oracle
 
 REGIONS = ("WT", "TC", "ET")
 SPECIALS = [case.value for case in SpecialCase]
@@ -340,6 +341,13 @@ def sub(algorithm_id, cases=("c1", "c2"), regions=REGIONS, **values):
             "submission 0 case c1: unknown region 'XX', expected one of ('WT', 'TC', 'ET')",
         ),
         ({"submissions": [sub("A", special_case="bogus")]}, "submission 0 case c1: 'bogus' is not a valid SpecialCase"),
+        ({"submissions": [sub("A", special_case=["none"])]}, "submission 0 case c1: ['none'] is not a valid SpecialCase"),
+        ({"submissions": [sub("A", special_case=None)]}, "submission 0 case c1: None is not a valid SpecialCase"),
+        # An entry with an unknown region and an unknown special case is named by the special case.
+        (
+            {"submissions": [sub("A", regions=("XX", "WT", "TC"), special_case="bogus")]},
+            "submission 0 case c1: 'bogus' is not a valid SpecialCase",
+        ),
         ({"submissions": [sub("A", hd95=10**400)]}, "submission 0 case c1: int too large to convert to float"),
         (
             {"submissions": [sub("A"), sub("B", dice=-0.5)]},
@@ -499,15 +507,17 @@ def test_mutated_stores_load_as_the_record_route_or_fail_in_one_line(tmp_path, c
             mutate(doc, rng)
         store.write_text(canonical(doc))
         before = store.read_bytes()
+        message = store_walk_oracle(store, json.loads(before)["submissions"])
         try:
             table = _load_store(store, store.read_bytes())[1]
         except FormatError as exc:
-            assert str(exc).startswith(f"leaderboard store {store}: ")
+            assert str(exc) == message
             rejected += 1
             assert main(["leaderboard", "recompute", "--store", str(store)]) == 4
             assert len(capsys.readouterr().err.splitlines()) == 1
             assert store.read_bytes() == before
             continue
+        assert message is None
         want = records_route(json.loads(before)["submissions"])
         assert table.algorithms == want.algorithms and table.cases == want.cases
         assert np.array_equal(table.dice, want.dice) and np.array_equal(table.hd95, want.hd95)
@@ -632,6 +642,56 @@ def test_recompute_of_a_missing_store_creates_nothing(tmp_path, capsys, where):
         "category": "io", "message": f"[Errno 2] No such file or directory: {str(store)!r}"
     }
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("action", ["add", "recompute"])
+def test_a_store_path_that_is_not_a_file_is_refused_before_the_lock(tmp_path, capsys, action):
+    store = tmp_path / "store.json"
+    store.mkdir()
+    (store / "keep").write_text("kept")
+    args = ["leaderboard", action, "--store", str(store)]
+    if action == "add":
+        args += ["--metrics", str(write_metrics(tmp_path / "m.csv", np.random.default_rng(0), ["c1"])),
+                 "--algorithm", "N"]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(args) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == {
+        "category": "io", "message": f"leaderboard store {store} is not a regular file"
+    }
+    assert sorted(p.name for p in tmp_path.iterdir()) == before  # no store.json.lock
+    assert [p.name for p in store.iterdir()] == ["keep"] and (store / "keep").read_text() == "kept"
+
+
+def test_a_valid_store_builds_no_records(tmp_path, monkeypatch):
+    """The full route (recompute, and an add without a table) checks a valid
+    store without building a MetricRecord or a SpecialCase."""
+    monkeypatch.setenv("SOURCE_DATE_EPOCH", str(EPOCH))
+    rng = np.random.default_rng(17)
+    store = tmp_path / "store.json"
+    for k, algorithm_id in enumerate(IDS[:3]):
+        metrics = write_metrics(tmp_path / f"m{k}.csv", rng, ["c1", "c2", "c3"])
+        assert main(["leaderboard", "add", "--store", str(store), "--metrics", str(metrics),
+                     "--algorithm", algorithm_id]) == 0
+    built, walks = [], []
+    for name in ("MetricRecord", "SpecialCase"):
+        real = getattr(voxeval.cli, name)
+        monkeypatch.setattr(voxeval.cli, name, lambda *args, real=real: built.append(args) or real(*args))
+    real_tabulate = voxeval.cli._tabulate
+    monkeypatch.setattr(voxeval.cli, "_tabulate", lambda *args: walks.append(args[0]) or real_tabulate(*args))
+    assert main(["leaderboard", "recompute", "--store", str(store)]) == 0
+    (tmp_path / "store.json.table").unlink()
+    metrics = write_metrics(tmp_path / "m3.csv", rng, ["c1", "c2", "c3"])
+    assert main(["leaderboard", "add", "--store", str(store), "--metrics", str(metrics), "--algorithm", IDS[3]]) == 0
+    assert walks == [store, store]
+    assert built == []
+    # A bad entry still goes through both constructors, so the wrappers see their calls.
+    doc = json.loads(store.read_text())
+    entry(doc, 0, "c1", "WT")["special_case"] = "bogus"
+    store.write_text(canonical(doc))
+    assert main(["leaderboard", "recompute", "--store", str(store)]) == 4
+    assert built == [("bogus",)]
 
 
 def test_recompute_of_an_empty_store_names_the_store(tmp_path, capsys):
