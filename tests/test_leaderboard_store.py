@@ -686,7 +686,7 @@ def test_a_valid_store_builds_no_records(tmp_path, monkeypatch):
     assert main(["leaderboard", "add", "--store", str(store), "--metrics", str(metrics), "--algorithm", IDS[3]]) == 0
     assert walks == [store, store]
     assert built == []
-    # A bad entry still goes through both constructors, so the wrappers see their calls.
+    # A bad special case still goes through SpecialCase, so the wrapper sees its call.
     doc = json.loads(store.read_text())
     entry(doc, 0, "c1", "WT")["special_case"] = "bogus"
     store.write_text(canonical(doc))
