@@ -35,21 +35,16 @@ class MetricTable:
     regions: tuple[str, ...] = REGIONS
 
     def __post_init__(self) -> None:
-        algorithms = tuple(str(a) for a in self.algorithms)
-        cases = tuple(str(c) for c in self.cases)
-        regions = tuple(str(r) for r in self.regions)
-        if not algorithms:
-            raise ValidationError("metric table needs at least one algorithm")
-        if not cases:
-            raise ValidationError("metric table needs at least one case")
-        if not regions:
-            raise ValidationError("metric table needs at least one region")
-        if len(set(algorithms)) != len(algorithms):
+        for what in ("algorithms", "cases", "regions"):
+            ids = tuple(str(i) for i in getattr(self, what))
+            if not ids:
+                raise ValidationError(f"metric table needs at least one {what[:-1]}")
+            object.__setattr__(self, what, ids)
+        if len(set(self.algorithms)) != len(self.algorithms):
             raise ValidationError("algorithm ids must be unique")
-        if len(set(cases)) != len(cases):
+        if len(set(self.cases)) != len(self.cases):
             raise ValidationError("case ids must be unique")
-        shape = (len(algorithms), len(cases), len(regions))
-        arrays = {}
+        shape = (len(self.algorithms), len(self.cases), len(self.regions))
         for name in ("dice", "hd95"):
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
@@ -59,16 +54,11 @@ class MetricTable:
                 )
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} array contains non-finite values")
-            arrays[name] = arr
-        if arrays["dice"].min() < 0.0 or arrays["dice"].max() > 1.0:
+            object.__setattr__(self, name, _freeze(arr))
+        if self.dice.min() < 0.0 or self.dice.max() > 1.0:
             raise ValidationError("dice values must lie in [0, 1]")
-        if arrays["hd95"].min() < 0.0:
+        if self.hd95.min() < 0.0:
             raise ValidationError("hd95 values must be nonnegative")
-        object.__setattr__(self, "algorithms", algorithms)
-        object.__setattr__(self, "cases", cases)
-        object.__setattr__(self, "regions", regions)
-        object.__setattr__(self, "dice", _freeze(arrays["dice"]))
-        object.__setattr__(self, "hd95", _freeze(arrays["hd95"]))
 
     @classmethod
     def from_records(
@@ -94,8 +84,6 @@ class MetricTable:
                     f"algorithm {alg!r} does not cover the same cases as "
                     f"{algorithms[0]!r}; differing case ids: {missing[:5]}"
                 )
-        if not case_set:
-            raise ValidationError("metric table needs at least one case")
         cases = tuple(sorted(case_set))
         shape = (len(algorithms), len(cases), len(regions))
         dice = np.empty(shape)
@@ -142,9 +130,7 @@ def rank_column(values, direction: str) -> np.ndarray:
     elif direction == "lower_better":
         key = arr
     else:
-        raise ValidationError(
-            f"direction must be 'higher_better' or 'lower_better', got {direction!r}"
-        )
+        raise ValidationError(f"direction must be 'higher_better' or 'lower_better', got {direction!r}")
     return _pairwise_wins(key[:, None]).sum(axis=0) + 0.5
 
 
@@ -155,15 +141,15 @@ def _pairwise_wins(keys: np.ndarray) -> np.ndarray:
     i's, plus half those where they tie (the diagonal is C/2).  Row i's
     rank sum is ``W[:, i].sum() + C/2``; without row r, minus ``W[r, i]``.
     These half-integer sums are exact, equal to re-ranking the pool bit
-    for bit.  Built row by row, temporaries stay (N, C); W takes 8·N²
-    bytes: 8 MB at N=1000, 4.4 MB at the sweep's N ≤ 2M+1 = 739, M=369.
+    for bit.  As ``W[r, i] + W[i, r] = C``, one comparison per pair gives
+    W from the counts L of lower keys alone: ``W = (L - Lᵀ + C) / 2``.
+    Built row by row, temporaries stay (N, C); L and W take 8·N² bytes
+    each: 16 MB at N=1000, 8.7 MB at the sweep's N ≤ 2M+1 = 739, M=369.
     """
-    wins = np.empty((len(keys), len(keys)))
+    lower = np.empty((len(keys), len(keys)))
     for r, row in enumerate(keys):
-        lower = np.count_nonzero(row < keys, axis=1)
-        tied = np.count_nonzero(row == keys, axis=1)
-        wins[r] = lower + tied / 2.0
-    return wins
+        lower[r] = np.count_nonzero(row < keys, axis=1)
+    return (lower - lower.T + keys.shape[1]) / 2.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,12 +162,8 @@ class RankResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
-        object.__setattr__(
-            self, "mean_rank", _freeze(np.asarray(self.mean_rank, dtype=np.float64))
-        )
-        object.__setattr__(
-            self, "score", _freeze(np.asarray(self.score, dtype=np.float64))
-        )
+        object.__setattr__(self, "mean_rank", _freeze(np.asarray(self.mean_rank, dtype=np.float64)))
+        object.__setattr__(self, "score", _freeze(np.asarray(self.score, dtype=np.float64)))
 
     @property
     def ordering(self) -> tuple[str, ...]:
@@ -251,12 +233,8 @@ class StabilityReport:
     rank_ranges: Mapping[str, tuple[float, float]]
 
 
-_RELATIONS = ("better", "tied", "worse")
-
-
-def _relations(score: np.ndarray) -> np.ndarray:
-    """Index 1 + sign(a - b) into ``_RELATIONS`` for every pair of scores (a, b)."""
-    return np.sign(np.subtract.outer(score, score)).astype(np.intp) + 1
+#: Indexed by 1 + sign(a - b) for scores a and b.
+_RELATIONS = np.array(["better", "tied", "worse"], dtype=object)
 
 
 def jackknife_stability(table: MetricTable) -> StabilityReport:
@@ -264,6 +242,8 @@ def jackknife_stability(table: MetricTable) -> StabilityReport:
 
     The pool is ranked once: a leave-one-out pool's rank sums are the full
     ones minus the removed algorithm's row of the pairwise-wins matrix.
+    The pools' scores are then compared all at once, in chunks of removed
+    algorithms whose two (chunk, N, N) bool arrays take about 1 MB.
 
     Reports every pair whose relative order differs from the full-pool
     ordering in some leave-one-out pool, plus the range of positions each
@@ -282,24 +262,43 @@ def jackknife_stability(table: MetricTable) -> StabilityReport:
         )
     wins, rank_sums, n_cols = _rank_sums(table)
     full = _result(ids, rank_sums, n_cols)
-    full_relations = _relations(full.score)
-    leave_one_out: dict[str, RankResult] = {}
+    # Row r is the pool without algorithm r; its diagonal entry is in no pool.
+    mean_rank = np.subtract(rank_sums, wins, out=wins)
+    mean_rank /= n_cols
+    score = mean_rank / (n_alg - 1)
+    keep = ~np.eye(n_alg, dtype=bool)
+    leave_one_out = {
+        removed: RankResult(ids[:r] + ids[r + 1 :], mean_rank[r, keep[r]], score[r, keep[r]])
+        for r, removed in enumerate(ids)
+    }
+    # +inf puts the removed algorithm behind its pool: it adds to no count.
+    np.fill_diagonal(score, np.inf)
+    full_worse = full.score[:, None] > full.score
+    full_tied = full.score[:, None] == full.score
+    upper = np.triu(keep)
+    names = np.array(ids, dtype=object)
+    positions = mean_rank  # the pools hold copies: W's buffer is free again
     flips: list[RankFlip] = []
-    # positions[r, i]: position of algorithm i in the pool without r (NaN at i == r).
-    positions = np.full((n_alg, n_alg), np.nan)
-    for r, removed in enumerate(ids):
-        keep = np.arange(n_alg) != r
-        sub = _result(ids[:r] + ids[r + 1 :], (rank_sums - wins[r])[keep], n_cols)
-        leave_one_out[removed] = sub
-        positions[r, keep] = rank_column(sub.score, "lower_better")
-        before = full_relations[np.ix_(keep, keep)]
-        after = _relations(sub.score)
-        # np.nonzero walks row-major: flips come out in the pool's (a, b) pair order.
-        for a, b in zip(*np.nonzero(np.triu(before != after, k=1))):
-            pair = (sub.algorithms[a], sub.algorithms[b])
-            relations = (_RELATIONS[before[a, b]], _RELATIONS[after[a, b]])
-            flips.append(RankFlip(removed, *pair, *relations))
-    lows = np.nanmin(positions, axis=0)
-    highs = np.nanmax(positions, axis=0)
+    step = max(1, 2**19 // n_alg**2)
+    for start in range(0, n_alg, step):
+        pools = score[start : start + step]
+        worse = pools[:, :, None] > pools[:, None, :]
+        tied = pools[:, :, None] == pools[:, None, :]
+        positions[start : start + step] = (
+            np.count_nonzero(worse, axis=2) + np.count_nonzero(tied, axis=2) / 2.0 + 0.5
+        )
+        # A pair's relation changed where its worse bit or its tied bit did.
+        changed = np.not_equal(worse, full_worse, out=worse)
+        changed |= np.not_equal(tied, full_tied, out=tied)
+        changed &= upper
+        inside = np.arange(len(pools))
+        changed[inside, start + inside] = changed[inside, :, start + inside] = False
+        # C order is (removed, a, b): the order of the pools and of their pairs.
+        r, a, b = np.unravel_index(np.flatnonzero(changed), changed.shape)
+        before = _RELATIONS[np.sign(full.score[a] - full.score[b]).astype(np.intp) + 1]
+        after = _RELATIONS[np.sign(pools[r, a] - pools[r, b]).astype(np.intp) + 1]
+        flips += map(RankFlip, names[start + r], names[a], names[b], before, after)
+    np.fill_diagonal(positions, np.nan)
+    lows, highs = np.nanmin(positions, axis=0), np.nanmax(positions, axis=0)
     ranges = {alg: (float(lo), float(hi)) for alg, lo, hi in zip(ids, lows, highs)}
     return StabilityReport(full, leave_one_out, tuple(flips), ranges)

@@ -23,7 +23,17 @@ import numpy as np
 from scipy.spatial.distance import cdist
 from scipy.stats import rankdata
 
-from voxeval import DEFAULT_POLICY, REGIONS, MetricRecord, SpecialCase, apply_et_threshold, evaluate_case
+from voxeval import (
+    DEFAULT_POLICY,
+    REGIONS,
+    MetricRecord,
+    RankFlip,
+    RankResult,
+    SpecialCase,
+    StabilityReport,
+    apply_et_threshold,
+    evaluate_case,
+)
 
 
 def label_check_oracle(data, codes):
@@ -224,6 +234,59 @@ def jackknife_oracle(algorithms, dice, hd95) -> dict:
         "flips": flips,
         "rank_ranges": {alg: (min(p), max(p)) for alg, p in positions.items()},
     }
+
+
+def pairwise_wins_loop_oracle(keys: np.ndarray) -> np.ndarray:
+    """The row-by-row pairwise-wins matrix with two comparisons per row:
+    lower keys win a column, ties win half of it."""
+    wins = np.empty((len(keys), len(keys)))
+    for r, row in enumerate(keys):
+        lower = np.count_nonzero(row < keys, axis=1)
+        tied = np.count_nonzero(row == keys, axis=1)
+        wins[r] = lower + tied / 2.0
+    return wins
+
+
+def jackknife_loop_oracle(table) -> StabilityReport:
+    """The jackknife as one loop over removed algorithms, re-ranking each
+    pool's scores and comparing its relations with the full pool's.
+
+    Kept as it stood before the pools were compared all at once; wins come
+    from ``pairwise_wins_loop_oracle``.
+    """
+
+    def relations(score):
+        return np.sign(np.subtract.outer(score, score)).astype(np.intp) + 1
+
+    def result(algorithms, rank_sums, n_cols):
+        mean_rank = rank_sums / n_cols
+        return RankResult(algorithms, mean_rank, mean_rank / len(algorithms))
+
+    names = ("better", "tied", "worse")
+    ids = table.algorithms
+    n_alg = len(ids)
+    keys = np.stack([-table.dice, table.hd95], axis=-1).reshape(n_alg, -1)
+    wins = pairwise_wins_loop_oracle(keys)
+    rank_sums, n_cols = wins.sum(axis=0) + keys.shape[1] / 2.0, keys.shape[1]
+    full = result(ids, rank_sums, n_cols)
+    full_relations = relations(full.score)
+    leave_one_out = {}
+    flips = []
+    positions = np.full((n_alg, n_alg), np.nan)
+    for r, removed in enumerate(ids):
+        keep = np.arange(n_alg) != r
+        sub = result(ids[:r] + ids[r + 1 :], (rank_sums - wins[r])[keep], n_cols)
+        leave_one_out[removed] = sub
+        positions[r, keep] = pairwise_wins_loop_oracle(sub.score[:, None]).sum(axis=0) + 0.5
+        before = full_relations[np.ix_(keep, keep)]
+        after = relations(sub.score)
+        for a, b in zip(*np.nonzero(np.triu(before != after, k=1))):
+            pair = (sub.algorithms[a], sub.algorithms[b])
+            flips.append(RankFlip(removed, *pair, names[before[a, b]], names[after[a, b]]))
+    lows = np.nanmin(positions, axis=0)
+    highs = np.nanmax(positions, axis=0)
+    ranges = {alg: (float(lo), float(hi)) for alg, lo, hi in zip(ids, lows, highs)}
+    return StabilityReport(full, leave_one_out, tuple(flips), ranges)
 
 
 def sweep_oracle(cases, candidates, policy=DEFAULT_POLICY) -> dict:

@@ -890,6 +890,18 @@ def test_stability_reports_flips(tmp_path):
     assert ["C", "A", "B", "better", "worse"] in rows[1:]
 
 
+def test_stability_of_two_algorithms_exits_three_and_writes_nothing(tmp_path, capsys):
+    paths = flip_metrics_files(tmp_path)
+    out = tmp_path / "flips.csv"
+    assert main(["stability", f"A={paths['A']}", f"B={paths['B']}", "--out", str(out)]) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])["error"]
+    assert error["category"] == "validation"
+    assert error["message"].startswith("jackknife stability needs at least 3 algorithms")
+    assert not out.exists()
+
+
 # --------------------------------------------------------------------------
 # leaderboard store
 

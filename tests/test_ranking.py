@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,14 @@ from voxeval import (
     jackknife_stability,
     rank_column,
 )
-from oracles import brats_ranking_oracle, jackknife_oracle, rank_oracle
+from voxeval.ranking import _pairwise_wins
+from oracles import (
+    brats_ranking_oracle,
+    jackknife_loop_oracle,
+    jackknife_oracle,
+    pairwise_wins_loop_oracle,
+    rank_oracle,
+)
 
 # Frozen jackknife fixture: found by randomized search (seed 12345, trial 58
 # of 3-algorithm/2-case tables). In the full pool A beats B beats C, but with
@@ -348,3 +357,50 @@ def test_ranking_and_jackknife_match_loop_oracles_on_tie_heavy_tables():
             assert pool.mean_rank.tolist() == expected["leave_one_out_mean_rank"][removed]
             assert pool.algorithms == tuple(a for a in table.algorithms if a != removed)
             assert all(type(a) is str for a in pool.algorithms)
+
+
+def table_keys(table):
+    return np.stack([-table.dice, table.hd95], axis=-1).reshape(len(table.algorithms), -1)
+
+
+@pytest.mark.parametrize("n", [3, 4, 50, 301])
+def test_jackknife_and_wins_equal_the_loop_code_bit_for_bit(n):
+    # N=301 compares its pools in chunks of 5, so 61 chunks.
+    rng = np.random.default_rng(69 + n)
+    for _ in range(8 if n < 10 else 2):
+        table = tie_heavy_table(rng, (n, n + 1))
+        keys = table_keys(table)
+        assert _pairwise_wins(keys).tobytes() == pairwise_wins_loop_oracle(keys).tobytes()
+        report = jackknife_stability(table)
+        expected = jackknife_loop_oracle(table)
+        assert report.flips == expected.flips
+        assert all(type(v) is str for f in report.flips for v in vars(f).values())
+        assert report.rank_ranges == expected.rank_ranges
+        assert report.full.score.tobytes() == expected.full.score.tobytes()
+        assert list(report.leave_one_out) == list(expected.leave_one_out)
+        for removed, pool in report.leave_one_out.items():
+            want = expected.leave_one_out[removed]
+            assert pool.algorithms == want.algorithms
+            assert pool.mean_rank.tobytes() == want.mean_rank.tobytes()
+            assert pool.score.tobytes() == want.score.tobytes()
+
+
+@pytest.mark.parametrize("n, c", [(1, 1), (3, 369), (20, 750), (200, 12)])
+def test_pairwise_wins_equal_the_loop_code_on_integer_and_decimal_keys(n, c):
+    rng = np.random.default_rng(n + c)
+    for keys in (rng.integers(0, 5, (n, c)).astype(float), np.round(rng.random((n, c)), 2)):
+        assert _pairwise_wins(keys).tobytes() == pairwise_wins_loop_oracle(keys).tobytes()
+
+
+def test_jackknife_peak_memory_is_no_higher_than_the_loop_code():
+    table = tie_heavy_table(np.random.default_rng(70), (320, 321))
+    table = MetricTable(table.algorithms, table.cases[:2], table.dice[:, :2], table.hd95[:, :2])
+    peaks = []
+    for jackknife in (jackknife_stability, jackknife_loop_oracle):
+        tracemalloc.start()
+        try:
+            jackknife(table)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1], f"peaks {peaks[0] / 2**20:.2f} > {peaks[1] / 2**20:.2f} MB"
