@@ -359,17 +359,13 @@ def test_ranking_and_jackknife_match_loop_oracles_on_tie_heavy_tables():
             assert all(type(a) is str for a in pool.algorithms)
 
 
-def table_keys(table):
-    return np.stack([-table.dice, table.hd95], axis=-1).reshape(len(table.algorithms), -1)
-
-
 @pytest.mark.parametrize("n", [3, 4, 50, 301])
 def test_jackknife_and_wins_equal_the_loop_code_bit_for_bit(n):
     # N=301 compares its pools in chunks of 5, so 61 chunks.
     rng = np.random.default_rng(69 + n)
     for _ in range(8 if n < 10 else 2):
         table = tie_heavy_table(rng, (n, n + 1))
-        keys = table_keys(table)
+        keys = np.stack([-table.dice, table.hd95], axis=-1).reshape(n, -1)
         assert _pairwise_wins(keys).tobytes() == pairwise_wins_loop_oracle(keys).tobytes()
         report = jackknife_stability(table)
         expected = jackknife_loop_oracle(table)
@@ -395,6 +391,7 @@ def test_pairwise_wins_equal_the_loop_code_on_integer_and_decimal_keys(n, c):
 def test_jackknife_peak_memory_is_no_higher_than_the_loop_code():
     table = tie_heavy_table(np.random.default_rng(70), (320, 321))
     table = MetricTable(table.algorithms, table.cases[:2], table.dice[:, :2], table.hd95[:, :2])
+    assert table.dice.shape == (320, 2, 3)
     peaks = []
     for jackknife in (jackknife_stability, jackknife_loop_oracle):
         tracemalloc.start()
