@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import csv
 import fcntl
+import functools
 import json
 import os
 import sys
@@ -41,7 +42,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ensemble import two_level_ensemble
+from .ensemble import ensemble_predict
 from .errors import FormatError, ValidationError
 from .io import (
     VOLUME_SUFFIXES,
@@ -74,7 +75,6 @@ from .volume import (
     LabelVolume,
     RegionProbSet,
     _ReadProbSet,
-    regions_to_labels,
 )
 
 #: Environment variable naming a default config file; --config overrides it.
@@ -650,10 +650,11 @@ def _ensemble_labels(
     """One case's labels, streaming its members through the two-level mean."""
     first: list = []
     with _case(case_id):
-        combined = two_level_ensemble(
-            (_load_prob_set(member, first) for member in members) for members in configurations.values()
+        return ensemble_predict(
+            ((_load_prob_set(member, first) for member in members) for members in configurations.values()),
+            threshold,
+            coding,
         )
-    return regions_to_labels(combined, threshold, coding)
 
 
 def _in_order(fn, items: list, workers: int) -> Iterator:
@@ -991,6 +992,7 @@ def _cmd_leaderboard(args) -> int:
 # argument parsing and dispatch
 
 
+@functools.cache  # one parser per process: building it costs about a millisecond
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="voxeval",

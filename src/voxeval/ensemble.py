@@ -32,45 +32,38 @@ def _check_like(member: RegionProbSet, shape: tuple, spacing: Spacing, what: str
 
 
 def _mean_maps(
-    members: Iterable[RegionProbSet], empty: str, like: tuple | None = None, what: str = ""
-) -> tuple[list[np.ndarray], tuple]:
-    """The clipped mean of each region's map over ``members``, as writeable
-    float64 arrays laid out like the first member's, and that member's
-    ``(shape, spacing)``.
+    items: Iterable[RegionProbSet], empty: str, what: str, weights: np.ndarray | None = None
+) -> RegionProbSet:
+    """The clipped mean of each region's map over ``items``, weighted by
+    ``weights`` (one per item) when given, as float64 maps laid out like the
+    first item's and kept without a copy.
 
-    ``members`` is consumed once.  Each member is checked before it is
-    added (an add would broadcast a smaller map): the first against
-    ``like`` as ``what``, when given, and every later one against the first.
-    Raises ``ValidationError(empty)`` when there is no member.
+    ``items`` is consumed once.  Each later item is checked against the
+    first, as "<what> <index>", before it is added (an add would broadcast
+    a smaller map).  Raises ``ValidationError(empty)`` when there is no item.
     """
-    sums = first = None
+    sums = None
     count = 0
-    for member in members:  # no enumerate: its cached tuple would keep the previous member alive
-        if first is None:
-            if like is not None:
-                _check_like(member, *like, what)
-            first = (member.shape, member.spacing)
-            sums = [np.zeros_like(m, dtype=np.float64) for m in (member.p_wt, member.p_tc, member.p_et)]
+    for item in items:  # no enumerate: its cached tuple would keep the previous item alive
+        if sums is None:
+            shape, spacing = item.shape, item.spacing
+            sums = [np.zeros_like(m, dtype=np.float64) for m in (item.p_wt, item.p_tc, item.p_et)]
         else:
-            _check_like(member, *first, f"member {count}")
-        for acc, m in zip(sums, (member.p_wt, member.p_tc, member.p_et)):
-            np.add(acc, m, out=acc)  # float32 maps upcast exactly
+            _check_like(item, shape, spacing, f"{what} {count}")
+        weight = 1.0 if weights is None else weights[count]
+        for acc, m in zip(sums, (item.p_wt, item.p_tc, item.p_et)):
+            np.add(acc, m if weight == 1.0 else m * weight, out=acc)  # float32 maps upcast exactly
         count += 1
-        del member  # so the next member is read with this one freed
-    if first is None:
+        del item, m  # so the next item is read with this one freed
+    if sums is None:
         raise ValidationError(empty)
     for acc in sums:
-        acc /= count
+        acc /= count if weights is None else float(weights.sum())
         # Rounding can push a mean of values in [0, 1] past the ends by one
         # ulp, which the constructor would reject.
         np.clip(acc, 0.0, 1.0, out=acc)
-    return sums, first
-
-
-def _prob_set(maps: list[np.ndarray], spacing: Spacing) -> RegionProbSet:
-    for m in maps:
-        m.setflags(write=False)  # so the constructor keeps it without a copy
-    return _ReadProbSet(*maps, spacing=spacing)
+        acc.setflags(write=False)  # so the constructor keeps it without a copy
+    return _ReadProbSet(*sums, spacing=spacing)
 
 
 def average_probs(members: Iterable[RegionProbSet]) -> RegionProbSet:
@@ -79,8 +72,7 @@ def average_probs(members: Iterable[RegionProbSet]) -> RegionProbSet:
     All members must share shape and spacing.  ``members`` is consumed
     once, one member at a time, in order.
     """
-    maps, (_, spacing) = _mean_maps(members, "average_probs requires at least one member")
-    return _prob_set(maps, spacing)
+    return _mean_maps(members, "average_probs requires at least one member", "member")
 
 
 def two_level_ensemble(
@@ -109,32 +101,19 @@ def two_level_ensemble(
         if w.size and not w.any():
             raise ValidationError("weights must not all be zero")
     configurations = iter(configurations)
-    sums = like = None
-    n = 0
-    for members in configurations:
-        if w is not None and (w.ndim != 1 or n >= w.size):
-            n += 1 + sum(1 for _ in configurations)  # the count, for the message below
-            break
-        maps, first = _mean_maps(members, f"configuration {n} has no members", like, f"configuration {n}")
-        if sums is None:
-            like = first
-            sums = [np.zeros_like(m) for m in maps]
-        weight = 1.0 if w is None else w[n]
-        for acc, m in zip(sums, maps):
-            if weight != 1.0:
-                m *= weight
-            np.add(acc, m, out=acc)
-        n += 1
-        del maps  # so the next configuration's sums are allocated with these freed
-    if n == 0:
-        raise ValidationError("two_level_ensemble requires at least one configuration")
-    if w is not None and w.shape != (n,):
-        raise ValidationError(f"expected one weight per configuration ({n}), got shape {w.shape}")
-    total = n if w is None else float(w.sum())
-    for acc in sums:
-        acc /= total
-        np.clip(acc, 0.0, 1.0, out=acc)
-    return _prob_set(sums, like[1])
+
+    def means():
+        n = 0
+        for members in configurations:
+            if w is not None and (w.ndim != 1 or n >= w.size):
+                n += 1 + sum(1 for _ in configurations)  # the count, for the message below
+                break
+            yield _mean_maps(members, f"configuration {n} has no members", "member")
+            n += 1
+        if w is not None and n and w.shape != (n,):
+            raise ValidationError(f"expected one weight per configuration ({n}), got shape {w.shape}")
+
+    return _mean_maps(means(), "two_level_ensemble requires at least one configuration", "configuration", w)
 
 
 def ensemble_predict(

@@ -106,6 +106,33 @@ class VolumeHeader:
         object.__setattr__(self, "intercept", float(self.intercept))
 
 
+def _payload(
+    path: Path, raw: bytes, offset: int, order: str, layout: str,
+    dims, tag: str, spacing, slope: float = 1.0, intercept: float = 0.0,
+) -> tuple[VolumeHeader, np.ndarray]:
+    """The header a file declares and its payload ``raw[offset:]``, stored in
+    byte order ``order`` and memory ``layout``, as a native-order array.
+
+    A header that :class:`VolumeHeader` or :class:`Spacing` rejects, or a
+    payload of another size than the header declares, is a
+    :class:`FormatError` naming ``path``.
+    """
+    try:
+        header = VolumeHeader(dims, tag, Spacing(*spacing), slope, intercept)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    _, bits, np_dtype = _DTYPES[tag]
+    count = header.dims[0] * header.dims[1] * header.dims[2]
+    expected, actual = count * (bits // 8), len(raw) - offset
+    if actual != expected:
+        raise FormatError(
+            f"{path}: payload size mismatch, header declares {expected} bytes "
+            f"but file holds {actual}"
+        )
+    data = np.frombuffer(raw, dtype=np_dtype.newbyteorder(order), count=count, offset=offset)
+    return header, data.reshape(header.dims, order=layout).astype(np_dtype, copy=False)
+
+
 def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
     raw = path.read_bytes()
     if volume_suffix(path) == ".nii.gz":
@@ -137,44 +164,25 @@ def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
     dim = struct.unpack_from(order + "8h", raw, 40)
     if dim[0] != 3:
         raise FormatError(f"{path}: expected a 3-D volume, header says dim[0]={dim[0]}")
-    dims = tuple(int(d) for d in dim[1:4])
-    if any(d <= 0 for d in dims):
-        raise FormatError(f"{path}: nonpositive dimensions {dims}")
 
     datatype, bitpix = struct.unpack_from(order + "2h", raw, 70)
     if datatype not in _CODE_TO_TAG:
         raise FormatError(f"{path}: unsupported datatype code {datatype}")
     tag = _CODE_TO_TAG[datatype]
-    code, bits, np_dtype = _DTYPES[tag]
+    bits = _DTYPES[tag][1]
     if bitpix != bits:
         raise FormatError(
             f"{path}: bitpix {bitpix} disagrees with datatype {tag} ({bits} bits)"
         )
 
     pixdim = struct.unpack_from(order + "8f", raw, 76)
-    if any((not np.isfinite(p)) or p <= 0.0 for p in pixdim[1:4]):
-        raise FormatError(f"{path}: nonpositive voxel spacing {pixdim[1:4]}")
-    spacing = Spacing(*(float(p) for p in pixdim[1:4]))
-
     vox_offset, slope, intercept = struct.unpack_from(order + "3f", raw, 108)
     if not vox_offset.is_integer() or vox_offset < _HEADER_SIZE:  # NaN and inf are not integers
         raise FormatError(f"{path}: invalid vox_offset {vox_offset}")
-    offset = int(vox_offset)
-
-    count = dims[0] * dims[1] * dims[2]
-    expected = count * (bits // 8)
-    actual = len(raw) - offset
-    if actual != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch, header declares {expected} bytes "
-            f"but file holds {actual}"
-        )
-    data = np.frombuffer(raw, dtype=np_dtype.newbyteorder(order), count=count, offset=offset)
     # NIfTI stores the first axis fastest.
-    data = data.reshape(dims, order="F")
-    if order == ">":
-        data = data.astype(np_dtype)
-    header = VolumeHeader(dims, tag, spacing, float(slope), float(intercept))
+    header, data = _payload(
+        path, raw, int(vox_offset), order, "F", dim[1:4], tag, pixdim[1:4], slope, intercept
+    )
     if slope != 0.0 and (slope != 1.0 or intercept != 0.0):
         if not np.isfinite([slope, intercept]).all():
             raise FormatError(f"{path}: non-finite scaling scl_slope {slope}, scl_inter {intercept}")
@@ -197,28 +205,11 @@ def _read_rv1(path: Path) -> tuple[VolumeHeader, np.ndarray]:
             "'RV1 nx ny nz dx dy dz dtype'"
         )
     try:
-        dims = tuple(int(f) for f in fields[1:4])
-        spacing_values = tuple(float(f) for f in fields[4:7])
+        dims = [int(f) for f in fields[1:4]]
+        spacing = [float(f) for f in fields[4:7]]
     except ValueError:
         raise FormatError(f"{path}: non-numeric RV1 dimensions or spacing")
-    tag = fields[7]
-    if tag not in _DTYPES:
-        raise FormatError(f"{path}: unsupported RV1 datatype {tag!r}")
-    if any(d <= 0 for d in dims):
-        raise FormatError(f"{path}: nonpositive RV1 dimensions {dims}")
-    if any((not np.isfinite(s)) or s <= 0.0 for s in spacing_values):
-        raise FormatError(f"{path}: nonpositive RV1 spacing {spacing_values}")
-    _, bits, np_dtype = _DTYPES[tag]
-    payload = raw[newline + 1 :]
-    expected = dims[0] * dims[1] * dims[2] * (bits // 8)
-    if len(payload) != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch, header declares {expected} bytes "
-            f"but file holds {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype=np_dtype.newbyteorder("<"))
-    data = data.reshape(dims, order="C").astype(np_dtype, copy=False)
-    return VolumeHeader(dims, tag, Spacing(*spacing_values)), data
+    return _payload(path, raw, newline + 1, "<", "C", dims, fields[7], spacing)
 
 
 def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:

@@ -1629,3 +1629,24 @@ def test_apply_postprocess_writes_a_necrosis_code_the_input_dtype_cannot_hold(tm
     expected = data.astype(np.int32)
     expected[data == 4] = 300
     assert np.array_equal(cleaned.data, expected)
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, monkeypatch, capsys):
+    import argparse
+
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def counting(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counting)
+    voxeval.cli._build_parser.cache_clear()
+    store = tmp_path / "store.json"
+    assert main(["leaderboard", "recompute", "--store", str(store)]) == 5
+    assert main(["leaderboard", "recompute", "--store", str(tmp_path / "other.json")]) == 5
+    assert built == ["voxeval"]
+    # The second call parsed its own arguments, not the first call's.
+    first, second = capsys.readouterr().err.splitlines()
+    assert str(store) in first and "other.json" in second and str(store) not in second

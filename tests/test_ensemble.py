@@ -166,18 +166,27 @@ def test_mean_of_extreme_probabilities_stays_valid():
 
 
 def test_mean_maps_are_kept_without_a_copy(monkeypatch):
-    passed = []
-    real = voxeval.ensemble.RegionProbSet
+    calls = []
+    real = voxeval.ensemble._ReadProbSet
 
     def spy(*maps, spacing):
-        passed.extend(maps)
-        return real(*maps, spacing=spacing)
+        calls.append((maps, real(*maps, spacing=spacing)))
+        return calls[-1][1]
 
-    monkeypatch.setattr(voxeval.ensemble, "RegionProbSet", spy)
+    monkeypatch.setattr(voxeval.ensemble, "_ReadProbSet", spy)
     rng = np.random.default_rng(81)
-    out = average_probs([random_probset(rng, (4, 4, 4)) for _ in range(2)])
-    for got, built in zip(region_arrays(out), passed):
-        assert np.shares_memory(got, built)
+    members = [random_probset(rng, (4, 4, 4)) for _ in range(5)]
+    outs = [
+        average_probs(members),
+        two_level_ensemble([members[:2], members[2:]]),
+        two_level_ensemble([members[:2], members[2:]], [0.5, 2.0]),
+    ]
+    # One mean for average_probs; for each two-level call, one per configuration, then the final one.
+    assert len(calls) == 7 and all(calls[i][1] is out for i, out in zip((0, 3, 6), outs))
+    for maps, built in calls:
+        assert len(maps) == 3
+        for got, given in zip(region_arrays(built), maps):
+            assert got is given
 
 
 def seeded_members(rng, counts, shape, dtype, order):
@@ -207,7 +216,7 @@ def consumed_once(configurations):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("weights", [None, [0.3, 1.7, 0.9]])
+@pytest.mark.parametrize("weights", [None, [0.3, 1.7, 0.9], [1.0, 0.5, 1.0]])
 @pytest.mark.parametrize("as_generators", [False, True])
 def test_two_level_mean_equals_the_loop_oracle(dtype, order, weights, as_generators):
     rng = np.random.default_rng(86)

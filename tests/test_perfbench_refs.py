@@ -1,4 +1,5 @@
-"""Every voxeval name that the benchmark scripts use must exist.
+"""Every voxeval name that the benchmark scripts use must exist, and every
+call they make must bind to the callee's current signature.
 
 ``perfbench/`` calls private helpers of ``voxeval.cli`` besides the public
 API, so renaming one would fail benchmark runs while the rest of this
@@ -7,6 +8,7 @@ suite stays green.  The scripts are parsed with ``ast``, never run.
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -23,35 +25,81 @@ def _dotted(node):
     return ".".join([node.id, *reversed(parts)])
 
 
+def _imports(tree):
+    """Local name -> (module, dotted name or "") for each ``import voxeval...``
+    or ``from voxeval... import name`` in ``tree``."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("voxeval"):
+            names.update((alias.asname or alias.name, (node.module, alias.name)) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "voxeval":
+                    local = alias.asname or "voxeval"
+                    names[local] = (alias.name if alias.asname else "voxeval", "")
+    return names
+
+
+def _reference(node, names):
+    """(module, dotted name) of the voxeval object that ``node`` looks up, else None."""
+    dotted = _dotted(node)
+    if dotted is None or dotted.split(".")[0] not in names:
+        return None
+    local, _, rest = dotted.partition(".")
+    module, name = names[local]
+    return module, ".".join(part for part in (name, rest) if part)
+
+
+def _scripts():
+    for path in sorted(PERFBENCH.glob("*.py")):
+        yield path, ast.parse(path.read_text(), filename=str(path))
+
+
 def perfbench_references():
     """(script, module, dotted name) for each voxeval name used in perfbench."""
     refs = set()
-    for path in sorted(PERFBENCH.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        modules = {}  # local name bound by ``import voxeval...`` -> module
+    for path, tree in _scripts():
+        names = _imports(tree)
+        refs.update((path.name, *names[local]) for local in names if names[local][1])
         for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("voxeval"):
-                refs.update((path.name, node.module, alias.name) for alias in node.names)
-            elif isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name.split(".")[0] == "voxeval":
-                        local = alias.asname or "voxeval"
-                        modules[local] = alias.name if alias.asname else "voxeval"
-        for node in ast.walk(tree):
-            dotted = _dotted(node) if isinstance(node, ast.Attribute) else None
-            if dotted and dotted.split(".")[0] in modules:
-                local, _, rest = dotted.partition(".")
-                refs.add((path.name, modules[local], rest))
+            ref = _reference(node, names) if isinstance(node, ast.Attribute) else None
+            if ref and ref[1]:
+                refs.add((path.name, *ref))
     return sorted(refs)
 
 
-def _resolves(module: str, dotted: str) -> bool:
+def perfbench_calls():
+    """(script:line, module, dotted name, positional count, keyword names)
+    for each call of a voxeval callable in perfbench that passes no
+    ``*args`` or ``**kwargs``."""
+    calls = []
+    for path, tree in _scripts():
+        names = _imports(tree)
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            ref = _reference(node.func, names)
+            unpacked = any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            )
+            if ref and ref[1] and not unpacked:
+                keywords = tuple(k.arg for k in node.keywords)
+                calls.append((f"{path.name}:{node.lineno}", *ref, len(node.args), keywords))
+    return calls
+
+
+def _lookup(module: str, dotted: str):
+    """The object ``module.dotted`` names, else None."""
     obj = importlib.import_module(module)
     for part in dotted.split("."):
         if not hasattr(obj, part):
-            return False
+            return None
         obj = getattr(obj, part)
-    return True
+    return obj
+
+
+def _resolves(module: str, dotted: str) -> bool:
+    return _lookup(module, dotted) is not None
 
 
 def test_every_voxeval_name_used_by_perfbench_exists():
@@ -61,3 +109,20 @@ def test_every_voxeval_name_used_by_perfbench_exists():
         assert ("drive.py", "voxeval.cli", helper) in refs
     missing = [ref for ref in refs if not _resolves(ref[1], ref[2])]
     assert not missing, f"perfbench uses names voxeval no longer has: {missing}"
+
+
+def test_every_perfbench_call_binds_to_the_current_signature():
+    calls = perfbench_calls()
+    # The private CLI helpers the traced passes call are among those checked.
+    called = {name for _, module, name, _, _ in calls if module == "voxeval.cli"}
+    assert {"main", "_summary_rows", "_metrics_rows", "_write_csv", "_format_float"} <= called
+    unbound = []
+    for where, module, name, positional, keywords in calls:
+        obj = _lookup(module, name)
+        if obj is None:
+            continue  # reported by the test above
+        try:
+            inspect.signature(obj).bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            unbound.append((where, f"{module}.{name}", str(exc)))
+    assert not unbound, f"perfbench calls voxeval with arguments it no longer takes: {unbound}"
