@@ -54,7 +54,7 @@ def _mean_maps(
         for acc, m in zip(sums, (item.p_wt, item.p_tc, item.p_et)):
             np.add(acc, m if weight == 1.0 else m * weight, out=acc)  # float32 maps upcast exactly
         count += 1
-        del item, m  # so the next item is read with this one freed
+        del item, m  # m holds its ET map: the next item is read with all of this one freed
     if sums is None:
         raise ValidationError(empty)
     for acc in sums:

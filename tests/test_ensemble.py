@@ -305,3 +305,20 @@ def test_each_member_is_dropped_before_the_next_is_read():
 
     two_level_ensemble(members(count) for count in (3, 2))
     assert len(read) == 5
+
+
+@pytest.mark.parametrize("weights", [None, [0.5, 2.0]])
+def test_no_map_of_a_member_is_held_across_the_next_read(weights):
+    rng = np.random.default_rng(90)
+    read = []
+
+    def members(count):
+        for _ in range(count):
+            assert all(ref() is None for ref in read), "a map was held across the next read"
+            member = random_probset(rng, (3, 3, 3))
+            read.extend(weakref.ref(m) for m in region_arrays(member))
+            yield member
+            del member
+
+    two_level_ensemble((members(count) for count in (3, 2)), weights)
+    assert len(read) == 15

@@ -98,16 +98,12 @@ def _lookup(module: str, dotted: str):
     return obj
 
 
-def _resolves(module: str, dotted: str) -> bool:
-    return _lookup(module, dotted) is not None
-
-
 def test_every_voxeval_name_used_by_perfbench_exists():
     refs = perfbench_references()
     # The private CLI helpers the traced passes call are among those found.
     for helper in ("_summary_rows", "_metrics_rows", "_write_csv", "_format_float"):
         assert ("drive.py", "voxeval.cli", helper) in refs
-    missing = [ref for ref in refs if not _resolves(ref[1], ref[2])]
+    missing = [ref for ref in refs if _lookup(ref[1], ref[2]) is None]
     assert not missing, f"perfbench uses names voxeval no longer has: {missing}"
 
 
