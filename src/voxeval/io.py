@@ -106,6 +106,46 @@ class VolumeHeader:
         object.__setattr__(self, "intercept", float(self.intercept))
 
 
+#: Bytes inflated per zlib call, each then copied into the volume's buffer.
+_CHUNK = 256 * 1024
+
+#: Deflate's largest expansion, in bytes out per byte in: a ``.nii.gz``
+#: header that declares more than its stream can hold is refused unallocated.
+_MAX_INFLATE = 1032
+
+
+def _inflate(path: Path, raw: bytes, view: memoryview) -> int:
+    """Inflate the gzip stream ``raw`` into ``view``, at most ``_CHUNK`` bytes
+    a step; returns how many bytes the stream holds, or ``len(view) + 1``
+    when it holds more.
+
+    Members in a row are one stream, and zero padding between and after them
+    is skipped, as Python's ``gzip`` module reads them.  zlib checks each
+    member's header, CRC-32 and length; its errors are a :class:`FormatError`.
+    """
+    if raw[:2] == b"\x1f\x8b" and len(raw) > 3 and raw[3] & 0xE0:  # reserved FLG bits (RFC 1952)
+        raise FormatError(f"{path}: not a valid gzip stream (unknown header flags set)")
+    filled, member = 0, None
+    while raw or (member is not None and not member.eof):
+        if member is None or member.eof:
+            member = zlib.decompressobj(31)
+        try:
+            out = member.decompress(raw, min(_CHUNK, len(view) - filled) or 1)
+        except zlib.error as exc:
+            raise FormatError(f"{path}: not a valid gzip stream ({exc})") from None
+        if out and filled == len(view):
+            return filled + 1
+        view[filled : filled + len(out)] = out
+        filled += len(out)
+        raw = member.unused_data.lstrip(b"\0") if member.eof else member.unconsumed_tail
+        if not (out or raw or member.eof):
+            raise FormatError(
+                f"{path}: not a valid gzip stream "
+                "(Compressed file ended before the end-of-stream marker was reached)"
+            )
+    return filled
+
+
 def _payload(
     path: Path, raw: bytes, offset: int, order: str, layout: str,
     dims, tag: str, spacing, slope: float = 1.0, intercept: float = 0.0,
@@ -113,8 +153,10 @@ def _payload(
     """The header a file declares and its payload ``raw[offset:]``, stored in
     byte order ``order`` and memory ``layout``, as a native-order array.
 
-    A header that :class:`VolumeHeader` or :class:`Spacing` rejects, or a
-    payload of another size than the header declares, is a
+    The bytes of a ``.nii.gz`` are inflated into one read-only buffer of the
+    size the header declares, which must not exceed what ``raw`` can inflate
+    to.  A header that :class:`VolumeHeader` or :class:`Spacing` rejects, or
+    a payload of another size than the header declares, is a
     :class:`FormatError` naming ``path``.
     """
     try:
@@ -123,7 +165,22 @@ def _payload(
         raise FormatError(f"{path}: {exc}") from None
     _, bits, np_dtype = _DTYPES[tag]
     count = header.dims[0] * header.dims[1] * header.dims[2]
-    expected, actual = count * (bits // 8), len(raw) - offset
+    expected = count * (bits // 8)
+    if volume_suffix(path) == ".nii.gz":
+        if offset + expected > _MAX_INFLATE * len(raw):
+            raise FormatError(
+                f"{path}: payload size mismatch, header declares {expected} bytes but a "
+                f"{len(raw)}-byte gzip stream inflates to at most {_MAX_INFLATE * len(raw)}"
+            )
+        buf = np.empty(offset + expected, np.uint8)
+        held = _inflate(path, raw, memoryview(buf))
+        if held > len(buf):
+            raise FormatError(
+                f"{path}: payload size mismatch, header declares {expected} bytes but file holds more"
+            )
+        raw = buf[:held]
+        raw.setflags(write=False)
+    actual = len(raw) - offset
     if actual != expected:
         raise FormatError(
             f"{path}: payload size mismatch, header declares {expected} bytes "
@@ -134,25 +191,21 @@ def _payload(
 
 
 def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
-    raw = path.read_bytes()
-    if volume_suffix(path) == ".nii.gz":
-        try:
-            if raw[:2] == b"\x1f\x8b" and len(raw) > 3 and raw[3] & 0xE0:  # reserved FLG bits (RFC 1952)
-                raise gzip.BadGzipFile("unknown header flags set")
-            raw = gzip.decompress(raw)
-        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
-            raise FormatError(f"{path}: not a valid gzip stream ({exc})")
-    if len(raw) < _HEADER_SIZE:
+    raw = head = path.read_bytes()
+    if volume_suffix(path) == ".nii.gz":  # inflated on its own, to size the payload's buffer
+        head = bytearray(_HEADER_SIZE)
+        head = bytes(head[: _inflate(path, raw, memoryview(head))])
+    if len(head) < _HEADER_SIZE:
         raise FormatError(
-            f"{path}: truncated header, {len(raw)} bytes < {_HEADER_SIZE}"
+            f"{path}: truncated header, {len(head)} bytes < {_HEADER_SIZE}"
         )
     for order in ("<", ">"):
-        if struct.unpack_from(order + "i", raw, 0)[0] == _HEADER_SIZE:
+        if struct.unpack_from(order + "i", head, 0)[0] == _HEADER_SIZE:
             break
     else:
         raise FormatError(f"{path}: not a NIfTI-1 file (sizeof_hdr differs from 348)")
 
-    magic = raw[344:348]
+    magic = head[344:348]
     if magic == _MAGIC_PAIR:
         raise FormatError(
             f"{path}: two-file NIfTI (.hdr/.img pair) is not supported, "
@@ -161,11 +214,11 @@ def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
     if magic != _MAGIC_SINGLE:
         raise FormatError(f"{path}: bad NIfTI magic {magic!r}")
 
-    dim = struct.unpack_from(order + "8h", raw, 40)
+    dim = struct.unpack_from(order + "8h", head, 40)
     if dim[0] != 3:
         raise FormatError(f"{path}: expected a 3-D volume, header says dim[0]={dim[0]}")
 
-    datatype, bitpix = struct.unpack_from(order + "2h", raw, 70)
+    datatype, bitpix = struct.unpack_from(order + "2h", head, 70)
     if datatype not in _CODE_TO_TAG:
         raise FormatError(f"{path}: unsupported datatype code {datatype}")
     tag = _CODE_TO_TAG[datatype]
@@ -175,8 +228,8 @@ def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
             f"{path}: bitpix {bitpix} disagrees with datatype {tag} ({bits} bits)"
         )
 
-    pixdim = struct.unpack_from(order + "8f", raw, 76)
-    vox_offset, slope, intercept = struct.unpack_from(order + "3f", raw, 108)
+    pixdim = struct.unpack_from(order + "8f", head, 76)
+    vox_offset, slope, intercept = struct.unpack_from(order + "3f", head, 108)
     if not vox_offset.is_integer() or vox_offset < _HEADER_SIZE:  # NaN and inf are not integers
         raise FormatError(f"{path}: invalid vox_offset {vox_offset}")
     # NIfTI stores the first axis fastest.
@@ -220,12 +273,12 @@ def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
     the identity; both finite, or :class:`FormatError`) yields float64.
 
     Returns:
-        The parsed :class:`VolumeHeader` and the 3-D array.
+        The parsed :class:`VolumeHeader` and the 3-D array, read-only.
     """
     path = Path(path)
-    if volume_suffix(path) == ".rv1":
-        return _read_rv1(path)
-    return _read_nifti(path)
+    header, data = _read_rv1(path) if volume_suffix(path) == ".rv1" else _read_nifti(path)
+    data.setflags(write=False)
+    return header, data
 
 
 def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
@@ -314,6 +367,7 @@ def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume
                 f"{tuple(int(i) for i in idx)} is not one of the configured codes {coding.codes}"
             )
         data = rounded.astype(np.int32)
+        data.setflags(write=False)
     return LabelVolume(data, header.spacing, coding)
 
 

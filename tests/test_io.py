@@ -5,6 +5,7 @@ import os
 import re
 import stat
 import struct
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -27,6 +28,9 @@ from voxeval import (
 import voxeval
 from voxeval.cli import _write_csv, _write_json, leaderboard_add, main
 from voxeval.io import write_atomic
+
+from oracles import nifti_oracle
+from test_volume_mutations import nifti_bytes
 
 DTYPES = ["uint8", "int16", "int32", "float32", "float64"]
 
@@ -484,3 +488,157 @@ def test_probability_maps_are_copied_at_most_once_on_load(tmp_path, dtype):
     probs = RegionProbSet(*maps, Spacing())
     for arr, kept in zip(maps, (probs.p_wt, probs.p_tc, probs.p_et)):
         assert np.shares_memory(arr, kept)
+
+
+# --------------------------------------------------------------------------
+# .nii.gz: gzip members, the header-sized buffer, read-only arrays
+
+
+def evaluate_prediction(tmp_path, capsys, pred):
+    """``evaluate`` of one case with a valid reference and prediction ``pred``:
+    the exit code, the stderr lines and the prefix a per-case error carries."""
+    ref = tmp_path / "ref.nii.gz"
+    write_label_volume(ref, LabelVolume(np.ones((2, 2, 2), np.uint8), Spacing()))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"case_id,reference_path,prediction_path\nc1,{ref.name},{pred.name}\n")
+    args = ["evaluate", "--manifest", str(manifest), "--out-metrics", str(tmp_path / "o.csv"), "--jobs", "1"]
+    code = main(args)
+    return code, capsys.readouterr().err.splitlines(), f"case 'c1' (reference {ref}, prediction {pred}): {pred}: "
+
+
+def gzip_members(raw: bytes, cuts, padding: int) -> bytes:
+    """``raw`` as one gzip member per part between ``cuts``, each followed by
+    ``padding`` zero bytes."""
+    bounds = [0, *cuts, len(raw)]
+    return b"".join(gzip.compress(raw[a:b], mtime=0) + bytes(padding) for a, b in zip(bounds, bounds[1:]))
+
+
+def test_header_declaring_more_than_the_stream_can_inflate_exits_four(tmp_path, capsys):
+    raw = nifti_bytes(np.zeros((2, 2, 2)), 64, "<", (1.0, 1.0, 1.0), 1.0)
+    struct.pack_into("<8h", raw, 40, 3, 32767, 32767, 32767, 1, 1, 1, 1)
+    pred = tmp_path / "pred.nii.gz"
+    pred.write_bytes(gzip.compress(bytes(raw), mtime=0))
+    size = pred.stat().st_size
+    assert size < 1000
+    code, lines, prefix = evaluate_prediction(tmp_path, capsys, pred)
+    assert code == 4 and len(lines) == 1, lines
+    assert json.loads(lines[0])["error"]["message"] == prefix + (
+        f"payload size mismatch, header declares {32767**3 * 8} bytes "
+        f"but a {size}-byte gzip stream inflates to at most {1032 * size}"
+    )
+
+
+def test_stream_longer_than_its_header_fails_within_two_chunks(tmp_path, capsys):
+    pred = tmp_path / "pred.nii.gz"
+    raw = nifti_bytes(np.ones((2, 2, 2)), 2, "<", (1.0, 1.0, 1.0), 1.0)
+    pred.write_bytes(gzip.compress(bytes(raw) + bytes(50_000_000), mtime=0))
+    assert pred.stat().st_size < 100_000
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="payload size") as exc:
+            read_volume(pred)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(raw) + 2 * voxeval.io._CHUNK, peak
+    message = "payload size mismatch, header declares 8 bytes but file holds more"
+    assert str(exc.value) == f"{pred}: {message}"
+    code, lines, prefix = evaluate_prediction(tmp_path, capsys, pred)
+    assert code == 4 and len(lines) == 1, lines
+    assert json.loads(lines[0])["error"]["message"] == prefix + message
+
+
+@pytest.mark.parametrize("datatype, shape", [(2, (64, 64, 70)), (16, (40, 40, 48))])
+@pytest.mark.parametrize("split", ["header", "payload", "both"])
+def test_gzip_members_in_a_row_read_as_one_stream(tmp_path, datatype, shape, split):
+    # Each volume's payload is longer than one inflate chunk.
+    rng = np.random.default_rng(7)
+    values = rng.choice([0, 1, 2, 4], size=shape, p=[0.7, 0.1, 0.1, 0.1]) / (1 if datatype == 2 else 8)
+    raw = bytes(nifti_bytes(values, datatype, "<", (1.0, 1.0, 2.5), 1.0))
+    cuts = {"header": [100], "payload": [352 + 280_000], "both": [100, 352 + 280_000]}[split]
+    path = tmp_path / "v.nii.gz"
+    path.write_bytes(gzip_members(raw, cuts, padding=5))
+    plain = tmp_path / "v.nii"  # the route that inflates nothing
+    plain.write_bytes(gzip.decompress(path.read_bytes()))
+    header, data = read_volume(path)
+    spacing, want = nifti_oracle(path)
+    assert header.spacing.as_tuple() == spacing == (1.0, 1.0, 2.5)
+    assert data.dtype == want.dtype and data.tobytes() == want.tobytes()
+    assert data.tobytes() == read_volume(plain)[1].tobytes()
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("truncated", "Compressed file ended before the end-of-stream marker was reached"),
+    ("crc", "Error -3 while decompressing data: incorrect data check"),
+    ("length", "Error -3 while decompressing data: incorrect length check"),
+])
+def test_broken_member_exits_four_in_one_line(tmp_path, capsys, fault, reason):
+    raw = bytes(nifti_bytes(np.ones((4, 4, 4)), 2, "<", (1.0, 1.0, 1.0), 1.0))
+    members = [bytearray(gzip.compress(part, mtime=0)) for part in (raw[:200], raw[200:])]
+    if fault == "truncated":
+        del members[-1][len(members[-1]) // 2 :]
+    else:  # the trailer: CRC-32, then the length
+        members[0][-8 if fault == "crc" else -4] ^= 1
+    pred = tmp_path / "pred.nii.gz"
+    pred.write_bytes(b"".join(members))
+    assert nifti_oracle(pred) is None
+    code, lines, prefix = evaluate_prediction(tmp_path, capsys, pred)
+    assert code == 4 and len(lines) == 1, lines
+    assert json.loads(lines[0])["error"]["message"] == prefix + f"not a valid gzip stream ({reason})"
+
+
+@pytest.mark.parametrize("route", ["nii", "nii.gz", "rv1", "big-endian nii", "big-endian nii.gz", "scaled nii"])
+def test_read_volume_returns_read_only_arrays_on_every_route(tmp_path, route):
+    data = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
+    path = tmp_path / f"v.{route.split()[-1]}"
+    if route.startswith("big-endian"):
+        raw = bytes(nifti_bytes(data, 4, ">", (1.0, 1.0, 1.0), 1.0))
+        path.write_bytes(gzip.compress(raw, mtime=0) if route.endswith("gz") else raw)
+    else:
+        slope = 2.0 if route == "scaled nii" else 1.0
+        write_volume(path, VolumeHeader(data.shape, "int16", Spacing(), slope=slope), data)
+    _, back = read_volume(path)
+    assert not back.flags.writeable
+    assert np.array_equal(back, data * (2.0 if route == "scaled nii" else 1))
+
+
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_read_label_volume_keeps_a_byte_swapped_reader_array(tmp_path, monkeypatch, suffix):
+    data = np.zeros((120, 120, 80), np.int16)
+    data[30:90, 40:80, 10:70] = 2
+    data[50:60, 50:60, 30:40] = 4
+    raw = bytes(nifti_bytes(data, 4, ">", (1.0, 1.0, 1.0), 1.0))
+    path = tmp_path / f"seg{suffix}"
+    path.write_bytes(gzip.compress(raw, mtime=0) if suffix == ".nii.gz" else raw)
+    read = []
+    real_read_volume = voxeval.io.read_volume
+
+    def spy(path):
+        header, arr = real_read_volume(path)
+        read.append(arr)
+        return header, arr
+
+    monkeypatch.setattr(voxeval.io, "read_volume", spy)
+    vol = read_label_volume(path)
+    assert vol.data is read[0] and not vol.data.flags.writeable
+    assert np.array_equal(vol.data, data)
+
+
+def test_nii_gz_read_peaks_near_its_payload(tmp_path):
+    # At 240x240x155 the one-chunk overhead is small against the payload;
+    # gzip.decompress's joined copy came to 2.57x the payload here.
+    shape = (240, 240, 155)
+    data = np.zeros(shape, np.uint8)
+    data[60:180, 70:170, 40:110] = 2
+    data[90:140, 100:140, 60:90] = 1
+    data[100:120, 110:130, 70:80] = 4
+    path = tmp_path / "seg.nii.gz"
+    write_volume(path, VolumeHeader(shape, "uint8", Spacing()), data)
+    tracemalloc.start()
+    try:
+        _, back = read_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back, data)
+    assert peak <= 1.25 * data.nbytes, peak / data.nbytes
