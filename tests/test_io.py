@@ -506,13 +506,6 @@ def evaluate_prediction(tmp_path, capsys, pred):
     return code, capsys.readouterr().err.splitlines(), f"case 'c1' (reference {ref}, prediction {pred}): {pred}: "
 
 
-def gzip_members(raw: bytes, cuts, padding: int) -> bytes:
-    """``raw`` as one gzip member per part between ``cuts``, each followed by
-    ``padding`` zero bytes."""
-    bounds = [0, *cuts, len(raw)]
-    return b"".join(gzip.compress(raw[a:b], mtime=0) + bytes(padding) for a, b in zip(bounds, bounds[1:]))
-
-
 def test_header_declaring_more_than_the_stream_can_inflate_exits_four(tmp_path, capsys):
     raw = nifti_bytes(np.zeros((2, 2, 2)), 64, "<", (1.0, 1.0, 1.0), 1.0)
     struct.pack_into("<8h", raw, 40, 3, 32767, 32767, 32767, 1, 1, 1, 1)
@@ -556,8 +549,9 @@ def test_gzip_members_in_a_row_read_as_one_stream(tmp_path, datatype, shape, spl
     values = rng.choice([0, 1, 2, 4], size=shape, p=[0.7, 0.1, 0.1, 0.1]) / (1 if datatype == 2 else 8)
     raw = bytes(nifti_bytes(values, datatype, "<", (1.0, 1.0, 2.5), 1.0))
     cuts = {"header": [100], "payload": [352 + 280_000], "both": [100, 352 + 280_000]}[split]
-    path = tmp_path / "v.nii.gz"
-    path.write_bytes(gzip_members(raw, cuts, padding=5))
+    bounds = [0, *cuts, len(raw)]
+    path = tmp_path / "v.nii.gz"  # one member per part, each followed by zero padding
+    path.write_bytes(b"".join(gzip.compress(raw[a:b], mtime=0) + bytes(5) for a, b in zip(bounds, bounds[1:])))
     plain = tmp_path / "v.nii"  # the route that inflates nothing
     plain.write_bytes(gzip.decompress(path.read_bytes()))
     header, data = read_volume(path)
