@@ -619,8 +619,8 @@ def test_read_label_volume_keeps_a_byte_swapped_reader_array(tmp_path, monkeypat
 
 
 def test_nii_gz_read_peaks_near_its_payload(tmp_path):
-    # At 240x240x155 the one-chunk overhead is small against the payload;
-    # gzip.decompress's joined copy came to 2.57x the payload here.
+    # At 240x240x155 one chunk is small against the payload (at 64^3 it is
+    # not); a gzip.decompress read, with its joined copy, peaks at 2.57x.
     shape = (240, 240, 155)
     data = np.zeros(shape, np.uint8)
     data[60:180, 70:170, 40:110] = 2
