@@ -46,11 +46,11 @@ from .ensemble import ensemble_predict
 from .errors import FormatError, ValidationError
 from .io import (
     VOLUME_SUFFIXES,
+    label_volume_bytes,
     read_label_volume,
     read_probability_volume,
     volume_suffix,
     write_atomic,
-    write_label_volume,
 )
 from .metrics import (
     DEFAULT_POLICY,
@@ -591,11 +591,15 @@ def _cmd_apply_postprocess(args) -> int:
     case_ids = [row.case_id for row in manifest.rows]
     _check_out_names("manifest", args.manifest, out_dir, zip(case_ids, suffixes))
     out_dir.mkdir(parents=True, exist_ok=True)
-    for row, suffix in zip(manifest.rows, suffixes):
+    paths = [out_dir / (case_id + suffix) for case_id, suffix in zip(case_ids, suffixes)]
+
+    def cleaned(i: int) -> bytes:
+        row = manifest.rows[i]
         with _case(row.case_id, prediction=row.prediction_path):
             pred = read_label_volume(row.prediction_path, config.coding)
-        cleaned = apply_et_threshold(pred, threshold)
-        write_label_volume(out_dir / (row.case_id + suffix), cleaned)
+        return label_volume_bytes(paths[i], apply_et_threshold(pred, threshold))
+
+    _write_in_order(paths, cleaned, min(_default_jobs(), len(paths)))
     return 0
 
 
@@ -680,6 +684,20 @@ def _in_order(fn, items: list, workers: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
+def _write_in_order(paths: list[Path], encode, workers: int) -> None:
+    """Write ``encode(i)`` to ``paths[i]`` for each index, in order, with the
+    encoding on :func:`_in_order` threads.
+
+    Threads, not processes: zlib and numpy release the GIL on these grids,
+    and a file's bytes come back without pickling.  Files are written here,
+    in order, so an error leaves the files a serial loop would have written.
+    """
+    files = _in_order(encode, list(range(len(paths))), workers)
+    with closing(files):
+        for path, data in zip(paths, files):
+            write_atomic(path, data)
+
+
 def _cmd_ensemble(args) -> int:
     config = load_config(args.config)
     threshold = args.threshold if args.threshold is not None else config.threshold
@@ -694,17 +712,13 @@ def _cmd_ensemble(args) -> int:
         "ensemble manifest", args.manifest, out_dir, ((case_id, args.format) for case_id in cases)
     )
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Threads, not processes: zlib and numpy release the GIL on these maps,
-    # and the labels come back without pickling.  Labels are written here,
-    # in manifest order, so an error leaves what the serial loop would.
-    labels = _in_order(
-        lambda case: _ensemble_labels(*case, threshold, config.coding),
-        list(cases.items()),
-        min(jobs, len(cases)),
-    )
-    with closing(labels):
-        for case_id, volume in zip(cases, labels):
-            write_label_volume(out_dir / (case_id + args.format), volume)
+    items = list(cases.items())
+    paths = [out_dir / (case_id + args.format) for case_id in cases]
+
+    def labels(i: int) -> bytes:
+        return label_volume_bytes(paths[i], _ensemble_labels(*items[i], threshold, config.coding))
+
+    _write_in_order(paths, labels, min(jobs, len(paths)))
     return 0
 
 

@@ -6,9 +6,15 @@ differs from pooling all members into one mean: each configuration keeps
 the same influence on the final prediction regardless of how many models
 it contributed.
 
-Members are streamed: each is added into float64 accumulators laid out
-like its maps and dropped before the next is read, so a two-level mean
-holds one member and six accumulators whatever the member count.
+Members are streamed: each is added into float64 sums laid out like its
+maps and dropped before the next is read.  A configuration's sums start as
+its first member's maps plus 0.0, one cast-add that upcasts float32 maps
+exactly and turns -0.0 into 0.0 as adding them to zeros did.  The first
+configuration's clipped mean, times its weight when weights are given, is
+the ensemble's running sum, and each later configuration's mean is added
+into it.  So a two-level mean holds one member and three float64 maps while
+the first configuration is summed, six while a later one is, whatever the
+member count; only the final maps are frozen into a probability set.
 """
 
 from __future__ import annotations
@@ -31,39 +37,48 @@ def _check_like(member: RegionProbSet, shape: tuple, spacing: Spacing, what: str
         )
 
 
-def _mean_maps(
-    items: Iterable[RegionProbSet], empty: str, what: str, weights: np.ndarray | None = None
-) -> RegionProbSet:
-    """The clipped mean of each region's map over ``items``, weighted by
-    ``weights`` (one per item) when given, as float64 maps laid out like the
-    first item's and kept without a copy.
+def _clipped_mean(
+    items: Iterable[RegionProbSet], empty: str, like: tuple | None = None, what: str = ""
+) -> tuple[list[np.ndarray], tuple]:
+    """The clipped mean of each region's map over ``items``, as writeable
+    float64 maps laid out like the first item's, and that item's
+    ``(shape, spacing)``.
 
     ``items`` is consumed once.  Each later item is checked against the
-    first, as "<what> <index>", before it is added (an add would broadcast
-    a smaller map).  Raises ``ValidationError(empty)`` when there is no item.
+    first, as "member <index>", before it is added (an add would broadcast
+    a smaller map); with ``like``, the first is checked against it as
+    ``what``.  Raises ``ValidationError(empty)`` when there is no item.
     """
     sums = None
     count = 0
     for item in items:  # no enumerate: its cached tuple would keep the previous item alive
+        maps = (item.p_wt, item.p_tc, item.p_et)
         if sums is None:
-            shape, spacing = item.shape, item.spacing
-            sums = [np.zeros_like(m, dtype=np.float64) for m in (item.p_wt, item.p_tc, item.p_et)]
+            if like is not None:
+                _check_like(item, *like, what)
+            like = item.shape, item.spacing
+            # One cast-add: float32 maps upcast exactly, and -0.0 becomes 0.0
+            # as it did when the map was added to zeros.
+            sums = [np.add(m, 0.0, dtype=np.float64) for m in maps]
         else:
-            _check_like(item, shape, spacing, f"{what} {count}")
-        weight = 1.0 if weights is None else weights[count]
-        for acc, m in zip(sums, (item.p_wt, item.p_tc, item.p_et)):
-            np.add(acc, m if weight == 1.0 else m * weight, out=acc)  # float32 maps upcast exactly
+            _check_like(item, *like, f"member {count}")
+            sums = [np.add(acc, m, out=acc) for acc, m in zip(sums, maps)]
         count += 1
-        del item, m  # m holds its ET map: the next item is read with all of this one freed
+        del item, maps  # the next item is read with all of this one freed
     if sums is None:
         raise ValidationError(empty)
     for acc in sums:
-        acc /= count if weights is None else float(weights.sum())
+        acc /= count
         # Rounding can push a mean of values in [0, 1] past the ends by one
         # ulp, which the constructor would reject.
         np.clip(acc, 0.0, 1.0, out=acc)
-        acc.setflags(write=False)  # so the constructor keeps it without a copy
-    return _ReadProbSet(*sums, spacing=spacing)
+    return sums, like
+
+
+def _prob_set(maps: list[np.ndarray], spacing: Spacing) -> RegionProbSet:
+    for m in maps:
+        m.setflags(write=False)  # so the constructor keeps it without a copy
+    return _ReadProbSet(*maps, spacing=spacing)
 
 
 def average_probs(members: Iterable[RegionProbSet]) -> RegionProbSet:
@@ -72,7 +87,8 @@ def average_probs(members: Iterable[RegionProbSet]) -> RegionProbSet:
     All members must share shape and spacing.  ``members`` is consumed
     once, one member at a time, in order.
     """
-    return _mean_maps(members, "average_probs requires at least one member", "member")
+    means, (_, spacing) = _clipped_mean(members, "average_probs requires at least one member")
+    return _prob_set(means, spacing)
 
 
 def two_level_ensemble(
@@ -101,19 +117,29 @@ def two_level_ensemble(
         if w.size and not w.any():
             raise ValidationError("weights must not all be zero")
     configurations = iter(configurations)
-
-    def means():
-        n = 0
-        for members in configurations:
-            if w is not None and (w.ndim != 1 or n >= w.size):
-                n += 1 + sum(1 for _ in configurations)  # the count, for the message below
-                break
-            yield _mean_maps(members, f"configuration {n} has no members", "member")
-            n += 1
-        if w is not None and n and w.shape != (n,):
-            raise ValidationError(f"expected one weight per configuration ({n}), got shape {w.shape}")
-
-    return _mean_maps(means(), "two_level_ensemble requires at least one configuration", "configuration", w)
+    total, like = None, None
+    n = 0
+    for members in configurations:
+        if w is not None and (w.ndim != 1 or n >= w.size):
+            n += 1 + sum(1 for _ in configurations)  # the count, for the message below
+            break
+        means, like = _clipped_mean(members, f"configuration {n} has no members", like, f"configuration {n}")
+        if w is not None and w[n] != 1.0:
+            means = [np.multiply(m, w[n], out=m) for m in means]
+        if total is None:
+            total = means  # the first configuration's means are the running sums
+        else:
+            total = [np.add(acc, m, out=acc) for acc, m in zip(total, means)]
+        del means  # freed before the next configuration's sums are made
+        n += 1
+    if w is not None and n and w.shape != (n,):
+        raise ValidationError(f"expected one weight per configuration ({n}), got shape {w.shape}")
+    if total is None:
+        raise ValidationError("two_level_ensemble requires at least one configuration")
+    for acc in total:
+        acc /= n if w is None else float(w.sum())
+        np.clip(acc, 0.0, 1.0, out=acc)
+    return _prob_set(total, like[1])
 
 
 def ensemble_predict(

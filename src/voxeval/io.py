@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .volume import DEFAULT_CODING, LabelCoding, LabelVolume, Spacing, _check_probabilities
+from .volume import _SLAB_BYTES, DEFAULT_CODING, LabelCoding, LabelVolume, Spacing, _check_probabilities
 
 _HEADER_SIZE = 348
 _VOX_OFFSET = 352
@@ -281,8 +281,9 @@ def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
     return header, data
 
 
-def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
-    """Write a volume byte-exactly in the format chosen by the extension.
+def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
+    """The bytes of a volume file in the format chosen by the extension of
+    ``path``, which is not touched.
 
     The payload must be exactly representable in the header's datatype;
     values that would be clipped, wrapped or rounded raise instead of
@@ -290,7 +291,6 @@ def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
     a 348-byte header and vox_offset 352; a ``.nii.gz`` suffix gzips the
     stream with zeroed timestamp so equal volumes produce equal bytes.
     """
-    path = Path(path)
     data = np.asarray(data)
     if data.shape != header.dims:
         raise ValidationError(
@@ -316,10 +316,7 @@ def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
         line = "RV1 {} {} {} {} {} {} {}\n".format(
             *header.dims, *(repr(s) for s in header.spacing.as_tuple()), header.dtype
         )
-        stream = line.encode("ascii")
-        stream += payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="C")
-        write_atomic(path, stream)
-        return
+        return line.encode("ascii") + payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="C")
 
     hdr = bytearray(_HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, _HEADER_SIZE)
@@ -336,7 +333,32 @@ def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
     stream += payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="F")
     if suffix == ".nii.gz":
         stream = gzip.compress(stream, compresslevel=9, mtime=0)
-    write_atomic(path, stream)
+    return stream
+
+
+def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
+    """Write :func:`volume_bytes` of the volume to ``path`` atomically."""
+    write_atomic(path, volume_bytes(path, header, data))
+
+
+def _bad_float_label(path, data: np.ndarray, coding: LabelCoding) -> ValidationError:
+    """The error for a float label array that holds a value outside
+    ``coding``: non-finite anywhere, else the first non-integral voxel, else
+    the first voxel whose code is not configured, in C order."""
+    if not np.all(np.isfinite(data)):
+        return ValidationError(f"{path}: label volume contains non-finite values")
+    rounded = np.rint(data)
+    if not np.array_equal(rounded, data):
+        idx = np.argwhere(rounded != data)[0]
+        return ValidationError(
+            f"{path}: non-integral label value {float(data[tuple(idx)])} at voxel "
+            f"{tuple(int(i) for i in idx)}"
+        )
+    idx = np.argwhere(~np.isin(rounded, coding.codes))[0]
+    return ValidationError(
+        f"{path}: label value {int(rounded[tuple(idx)])} at voxel "
+        f"{tuple(int(i) for i in idx)} is not one of the configured codes {coding.codes}"
+    )
 
 
 def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume:
@@ -347,26 +369,20 @@ def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume
     """
     header, data = read_volume(path)
     if data.dtype.kind == "f":
-        if not np.all(np.isfinite(data)):
-            raise ValidationError(f"{path}: label volume contains non-finite values")
-        rounded = np.rint(data)
-        if not np.array_equal(rounded, data):
-            idx = np.argwhere(rounded != data)[0]
-            value = data[tuple(idx)]
-            raise ValidationError(
-                f"{path}: non-integral label value {float(value)} at voxel "
-                f"{tuple(int(i) for i in idx)}"
-            )
-        # Casting a float outside int32's range is undefined, so the codes
-        # are checked first and the message names the value in the file.
-        invalid = ~np.isin(rounded, coding.codes)
-        if invalid.any():
-            idx = np.argwhere(invalid)[0]
-            raise ValidationError(
-                f"{path}: label value {int(rounded[tuple(idx)])} at voxel "
-                f"{tuple(int(i) for i in idx)} is not one of the configured codes {coding.codes}"
-            )
-        data = rounded.astype(np.int32)
+        # Checked and cast slab by slab into the int32 result, in memory
+        # order, so no full-grid temporary is made.  A value in ``coding`` is
+        # finite and integral, and casting one outside int32's range would be
+        # undefined, so each slab is cast only once every value is a code.
+        labels = np.empty_like(data, dtype=np.int32)
+        axes = sorted(range(3), key=lambda axis: -abs(data.strides[axis]))
+        src, dst = data.transpose(axes), labels.transpose(axes)
+        step = max(1, _SLAB_BYTES // (data.itemsize * src.shape[1] * src.shape[2]))
+        for start in range(0, src.shape[0], step):
+            slab = src[start : start + step]
+            if not np.isin(slab, coding.codes).all():
+                raise _bad_float_label(path, data, coding)
+            dst[start : start + step] = slab
+        data = labels
         data.setflags(write=False)
     return LabelVolume(data, header.spacing, coding)
 
@@ -386,8 +402,9 @@ def read_probability_volume(path) -> tuple[np.ndarray, Spacing]:
     return data, header.spacing
 
 
-def write_label_volume(path, volume: LabelVolume) -> None:
-    """Write a label volume using the smallest integer datatype that fits."""
+def label_volume_bytes(path, volume: LabelVolume) -> bytes:
+    """:func:`volume_bytes` of a label volume, in the smallest integer
+    datatype that holds every code of its coding."""
     top = max(volume.coding.codes)
     if top <= np.iinfo(np.uint8).max:
         tag = "uint8"
@@ -395,4 +412,9 @@ def write_label_volume(path, volume: LabelVolume) -> None:
         tag = "int16"
     else:
         tag = "int32"
-    write_volume(path, VolumeHeader(volume.shape, tag, volume.spacing), volume.data)
+    return volume_bytes(path, VolumeHeader(volume.shape, tag, volume.spacing), volume.data)
+
+
+def write_label_volume(path, volume: LabelVolume) -> None:
+    """Write :func:`label_volume_bytes` of ``volume`` to ``path`` atomically."""
+    write_atomic(path, label_volume_bytes(path, volume))

@@ -428,6 +428,92 @@ def test_apply_postprocess_errors_name_case_and_prediction(tmp_path, capsys):
     assert message.startswith(f"case 'case7' (prediction {bad}): label value 9 at voxel (1, 1, 1)")
 
 
+def write_apply_cases(tmp_path, count, bad=None):
+    """A manifest of ``count`` cases c0, c1, ... whose seeded ``.nii.gz``
+    predictions hold an ET cube of 1, 8 or 27 voxels; case ``bad``, when
+    given, predicts the unknown label 9 at voxel (1, 1, 1)."""
+    rng = np.random.default_rng(62)
+    rows = []
+    for i in range(count):
+        data = nested_labels((10, 10, 10))
+        data[data == 4] = 1
+        side = int(rng.integers(1, 4))
+        data[3 : 3 + side, 3 : 3 + side, 3 : 3 + side] = 4
+        if i == bad:
+            data[1, 1, 1] = 9
+        path = tmp_path / f"p{i}.nii.gz"
+        write_volume(path, VolumeHeader(data.shape, "uint8", Spacing()), data)
+        rows.append([f"c{i}", path.name, path.name])
+    return write_manifest(tmp_path / "m.csv", rows)
+
+
+def apply_postprocess_args(manifest, out_dir):
+    return ["apply-postprocess", "--manifest", str(manifest), "--threshold-mm3", "10", "--out-dir", str(out_dir)]
+
+
+def test_apply_postprocess_threads_write_identical_bytes(tmp_path, monkeypatch):
+    manifest = write_apply_cases(tmp_path, 7)
+    written = {}
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(voxeval.cli, "_default_jobs", lambda: threads)
+        out_dir = tmp_path / f"out{threads}"
+        assert main(apply_postprocess_args(manifest, out_dir)) == 0
+        written[threads] = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert sorted(written[1]) == [f"c{i}.nii.gz" for i in range(7)]
+    assert written[2] == written[1] and written[3] == written[1]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_apply_postprocess_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkeypatch, capsys, threads):
+    manifest = write_apply_cases(tmp_path, 12, bad=2)
+    bad = tmp_path / "p2.nii.gz"
+    real_read, started = voxeval.cli.read_label_volume, []
+
+    def slow_bad_read(path, coding):
+        started.append(path.name)
+        if path == bad:
+            time.sleep(0.2)  # so that later cases finish first on a pool
+        return real_read(path, coding)
+
+    monkeypatch.setattr(voxeval.cli, "read_label_volume", slow_bad_read)
+    monkeypatch.setattr(voxeval.cli, "_default_jobs", lambda: threads)
+    out_dir = tmp_path / "out"
+    assert main(apply_postprocess_args(manifest, out_dir)) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]["message"]
+    assert message.startswith(f"case 'c2' (prediction {bad}): label value 9 at voxel (1, 1, 1)")
+    assert sorted(p.name for p in out_dir.iterdir()) == ["c0.nii.gz", "c1.nii.gz"]
+    if threads == 1:
+        assert started == ["p0.nii.gz", "p1.nii.gz", "p2.nii.gz"]
+    else:  # two cases written and 2 x threads queued; later ones are never started
+        assert len(started) <= 2 + 2 * threads
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_apply_postprocess_bounds_the_cases_in_flight(tmp_path, monkeypatch, threads):
+    manifest = write_apply_cases(tmp_path, 12)
+    real_read, real_write = voxeval.cli.read_label_volume, voxeval.cli.write_atomic
+    started, written, in_flight = [], [], []
+
+    def counted_read(path, coding):
+        started.append(1)
+        in_flight.append(len(started) - len(written))
+        return real_read(path, coding)
+
+    def slow_write(path, data):
+        time.sleep(0.02)  # so that the queue fills while the main thread writes
+        real_write(path, data)
+        written.append(path.name)
+
+    monkeypatch.setattr(voxeval.cli, "read_label_volume", counted_read)
+    monkeypatch.setattr(voxeval.cli, "write_atomic", slow_write)
+    monkeypatch.setattr(voxeval.cli, "_default_jobs", lambda: threads)
+    assert main(apply_postprocess_args(manifest, tmp_path / "out")) == 0
+    assert written == [f"c{i}.nii.gz" for i in range(12)]
+    assert 1 < max(in_flight) <= 2 * threads
+
+
 @pytest.mark.parametrize(
     "bad, reason",
     [
@@ -799,7 +885,7 @@ def test_ensemble_reads_no_map_after_one_that_disagrees(tmp_path, monkeypatch, c
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_ensemble_bounds_the_cases_in_flight(tmp_path, monkeypatch, jobs):
     manifest = write_ensemble_cases(tmp_path, 12)
-    real_labels, real_write = voxeval.cli._ensemble_labels, voxeval.cli.write_label_volume
+    real_labels, real_write = voxeval.cli._ensemble_labels, voxeval.cli.write_atomic
     started, written, in_flight = [], [], []
 
     def counted_labels(*args):
@@ -807,13 +893,13 @@ def test_ensemble_bounds_the_cases_in_flight(tmp_path, monkeypatch, jobs):
         in_flight.append(len(started) - len(written))
         return real_labels(*args)
 
-    def slow_write(path, volume):
+    def slow_write(path, data):
         time.sleep(0.02)  # so that the queue fills while the main thread writes
-        real_write(path, volume)
+        real_write(path, data)
         written.append(path.name)
 
     monkeypatch.setattr(voxeval.cli, "_ensemble_labels", counted_labels)
-    monkeypatch.setattr(voxeval.cli, "write_label_volume", slow_write)
+    monkeypatch.setattr(voxeval.cli, "write_atomic", slow_write)
     out_dir = tmp_path / "labels"
     assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", str(jobs)]) == 0
     assert written == [f"c{i}.nii.gz" for i in range(12)]

@@ -181,19 +181,25 @@ def test_mean_maps_are_kept_without_a_copy(monkeypatch):
         two_level_ensemble([members[:2], members[2:]]),
         two_level_ensemble([members[:2], members[2:]], [0.5, 2.0]),
     ]
-    # One mean for average_probs; for each two-level call, one per configuration, then the final one.
-    assert len(calls) == 7 and all(calls[i][1] is out for i, out in zip((0, 3, 6), outs))
+    # One set per call: only the final maps are wrapped, configuration means are not.
+    assert len(calls) == 3 and all(call[1] is out for call, out in zip(calls, outs))
     for maps, built in calls:
         assert len(maps) == 3
         for got, given in zip(region_arrays(built), maps):
             assert got is given
 
 
-def seeded_members(rng, counts, shape, dtype, order):
+def seeded_members(rng, counts, shape, dtype, order, negative_zeros=False):
     """One list of probability sets per configuration, with ``counts[i]``
-    members each; maps in ``dtype`` and memory ``order``."""
+    members each; maps in ``dtype`` and memory ``order``.  With
+    ``negative_zeros``, every map holds -0.0 in its first row and at some
+    random voxels."""
     def prob_map():
-        return np.asarray(rng.random(shape, dtype=np.float64).astype(dtype), order=order)
+        data = rng.random(shape, dtype=np.float64).astype(dtype)
+        if negative_zeros:
+            data[0, 0] = -0.0
+            data[rng.random(shape) < 0.3] = -0.0
+        return np.asarray(data, order=order)
 
     return [
         [RegionProbSet(prob_map(), prob_map(), prob_map(), Spacing(1, 1, 2)) for _ in range(count)]
@@ -216,18 +222,21 @@ def consumed_once(configurations):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("weights", [None, [0.3, 1.7, 0.9], [1.0, 0.5, 1.0]])
+@pytest.mark.parametrize("weights", [None, [0.3, 1.7, 0.9], [1.0, 0.5, 1.0], [-0.0, 1.7, 0.9]])
 @pytest.mark.parametrize("as_generators", [False, True])
-def test_two_level_mean_equals_the_loop_oracle(dtype, order, weights, as_generators):
+@pytest.mark.parametrize("negative_zeros", [False, True])
+def test_two_level_mean_equals_the_loop_oracle(dtype, order, weights, as_generators, negative_zeros):
     rng = np.random.default_rng(86)
-    configurations = seeded_members(rng, [3, 1, 2], (3, 4, 5), dtype, order)
+    configurations = seeded_members(rng, [3, 1, 2], (3, 4, 5), dtype, order, negative_zeros)
     given = consumed_once(configurations) if as_generators else configurations
     out = two_level_ensemble(given, weights)
     for got, want in zip(region_arrays(out), two_level_oracle(configurations, weights)):
         assert got.dtype == np.float64
-        assert np.array_equal(got, want)
-        # The sums are laid out like the members' maps.
+        # Bit for bit: array_equal would take a -0.0 for the oracle's 0.0.
+        assert got.tobytes() == want.tobytes()
+        # The sums are laid out like the members' maps, and read-only.
         assert got.flags.f_contiguous if order == "F" else got.flags.c_contiguous
+        assert not got.flags.writeable
     assert out.spacing == Spacing(1, 1, 2)
 
 

@@ -337,6 +337,27 @@ def test_read_label_volume_accepts_integral_floats(tmp_path):
         read_label_volume(path)
 
 
+def test_scaled_label_read_peaks_below_twice_its_float_payload(tmp_path):
+    # Stored as int16 with scl_inter 1, so read_volume returns float64 maps
+    # that are checked and cast into the int32 labels a slab at a time.
+    labels = np.zeros((64, 64, 64), np.int16)
+    labels[8:56, 8:56, 8:56] = 2
+    labels[16:48, 16:48, 16:48] = 1
+    labels[24:40, 24:40, 24:40] = 4
+    path = tmp_path / "scaled.nii"
+    write_volume(path, VolumeHeader(labels.shape, "int16", Spacing(), intercept=1.0), labels - 1)
+    tracemalloc.start()
+    try:
+        vol = read_label_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vol.data.dtype == np.int32 and not vol.data.flags.writeable
+    assert np.array_equal(vol.data, labels)
+    payload = labels.size * 8  # the float64 array that read_volume returns
+    assert peak <= 2 * payload, peak / payload
+
+
 def test_read_probability_volume_enforces_range(tmp_path):
     data = np.linspace(0, 1, 8, dtype=np.float32).reshape(2, 2, 2)
     path = tmp_path / "prob.nii"
