@@ -31,7 +31,7 @@ import zlib
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing, contextmanager, suppress
+from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from io import StringIO
@@ -42,13 +42,13 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .ensemble import ensemble_predict
+from .ensemble import _two_level
 from .errors import FormatError, ValidationError
 from .io import (
     VOLUME_SUFFIXES,
+    ProbabilityMap,
     label_volume_bytes,
     read_label_volume,
-    read_probability_volume,
     volume_suffix,
     write_atomic,
 )
@@ -73,8 +73,8 @@ from .volume import (
     REGIONS,
     LabelCoding,
     LabelVolume,
-    RegionProbSet,
-    _ReadProbSet,
+    _gate_labels,
+    _label_dtype,
 )
 
 #: Environment variable naming a default config file; --config overrides it.
@@ -624,41 +624,64 @@ def parse_ensemble_manifest(path) -> dict[str, dict[str, list[dict[str, Path]]]]
     return cases
 
 
-def _load_prob_set(member: dict[str, Path], first: list) -> RegionProbSet:
-    """Read one member's maps, checking each as it is read against the case's
-    first map, whose path, shape and spacing ``first`` holds (the case's first
-    read fills it), so a map that disagrees stops the case there."""
-    maps = []
-    for region in REGIONS:
-        data, spacing = read_probability_volume(member[region])
-        if not first:
-            first += member[region], data.shape, spacing
-        path, shape, first_spacing = first
-        if spacing != first_spacing:
-            raise ValidationError(
-                f"{member[region]}: spacing {spacing.as_tuple()} differs from "
-                f"{first_spacing.as_tuple()} of the case's first map {path}"
-            )
-        if data.shape != shape:
-            raise ValidationError(
-                f"{member[region]}: shape {data.shape} differs from "
-                f"{shape} of the case's first map {path}"
-            )
-        maps.append(data)
-    return _ReadProbSet(*maps, spacing)
+def _open_case_maps(configurations: dict[str, list[dict[str, Path]]], stack: ExitStack) -> list:
+    """Open every map of a case in manifest order, into ``stack``, checking
+    each header as it is read against the case's first map, so a map that
+    disagrees stops the case there, before any payload is read.  Returns
+    one list of member map triples per configuration."""
+    first = None
+    opened = []
+    for members in configurations.values():
+        opened.append([])
+        for member in members:
+            maps = []
+            for region in REGIONS:
+                prob_map = stack.enter_context(ProbabilityMap(member[region]))
+                first = first or prob_map
+                if prob_map.spacing != first.spacing:
+                    raise ValidationError(
+                        f"{member[region]}: spacing {prob_map.spacing.as_tuple()} differs from "
+                        f"{first.spacing.as_tuple()} of the case's first map {first.path}"
+                    )
+                if prob_map.shape != first.shape:
+                    raise ValidationError(
+                        f"{member[region]}: shape {prob_map.shape} differs from "
+                        f"{first.shape} of the case's first map {first.path}"
+                    )
+                maps.append(prob_map)
+            opened[-1].append(maps)
+    return opened
 
 
 def _ensemble_labels(
     case_id: str, configurations: dict[str, list[dict[str, Path]]], threshold: float, coding: LabelCoding
 ) -> LabelVolume:
-    """One case's labels, streaming its members through the two-level mean."""
-    first: list = []
-    with _case(case_id):
-        return ensemble_predict(
-            ((_load_prob_set(member, first) for member in members) for members in configurations.values()),
-            threshold,
-            coding,
-        )
+    """One case's labels.  Every map's header is read and checked first;
+    then all maps are stepped in lockstep, one run of z-planes at a time,
+    through the two-level mean and the label gates into the one whole grid,
+    the labels'.  Each voxel takes the float64 operations of
+    :func:`two_level_ensemble` and :func:`regions_to_labels`, in their order."""
+    with _case(case_id), ExitStack() as stack:
+        opened = _open_case_maps(configurations, stack)
+        first = opened[0][0][0]
+        nx, ny, nz = first.shape
+        planes = first.slab_planes
+        labels = np.empty(first.shape, _label_dtype(coding), order="F")
+        every = [m for members in opened for maps in members for m in maps]
+        # One member's maps are read at a time, so its three slabs take
+        # three buffers that every member shares; six more take the sums.
+        itemsize = max(m.dtype.itemsize for m in every)
+        raw = [np.empty(nx * ny * planes * itemsize, np.uint8) for _ in REGIONS]
+        sums = [np.empty(nx * ny * planes) for _ in range(6)]
+        for z in range(0, nz, planes):
+            k = min(planes, nz - z)
+            out = [s[: nx * ny * k].reshape((nx, ny, k), order="F") for s in sums]
+            slabs = ((tuple(m.slab(k, b) for m, b in zip(maps, raw)) for maps in members) for members in opened)
+            _gate_labels(labels[:, :, z : z + k], *_two_level(slabs, out=out), threshold, coding)
+        for prob_map in every:
+            prob_map.finish()
+        labels.setflags(write=False)  # so the constructor keeps it without a copy
+        return LabelVolume(labels, first.spacing, coding)
 
 
 def _in_order(fn, items: list, workers: int) -> Iterator:

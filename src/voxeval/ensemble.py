@@ -6,15 +6,20 @@ differs from pooling all members into one mean: each configuration keeps
 the same influence on the final prediction regardless of how many models
 it contributed.
 
-Members are streamed: each is added into float64 sums laid out like its
-maps and dropped before the next is read.  A configuration's sums start as
-its first member's maps plus 0.0, one cast-add that upcasts float32 maps
-exactly and turns -0.0 into 0.0 as adding them to zeros did.  The first
+One piece of arithmetic serves both levels and every caller, on map
+triples (WT, TC, ET) of any extent: :func:`two_level_ensemble` and
+:func:`average_probs` hand it each member's whole maps, and the
+``ensemble`` command the same z-slab of every member of a case, slab after
+slab.  Members stream: each is added into float64 sums and dropped before
+the next is read.  A configuration's sums start as its first member's maps
+plus 0.0, one cast-add that upcasts float32 and integer maps exactly and
+turns -0.0 into 0.0 as adding them to zeros did.  The first
 configuration's clipped mean, times its weight when weights are given, is
 the ensemble's running sum, and each later configuration's mean is added
-into it.  So a two-level mean holds one member and three float64 maps while
-the first configuration is summed, six while a later one is, whatever the
-member count; only the final maps are frozen into a probability set.
+into it.  So three float64 maps are held while the first configuration is
+summed and six while a later one is, whatever the member count: new maps
+laid out like the first member's, or six buffers the caller reuses for
+every slab.
 """
 
 from __future__ import annotations
@@ -37,42 +42,90 @@ def _check_like(member: RegionProbSet, shape: tuple, spacing: Spacing, what: str
         )
 
 
-def _clipped_mean(
-    items: Iterable[RegionProbSet], empty: str, like: tuple | None = None, what: str = ""
-) -> tuple[list[np.ndarray], tuple]:
-    """The clipped mean of each region's map over ``items``, as writeable
-    float64 maps laid out like the first item's, and that item's
-    ``(shape, spacing)``.
+def _maps(items: Iterable[RegionProbSet], like: list, what: str):
+    """The map triple of each probability set in ``items``, each set checked
+    before its maps are given (an add would broadcast a smaller map).
 
-    ``items`` is consumed once.  Each later item is checked against the
-    first, as "member <index>", before it is added (an add would broadcast
-    a smaller map); with ``like``, the first is checked against it as
-    ``what``.  Raises ``ValidationError(empty)`` when there is no item.
+    The first item is checked against ``like``, the ``[shape, spacing]`` of
+    the first set read, as ``what``, or fills it when it is empty; each
+    later item against it as "member <index>".  No set or map is held here
+    while the next item is read.
     """
-    sums = None
     count = 0
     for item in items:  # no enumerate: its cached tuple would keep the previous item alive
-        maps = (item.p_wt, item.p_tc, item.p_et)
-        if sums is None:
-            if like is not None:
-                _check_like(item, *like, what)
-            like = item.shape, item.spacing
-            # One cast-add: float32 maps upcast exactly, and -0.0 becomes 0.0
-            # as it did when the map was added to zeros.
-            sums = [np.add(m, 0.0, dtype=np.float64) for m in maps]
+        if like:
+            _check_like(item, *like, f"member {count}" if count else what)
         else:
-            _check_like(item, *like, f"member {count}")
-            sums = [np.add(acc, m, out=acc) for acc, m in zip(sums, maps)]
+            like += item.shape, item.spacing
+        maps = item.p_wt, item.p_tc, item.p_et
+        del item
+        yield maps
+        del maps
         count += 1
-        del item, maps  # the next item is read with all of this one freed
-    if sums is None:
-        raise ValidationError(empty)
+
+
+def _divide_clipped(sums: list[np.ndarray], divisor: float) -> None:
     for acc in sums:
-        acc /= count
+        acc /= divisor
         # Rounding can push a mean of values in [0, 1] past the ends by one
         # ulp, which the constructor would reject.
         np.clip(acc, 0.0, 1.0, out=acc)
-    return sums, like
+
+
+def _clipped_mean(triples: Iterable[tuple], empty: str, out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
+    """The clipped mean of each region's map over the map ``triples``, as
+    writeable float64 maps: ``out`` when given, else new maps laid out like
+    the first triple's.  ``triples`` is consumed once; raises
+    ``ValidationError(empty)`` when it holds none."""
+    sums = None
+    count = 0
+    for maps in triples:
+        if sums is None:
+            # One cast-add: float32 maps upcast exactly, and -0.0 becomes 0.0
+            # as it did when the map was added to zeros.
+            sums = [np.add(m, 0.0, dtype=np.float64, out=acc) for m, acc in zip(maps, out or (None,) * 3)]
+        else:
+            sums = [np.add(acc, m, out=acc) for acc, m in zip(sums, maps)]
+        count += 1
+        del maps  # the next triple is read with none of this one held
+    if sums is None:
+        raise ValidationError(empty)
+    _divide_clipped(sums, count)
+    return sums
+
+
+def _two_level(
+    configurations: Iterable[Iterable[tuple]],
+    w: np.ndarray | None = None,
+    out: Sequence[np.ndarray] | None = None,
+) -> list[np.ndarray]:
+    """The clipped two-level mean of map triples, one iterable of triples
+    per configuration, times the checked weights ``w`` when given.  Returns
+    writeable float64 maps: ``out[:3]`` when six buffers ``out`` are given,
+    the later configurations' means going to ``out[3:]``."""
+    configurations = iter(configurations)
+    total = None
+    n = 0
+    for members in configurations:
+        if w is not None and (w.ndim != 1 or n >= w.size):
+            n += 1 + sum(1 for _ in configurations)  # the count, for the message below
+            break
+        buffers = None if out is None else out[3:] if total is not None else out[:3]
+        means = _clipped_mean(members, f"configuration {n} has no members", buffers)
+        if w is not None and w[n] != 1.0:
+            means = [np.multiply(m, w[n], out=m) for m in means]
+        if total is None:
+            total = means  # the first configuration's means are the running sums
+        else:
+            total = [np.add(acc, m, out=acc) for acc, m in zip(total, means)]
+        del means  # freed before the next configuration's sums are made
+        n += 1
+    if w is not None and n and w.shape != (n,):
+        raise ValidationError(f"expected one weight per configuration ({n}), got shape {w.shape}")
+    if total is None:
+        raise ValidationError("two_level_ensemble requires at least one configuration")
+    _divide_clipped(total, n if w is None else float(w.sum()))
+    return total
 
 
 def _prob_set(maps: list[np.ndarray], spacing: Spacing) -> RegionProbSet:
@@ -87,8 +140,9 @@ def average_probs(members: Iterable[RegionProbSet]) -> RegionProbSet:
     All members must share shape and spacing.  ``members`` is consumed
     once, one member at a time, in order.
     """
-    means, (_, spacing) = _clipped_mean(members, "average_probs requires at least one member")
-    return _prob_set(means, spacing)
+    like: list = []
+    means = _clipped_mean(_maps(members, like, ""), "average_probs requires at least one member")
+    return _prob_set(means, like[1])
 
 
 def two_level_ensemble(
@@ -116,29 +170,10 @@ def two_level_ensemble(
             raise ValidationError("weights must be finite and nonnegative")
         if w.size and not w.any():
             raise ValidationError("weights must not all be zero")
-    configurations = iter(configurations)
-    total, like = None, None
-    n = 0
-    for members in configurations:
-        if w is not None and (w.ndim != 1 or n >= w.size):
-            n += 1 + sum(1 for _ in configurations)  # the count, for the message below
-            break
-        means, like = _clipped_mean(members, f"configuration {n} has no members", like, f"configuration {n}")
-        if w is not None and w[n] != 1.0:
-            means = [np.multiply(m, w[n], out=m) for m in means]
-        if total is None:
-            total = means  # the first configuration's means are the running sums
-        else:
-            total = [np.add(acc, m, out=acc) for acc, m in zip(total, means)]
-        del means  # freed before the next configuration's sums are made
-        n += 1
-    if w is not None and n and w.shape != (n,):
-        raise ValidationError(f"expected one weight per configuration ({n}), got shape {w.shape}")
-    if total is None:
-        raise ValidationError("two_level_ensemble requires at least one configuration")
-    for acc in total:
-        acc /= n if w is None else float(w.sum())
-        np.clip(acc, 0.0, 1.0, out=acc)
+    like: list = []
+    total = _two_level(
+        (_maps(members, like, f"configuration {n}") for n, members in enumerate(configurations)), w
+    )
     return _prob_set(total, like[1])
 
 

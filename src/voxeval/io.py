@@ -1,4 +1,4 @@
-"""Volume file I/O: a NIfTI-1 subset plus the RV1 raw fixture format.
+"""Volume file I/O: a NIfTI-1 subset.
 
 The NIfTI-1 support is deliberately narrow: single-file .nii or .nii.gz,
 3-D only, five datatypes, header extensions skipped, orientation fields
@@ -9,9 +9,11 @@ vox_offset 352, magic "n+1\\0", gzip applied iff the name ends in ".nii.gz"
 (with zeroed mtime so identical volumes give identical bytes).  Suffixes
 match case-insensitively, and every file is written atomically.
 
-RV1 is a trivial sidecar format for fixtures that must not depend on the
-NIfTI parser: one ASCII header line ``RV1 nx ny nz dx dy dz dtype`` then
-the raw little-endian payload in C order.
+Files are read through an open handle, a ``.nii.gz`` inflated 256 KiB at
+a time.  :func:`read_volume` reads a whole payload into one buffer.
+:class:`ProbabilityMap` reads a map's header on opening and then its
+voxels in file order, a run of z-planes (the slowest axis) at a time, so
+that many maps can be stepped together without any of them being whole.
 """
 
 from __future__ import annotations
@@ -44,11 +46,11 @@ _DTYPES = {
 _CODE_TO_TAG = {code: tag for tag, (code, _, _) in _DTYPES.items()}
 
 #: Volume file suffixes, matched against the lower-cased file name.
-VOLUME_SUFFIXES = (".nii", ".nii.gz", ".rv1")
+VOLUME_SUFFIXES = (".nii", ".nii.gz")
 
 
 def volume_suffix(path) -> str:
-    """Return the volume format of ``path``: ".nii", ".nii.gz" or ".rv1"."""
+    """Return the volume format of ``path``: ".nii" or ".nii.gz"."""
     name = Path(path).name.lower()
     for suffix in VOLUME_SUFFIXES:
         if name.endswith(suffix):
@@ -106,7 +108,7 @@ class VolumeHeader:
         object.__setattr__(self, "intercept", float(self.intercept))
 
 
-#: Bytes inflated per zlib call, each then copied into the volume's buffer.
+#: Bytes inflated per zlib call, and compressed bytes read per file read.
 _CHUNK = 256 * 1024
 
 #: Deflate's largest expansion, in bytes out per byte in: a ``.nii.gz``
@@ -114,169 +116,203 @@ _CHUNK = 256 * 1024
 _MAX_INFLATE = 1032
 
 
-def _inflate(path: Path, raw: bytes, view: memoryview) -> int:
-    """Inflate the gzip stream ``raw`` into ``view``, at most ``_CHUNK`` bytes
-    a step; returns how many bytes the stream holds, or ``len(view) + 1``
-    when it holds more.
+class _Inflater:
+    """A gzip stream read through ``read(n)`` and inflated on demand, at most
+    ``_CHUNK`` bytes a step, so a caller can take it a slab at a time.
 
     Members in a row are one stream, and zero padding between and after them
     is skipped, as Python's ``gzip`` module reads them.  zlib checks each
     member's header, CRC-32 and length; its errors are a :class:`FormatError`.
     """
-    if raw[:2] == b"\x1f\x8b" and len(raw) > 3 and raw[3] & 0xE0:  # reserved FLG bits (RFC 1952)
-        raise FormatError(f"{path}: not a valid gzip stream (unknown header flags set)")
-    filled, member = 0, None
-    while raw or (member is not None and not member.eof):
-        if member is None or member.eof:
-            member = zlib.decompressobj(31)
-        try:
-            out = member.decompress(raw, min(_CHUNK, len(view) - filled) or 1)
-        except zlib.error as exc:
-            raise FormatError(f"{path}: not a valid gzip stream ({exc})") from None
-        if out and filled == len(view):
-            return filled + 1
-        view[filled : filled + len(out)] = out
-        filled += len(out)
-        raw = member.unused_data.lstrip(b"\0") if member.eof else member.unconsumed_tail
-        if not (out or raw or member.eof):
-            raise FormatError(
-                f"{path}: not a valid gzip stream "
-                "(Compressed file ended before the end-of-stream marker was reached)"
-            )
-    return filled
+
+    def __init__(self, path: Path, read) -> None:
+        self._path, self._read = path, read
+        self._raw = read(_CHUNK)  # compressed bytes not yet given to zlib
+        self._member = None
+        if self._raw[:2] == b"\x1f\x8b" and len(self._raw) > 3 and self._raw[3] & 0xE0:  # RFC 1952
+            raise FormatError(f"{path}: not a valid gzip stream (unknown header flags set)")
+
+    def fill(self, view) -> int:
+        """Inflate the stream's next bytes into ``view``; returns how many,
+        fewer than ``len(view)`` only where the stream ends."""
+        view = memoryview(view).cast("B")
+        filled, raw, member = 0, self._raw, self._member
+        while filled < len(view):
+            if member is not None and member.eof:  # skip padding up to the next member
+                raw = raw.lstrip(b"\0")
+                while not raw and (raw := self._read(_CHUNK)):
+                    raw = raw.lstrip(b"\0")
+            if member is None or member.eof:
+                if not raw:
+                    break
+                member = zlib.decompressobj(31)
+            elif not raw:
+                raw = self._read(_CHUNK)
+            try:
+                out = member.decompress(raw, min(_CHUNK, len(view) - filled))
+            except zlib.error as exc:
+                raise FormatError(f"{self._path}: not a valid gzip stream ({exc})") from None
+            if not (out or raw or member.eof):  # no input left, and none taken
+                raise FormatError(
+                    f"{self._path}: not a valid gzip stream "
+                    "(Compressed file ended before the end-of-stream marker was reached)"
+                )
+            view[filled : filled + len(out)] = out
+            filled += len(out)
+            raw = member.unused_data if member.eof else member.unconsumed_tail
+        self._raw, self._member = raw, member
+        return filled
 
 
-def _payload(
-    path: Path, raw: bytes, offset: int, order: str, layout: str,
-    dims, tag: str, spacing, slope: float = 1.0, intercept: float = 0.0,
-) -> tuple[VolumeHeader, np.ndarray]:
-    """The header a file declares and its payload ``raw[offset:]``, stored in
-    byte order ``order`` and memory ``layout``, as a native-order array.
+def _scaling(path: Path, header: VolumeHeader) -> tuple[float, float] | None:
+    """The ``(slope, intercept)`` that a NIfTI reader applies, or None when
+    there is none: a zero slope, or the pair 1, 0.  Raises when it is not finite."""
+    slope, intercept = header.slope, header.intercept
+    if slope == 0.0 or (slope == 1.0 and intercept == 0.0):
+        return None
+    if not np.isfinite([slope, intercept]).all():
+        raise FormatError(f"{path}: non-finite scaling scl_slope {slope}, scl_inter {intercept}")
+    return slope, intercept
 
-    The bytes of a ``.nii.gz`` are inflated into one read-only buffer of the
-    size the header declares, which must not exceed what ``raw`` can inflate
-    to.  A header that :class:`VolumeHeader` or :class:`Spacing` rejects, or
-    a payload of another size than the header declares, is a
-    :class:`FormatError` naming ``path``.
+
+class _VolumeStream:
+    """A NIfTI-1 file opened for reading: its header, parsed and checked on
+    opening, then its payload read in file order.
+
+    The payload's size is checked before any of it is read: a ``.nii``
+    against the file's size, and a ``.nii.gz`` against the most its stream
+    can inflate to.  A ``.nii.gz`` stream that ends early is seen where it
+    ends, and one that holds more, or whose trailer is bad, by
+    :meth:`finish`.  Every fault is a :class:`FormatError` naming the file.
+    Used as a context manager, the stream closes the file on exit.
     """
-    try:
-        header = VolumeHeader(dims, tag, Spacing(*spacing), slope, intercept)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from None
-    _, bits, np_dtype = _DTYPES[tag]
-    count = header.dims[0] * header.dims[1] * header.dims[2]
-    expected = count * (bits // 8)
-    if volume_suffix(path) == ".nii.gz":
-        if offset + expected > _MAX_INFLATE * len(raw):
-            raise FormatError(
-                f"{path}: payload size mismatch, header declares {expected} bytes but a "
-                f"{len(raw)}-byte gzip stream inflates to at most {_MAX_INFLATE * len(raw)}"
-            )
-        buf = np.empty(offset + expected, np.uint8)
-        held = _inflate(path, raw, memoryview(buf))
-        if held > len(buf):
-            raise FormatError(
-                f"{path}: payload size mismatch, header declares {expected} bytes but file holds more"
-            )
-        raw = buf[:held]
-        raw.setflags(write=False)
-    actual = len(raw) - offset
-    if actual != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch, header declares {expected} bytes "
-            f"but file holds {actual}"
-        )
-    data = np.frombuffer(raw, dtype=np_dtype.newbyteorder(order), count=count, offset=offset)
-    return header, data.reshape(header.dims, order=layout).astype(np_dtype, copy=False)
 
+    def __init__(self, path) -> None:
+        self.path = path = Path(path)
+        gzipped = volume_suffix(path) == ".nii.gz"
+        self._fh = open(path, "rb")
+        try:
+            self._parse(gzipped)
+        except BaseException:
+            self._fh.close()
+            raise
 
-def _read_nifti(path: Path) -> tuple[VolumeHeader, np.ndarray]:
-    raw = head = path.read_bytes()
-    if volume_suffix(path) == ".nii.gz":  # inflated on its own, to size the payload's buffer
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+    def _parse(self, gzipped: bool) -> None:
+        path, fh = self.path, self._fh
+        size = os.fstat(fh.fileno()).st_size
+        self._fill = _Inflater(path, fh.read).fill if gzipped else fh.readinto
         head = bytearray(_HEADER_SIZE)
-        head = bytes(head[: _inflate(path, raw, memoryview(head))])
-    if len(head) < _HEADER_SIZE:
-        raise FormatError(
-            f"{path}: truncated header, {len(head)} bytes < {_HEADER_SIZE}"
+        self._held = self._fill(head)
+        if self._held < _HEADER_SIZE:
+            raise FormatError(f"{path}: truncated header, {self._held} bytes < {_HEADER_SIZE}")
+        for order in ("<", ">"):
+            if struct.unpack_from(order + "i", head, 0)[0] == _HEADER_SIZE:
+                break
+        else:
+            raise FormatError(f"{path}: not a NIfTI-1 file (sizeof_hdr differs from 348)")
+
+        magic = head[344:348]
+        if magic == _MAGIC_PAIR:
+            raise FormatError(
+                f"{path}: two-file NIfTI (.hdr/.img pair) is not supported, "
+                "only single-file volumes with magic 'n+1'"
+            )
+        if magic != _MAGIC_SINGLE:
+            raise FormatError(f"{path}: bad NIfTI magic {bytes(magic)!r}")
+
+        dim = struct.unpack_from(order + "8h", head, 40)
+        if dim[0] != 3:
+            raise FormatError(f"{path}: expected a 3-D volume, header says dim[0]={dim[0]}")
+
+        datatype, bitpix = struct.unpack_from(order + "2h", head, 70)
+        if datatype not in _CODE_TO_TAG:
+            raise FormatError(f"{path}: unsupported datatype code {datatype}")
+        tag = _CODE_TO_TAG[datatype]
+        _, bits, np_dtype = _DTYPES[tag]
+        if bitpix != bits:
+            raise FormatError(
+                f"{path}: bitpix {bitpix} disagrees with datatype {tag} ({bits} bits)"
+            )
+
+        pixdim = struct.unpack_from(order + "8f", head, 76)
+        vox_offset, slope, intercept = struct.unpack_from(order + "3f", head, 108)
+        if not vox_offset.is_integer() or vox_offset < _HEADER_SIZE:  # NaN and inf are not integers
+            raise FormatError(f"{path}: invalid vox_offset {vox_offset}")
+        try:
+            self.header = VolumeHeader(dim[1:4], tag, Spacing(*pixdim[1:4]), slope, intercept)
+        except ValidationError as exc:
+            raise FormatError(f"{path}: {exc}") from None
+        self._offset = int(vox_offset)
+        #: The payload's dtype as stored, in the file's byte order.
+        self.dtype = np_dtype.newbyteorder(order)
+        dims = self.header.dims
+        self.nbytes = dims[0] * dims[1] * dims[2] * np_dtype.itemsize
+        if gzipped:
+            if self._offset + self.nbytes > _MAX_INFLATE * size:
+                raise FormatError(
+                    f"{path}: payload size mismatch, header declares {self.nbytes} bytes but a "
+                    f"{size}-byte gzip stream inflates to at most {_MAX_INFLATE * size}"
+                )
+            self._read(bytearray(self._offset - _HEADER_SIZE))  # header extensions
+        else:
+            if size - self._offset != self.nbytes:
+                raise self._mismatch(size)
+            self._held = fh.seek(self._offset)
+
+    def _mismatch(self, held: int) -> FormatError:
+        return FormatError(
+            f"{self.path}: payload size mismatch, header declares {self.nbytes} bytes "
+            f"but file holds {held - self._offset}"
         )
-    for order in ("<", ">"):
-        if struct.unpack_from(order + "i", head, 0)[0] == _HEADER_SIZE:
-            break
-    else:
-        raise FormatError(f"{path}: not a NIfTI-1 file (sizeof_hdr differs from 348)")
 
-    magic = head[344:348]
-    if magic == _MAGIC_PAIR:
-        raise FormatError(
-            f"{path}: two-file NIfTI (.hdr/.img pair) is not supported, "
-            "only single-file volumes with magic 'n+1'"
-        )
-    if magic != _MAGIC_SINGLE:
-        raise FormatError(f"{path}: bad NIfTI magic {magic!r}")
+    def _read(self, view) -> None:
+        got = self._fill(view)
+        self._held += got
+        if got < len(view):
+            raise self._mismatch(self._held)
 
-    dim = struct.unpack_from(order + "8h", head, 40)
-    if dim[0] != 3:
-        raise FormatError(f"{path}: expected a 3-D volume, header says dim[0]={dim[0]}")
+    def read(self, buf: np.ndarray) -> np.ndarray:
+        """The payload's next ``len(buf)`` bytes, read into the uint8 array
+        ``buf`` and returned as a flat native-order view of it."""
+        self._read(buf)
+        data = buf.view(self.dtype)
+        if not self.dtype.isnative:
+            data = data.byteswap(inplace=True).view(self.dtype.newbyteorder("="))
+        return data
 
-    datatype, bitpix = struct.unpack_from(order + "2h", head, 70)
-    if datatype not in _CODE_TO_TAG:
-        raise FormatError(f"{path}: unsupported datatype code {datatype}")
-    tag = _CODE_TO_TAG[datatype]
-    bits = _DTYPES[tag][1]
-    if bitpix != bits:
-        raise FormatError(
-            f"{path}: bitpix {bitpix} disagrees with datatype {tag} ({bits} bits)"
-        )
-
-    pixdim = struct.unpack_from(order + "8f", head, 76)
-    vox_offset, slope, intercept = struct.unpack_from(order + "3f", head, 108)
-    if not vox_offset.is_integer() or vox_offset < _HEADER_SIZE:  # NaN and inf are not integers
-        raise FormatError(f"{path}: invalid vox_offset {vox_offset}")
-    # NIfTI stores the first axis fastest.
-    header, data = _payload(
-        path, raw, int(vox_offset), order, "F", dim[1:4], tag, pixdim[1:4], slope, intercept
-    )
-    if slope != 0.0 and (slope != 1.0 or intercept != 0.0):
-        if not np.isfinite([slope, intercept]).all():
-            raise FormatError(f"{path}: non-finite scaling scl_slope {slope}, scl_inter {intercept}")
-        data = data.astype(np.float64) * float(slope) + float(intercept)
-    return header, data
-
-
-def _read_rv1(path: Path) -> tuple[VolumeHeader, np.ndarray]:
-    raw = path.read_bytes()
-    newline = raw.find(b"\n")
-    if newline < 0:
-        raise FormatError(f"{path}: missing RV1 header line")
-    try:
-        fields = raw[:newline].decode("ascii").split()
-    except UnicodeDecodeError:
-        raise FormatError(f"{path}: RV1 header line is not ASCII")
-    if len(fields) != 8 or fields[0] != "RV1":
-        raise FormatError(
-            f"{path}: malformed RV1 header, expected "
-            "'RV1 nx ny nz dx dy dz dtype'"
-        )
-    try:
-        dims = [int(f) for f in fields[1:4]]
-        spacing = [float(f) for f in fields[4:7]]
-    except ValueError:
-        raise FormatError(f"{path}: non-numeric RV1 dimensions or spacing")
-    return _payload(path, raw, newline + 1, "<", "C", dims, fields[7], spacing)
+    def finish(self) -> None:
+        """Check that the payload read ends the file."""
+        if self._fill(bytearray(1)):
+            raise FormatError(
+                f"{self.path}: payload size mismatch, header declares {self.nbytes} bytes but file holds more"
+            )
 
 
 def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
-    """Read a volume file, dispatching on the extension.
+    """Read a ``.nii`` or ``.nii.gz`` volume file.
 
-    Supports ``.nii``, ``.nii.gz`` and ``.rv1``.  Data comes back in the
-    file's dtype, except that slope/intercept scaling (a nonzero slope, not
-    the identity; both finite, or :class:`FormatError`) yields float64.
+    Data comes back in the file's dtype, except that slope/intercept scaling
+    (a nonzero slope, not the identity; both finite, or :class:`FormatError`)
+    yields float64.
 
     Returns:
         The parsed :class:`VolumeHeader` and the 3-D array, read-only.
     """
-    path = Path(path)
-    header, data = _read_rv1(path) if volume_suffix(path) == ".rv1" else _read_nifti(path)
+    with _VolumeStream(path) as stream:
+        data = stream.read(np.empty(stream.nbytes, np.uint8))
+        stream.finish()
+    header = stream.header
+    scaling = _scaling(stream.path, header)
+    if scaling is not None:
+        data = data.astype(np.float64) * scaling[0] + scaling[1]
+    # NIfTI stores the first axis fastest.
+    data = data.reshape(header.dims, order="F")
     data.setflags(write=False)
     return header, data
 
@@ -311,13 +347,7 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
                 f"as {header.dtype}; refusing to quantize silently"
             )
 
-    suffix = volume_suffix(path)
-    if suffix == ".rv1":
-        line = "RV1 {} {} {} {} {} {} {}\n".format(
-            *header.dims, *(repr(s) for s in header.spacing.as_tuple()), header.dtype
-        )
-        return line.encode("ascii") + payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="C")
-
+    gzipped = volume_suffix(path) == ".nii.gz"
     hdr = bytearray(_HEADER_SIZE)
     struct.pack_into("<i", hdr, 0, _HEADER_SIZE)
     struct.pack_into("<c", hdr, 38, b"r")
@@ -331,7 +361,7 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
     stream = bytes(hdr)
     stream += b"\0\0\0\0"  # no header extensions
     stream += payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="F")
-    if suffix == ".nii.gz":
+    if gzipped:
         stream = gzip.compress(stream, compresslevel=9, mtime=0)
     return stream
 
@@ -400,6 +430,42 @@ def read_probability_volume(path) -> tuple[np.ndarray, Spacing]:
     data.setflags(write=False)
     _check_probabilities(data, f"{path}: probability map")
     return data, header.spacing
+
+
+class ProbabilityMap(_VolumeStream):
+    """A probability map opened for reading a run of z-planes at a time.
+
+    Opening reads and checks the header, its scaling included.  Then
+    :meth:`slab` returns the map's next planes in file order, each checked
+    as :func:`read_probability_volume` checks a whole map, and
+    :meth:`finish` checks that the file ends after the last.  Float maps
+    keep their dtype, scaled maps are float64, and other integer maps keep
+    their integers, which every float64 sum takes exactly.
+    """
+
+    def _parse(self, gzipped: bool) -> None:
+        super()._parse(gzipped)
+        self._scaling = _scaling(self.path, self.header)
+        self.shape, self.spacing = self.header.dims, self.header.spacing
+        nx, ny, _ = self.shape
+        #: The planes in about ``_SLAB_BYTES`` of the file's payload, at least one.
+        self.slab_planes = max(1, _SLAB_BYTES // (self.dtype.itemsize * nx * ny))
+
+    def slab(self, planes: int, buf: np.ndarray) -> np.ndarray:
+        """The map's next ``planes`` z-planes, of shape ``(nx, ny, planes)``:
+        read into the uint8 array ``buf``, which must hold their bytes, and
+        a view of it unless the map is scaled."""
+        nx, ny, _ = self.shape
+        data = self.read(buf[: nx * ny * planes * self.dtype.itemsize])
+        if self._scaling is not None:
+            data = data.astype(np.float64) * self._scaling[0] + self._scaling[1]
+        data = data.reshape((nx, ny, planes), order="F")
+        try:
+            _check_probabilities(data, f"{self.path}: probability map")
+        except ValidationError:
+            read_probability_volume(self.path)  # raises the fault again, naming the whole map's min and max
+            raise
+        return data
 
 
 def label_volume_bytes(path, volume: LabelVolume) -> bytes:

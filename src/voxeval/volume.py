@@ -304,6 +304,31 @@ def _region_masks(
     return masks
 
 
+def _label_dtype(coding: LabelCoding) -> type:
+    """The dtype of labels thresholded from probabilities under ``coding``."""
+    return np.uint8 if max(coding.codes) <= np.iinfo(np.uint8).max else np.int32
+
+
+def _gate_labels(
+    labels: np.ndarray, p_wt: np.ndarray, p_tc: np.ndarray, p_et: np.ndarray,
+    threshold: float, coding: LabelCoding,
+) -> None:
+    """Write into ``labels`` the labels of the probability maps ``p_wt``,
+    ``p_tc`` and ``p_et`` of the same extent, gated from the outside in."""
+    # A float64 scalar, so that float32 maps are compared in float64: a
+    # Python float would be compared in the map's dtype, and float32(0.7)
+    # would pass a threshold of 0.7.
+    threshold = np.float64(threshold)
+    dtype = labels.dtype.type
+    labels.fill(coding.background)
+    fires = p_wt >= threshold
+    np.copyto(labels, dtype(coding.edema), where=fires)
+    fires &= p_tc >= threshold
+    np.copyto(labels, dtype(coding.necrosis), where=fires)
+    fires &= p_et >= threshold
+    np.copyto(labels, dtype(coding.enhancing), where=fires)
+
+
 def regions_to_labels(
     probs: RegionProbSet,
     threshold: float = 0.5,
@@ -330,18 +355,8 @@ def regions_to_labels(
         raise ValidationError(
             f"threshold must lie strictly between 0 and 1, got {threshold}"
         )
-    # A float64 scalar, so that float32 maps are compared in float64: a
-    # Python float would be compared in the map's dtype, and float32(0.7)
-    # would pass a threshold of 0.7.
-    threshold = np.float64(threshold)
-    dtype = np.uint8 if max(coding.codes) <= np.iinfo(np.uint8).max else np.int32
-    labels = np.full_like(probs.p_wt, coding.background, dtype=dtype)
-    fires = probs.p_wt >= threshold
-    np.copyto(labels, dtype(coding.edema), where=fires)
-    fires &= probs.p_tc >= threshold
-    np.copyto(labels, dtype(coding.necrosis), where=fires)
-    fires &= probs.p_et >= threshold
-    np.copyto(labels, dtype(coding.enhancing), where=fires)
+    labels = np.empty_like(probs.p_wt, dtype=_label_dtype(coding))
+    _gate_labels(labels, probs.p_wt, probs.p_tc, probs.p_et, threshold, coding)
     labels.setflags(write=False)  # so the constructor keeps it without a copy
     return LabelVolume(labels, probs.spacing, coding)
 

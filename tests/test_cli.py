@@ -6,7 +6,6 @@ import subprocess
 import sys
 import time
 import tracemalloc
-import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +14,6 @@ import pytest
 from voxeval import (
     LabelCoding,
     LabelVolume,
-    RegionProbSet,
     Spacing,
     ValidationError,
     VolumeHeader,
@@ -639,12 +637,16 @@ def test_each_probability_map_is_range_checked_once(tmp_path, monkeypatch):
             module, "_check_probabilities", lambda arr, what, real=real: checked.append(what) or real(arr, what)
         )
     paths = {region: write_prob(tmp_path / f"{region}.nii", [0.2, 0.8]) for region in ("WT", "TC", "ET")}
-    probs = voxeval.cli._load_prob_set(paths, [])
+    slabs = []
+    for region in ("WT", "TC", "ET"):
+        with voxeval.cli.ProbabilityMap(paths[region]) as prob_map:
+            slabs.append(prob_map.slab(2, np.empty(8, np.uint8)))
     assert checked == [f"{paths[region]}: probability map" for region in ("WT", "TC", "ET")]
-    assert isinstance(probs, RegionProbSet) and np.array_equal(probs.p_tc, np.float32([[[0.2, 0.8]]]))
+    assert slabs[1].dtype == np.float32 and np.array_equal(slabs[1], np.float32([[[0.2, 0.8]]]))
     write_prob(paths["TC"], [0.2, 1.5])
     with pytest.raises(ValidationError, match=rf"^{re.escape(str(paths['TC']))}: probability map .*outside \[0, 1\]"):
-        voxeval.cli._load_prob_set(paths, [])
+        with voxeval.cli.ProbabilityMap(paths["TC"]) as prob_map:
+            prob_map.slab(2, np.empty(8, np.uint8))
 
 
 def test_ensemble_means_are_not_range_checked_again(tmp_path, monkeypatch):
@@ -710,8 +712,8 @@ def test_ensemble_threshold_is_checked_before_any_read(tmp_path, monkeypatch, ca
     columns = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
     manifest = write_manifest(tmp_path / "ens.csv", [["case1", "a", probs.name, probs.name, probs.name]], columns=columns)
     reads = []
-    real_read = voxeval.cli.read_probability_volume
-    monkeypatch.setattr(voxeval.cli, "read_probability_volume", lambda path: reads.append(path) or real_read(path))
+    real_read = voxeval.cli.ProbabilityMap
+    monkeypatch.setattr(voxeval.cli, "ProbabilityMap", lambda path: reads.append(path) or real_read(path))
     out_dir = tmp_path / "labels"
     args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir)]
     if value == "config":
@@ -779,7 +781,7 @@ def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkey
     shape, spacing = ((3, 4, 6), Spacing()) if mismatch == "shape" else ((3, 4, 5), Spacing(1, 1, 2))
     write_volume(bad, VolumeHeader(shape, "float32", spacing), np.zeros(shape, np.float32))
     manifest = write_ensemble_cases(tmp_path, 12, bad={2: (where, bad)})
-    real_read, real_labels = voxeval.cli.read_probability_volume, voxeval.cli._ensemble_labels
+    real_read, real_labels = voxeval.cli.ProbabilityMap, voxeval.cli._ensemble_labels
     started = []
 
     def slow_bad_read(path):
@@ -791,7 +793,7 @@ def test_ensemble_stops_at_the_first_bad_case_in_manifest_order(tmp_path, monkey
         started.append(case_id)
         return real_labels(case_id, *args)
 
-    monkeypatch.setattr(voxeval.cli, "read_probability_volume", slow_bad_read)
+    monkeypatch.setattr(voxeval.cli, "ProbabilityMap", slow_bad_read)
     monkeypatch.setattr(voxeval.cli, "_ensemble_labels", counted_labels)
     failed = spy_failed_checks(monkeypatch)
     out_dir = tmp_path / "labels"
@@ -851,28 +853,28 @@ def write_three_two_case(tmp_path, bad_wt=None):
     return write_manifest(tmp_path / "ens.csv", rows, columns=ENSEMBLE_COLUMNS), members
 
 
-def test_ensemble_drops_each_member_before_reading_the_next(tmp_path, monkeypatch):
-    manifest, _ = write_three_two_case(tmp_path)
-    real_load, loaded = voxeval.cli._load_prob_set, []
+def test_ensemble_steps_every_map_in_lockstep_one_slab_at_a_time(tmp_path, monkeypatch):
+    manifest, members = write_three_two_case(tmp_path)
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 16)  # one 2x2 float32 plane
+    real_slab, steps = voxeval.io.ProbabilityMap.slab, []
 
-    def load(member, first):
-        assert all(ref() is None for ref in loaded), "a member was held across the next read"
-        prob_set = real_load(member, first)
-        loaded.append(weakref.ref(prob_set))
-        return prob_set
+    def slab(self, planes, buf):
+        steps.append((self.path, planes))
+        return real_slab(self, planes, buf)
 
-    monkeypatch.setattr(voxeval.cli, "_load_prob_set", load)
+    monkeypatch.setattr(voxeval.io.ProbabilityMap, "slab", slab)
     args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels"), "--jobs", "1"]
     assert main(args) == 0
-    assert len(loaded) == 5
+    # Each z-plane of all 15 maps, in manifest order, before the next plane of any.
+    assert steps == [(path, 1) for _ in range(2) for paths in members for path in paths]
 
 
 def test_ensemble_reads_no_map_after_one_that_disagrees(tmp_path, monkeypatch, capsys):
     bad = tmp_path / "bad.nii"
     write_volume(bad, VolumeHeader((2, 2, 3), "float32", Spacing()), np.zeros((2, 2, 3), np.float32))
     manifest, members = write_three_two_case(tmp_path, bad)
-    real_read, reads = voxeval.cli.read_probability_volume, []
-    monkeypatch.setattr(voxeval.cli, "read_probability_volume", lambda path: reads.append(path) or real_read(path))
+    real_read, reads = voxeval.cli.ProbabilityMap, []
+    monkeypatch.setattr(voxeval.cli, "ProbabilityMap", lambda path: reads.append(path) or real_read(path))
     failed = spy_failed_checks(monkeypatch)
     args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels"), "--jobs", "1"]
     assert main(args) == 3
@@ -910,8 +912,8 @@ def test_ensemble_bounds_the_cases_in_flight(tmp_path, monkeypatch, jobs):
 def test_ensemble_jobs_get_the_evaluate_check(tmp_path, monkeypatch, capsys, value):
     manifest = write_ensemble_cases(tmp_path, 1)
     reads = []
-    real_read = voxeval.cli.read_probability_volume
-    monkeypatch.setattr(voxeval.cli, "read_probability_volume", lambda path: reads.append(path) or real_read(path))
+    real_read = voxeval.cli.ProbabilityMap
+    monkeypatch.setattr(voxeval.cli, "ProbabilityMap", lambda path: reads.append(path) or real_read(path))
     out_dir = tmp_path / "labels"
     assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", value]) == 3
     assert main(["evaluate", "--manifest", str(perfect_manifest(tmp_path)), "--out-metrics", str(tmp_path / "m.csv"),
@@ -922,10 +924,9 @@ def test_ensemble_jobs_get_the_evaluate_check(tmp_path, monkeypatch, capsys, val
     assert reads == [] and not out_dir.exists()
 
 
-def test_an_ensemble_case_holds_one_member_and_six_sums(tmp_path):
-    # 64^3 with members 3 + 2: the five members' 15 float32 maps take 15 MB
-    # and six float64 sums 12 MB, so holding every member would pass 25 MB.
-    shape = (64, 64, 64)
+def ensemble_peak(tmp_path, shape):
+    """The ``tracemalloc`` peak of ``ensemble --jobs 1`` on one case of
+    ``shape``, members 3 + 2, of float32 ``.nii.gz`` maps."""
     ramp = np.indices(shape).sum(axis=0)  # maps that gzip compresses fast
     rows = []
     for i, configuration in enumerate("aaabb"):
@@ -941,10 +942,25 @@ def test_an_ensemble_case_holds_one_member_and_six_sums(tmp_path):
     tracemalloc.start()
     try:
         assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", "1"]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 25 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_an_ensemble_case_holds_one_member_and_six_sums(tmp_path):
+    # 64^3 with members 3 + 2: one member's three float32 maps take 3 MB and
+    # six float64 sums of the grid 12 MB, the whole-map route's 15.9 MB peak.
+    # Slab by slab the case holds the 0.25 MB uint8 label grid, one member's
+    # three 256 KiB slabs and six float64 sums of one slab (3 MB).
+    peak = ensemble_peak(tmp_path, (64, 64, 64))
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_an_ensemble_case_peak_does_not_grow_with_its_depth(tmp_path):
+    # 64x64x160: 2.5 times the grid of the 64^3 case, which the whole-map
+    # route held at 38.4 MB; the slabs stay 16 planes deep.
+    peak = ensemble_peak(tmp_path, (64, 64, 160))
+    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # --------------------------------------------------------------------------
@@ -1150,7 +1166,7 @@ MANIFEST_HEADER = "case_id,reference_path,prediction_path\n"
 @pytest.mark.parametrize("case_id", ["../escaped", "sub/c1", "a\0b", "x" * 300])
 def test_case_ids_that_cannot_name_an_output_file_are_rejected(tmp_path, monkeypatch, capsys, command, case_id):
     reads = []
-    for name in ("read_label_volume", "read_probability_volume"):
+    for name in ("read_label_volume", "ProbabilityMap"):
         real = getattr(voxeval.cli, name)
         monkeypatch.setattr(voxeval.cli, name, lambda *a, real=real: reads.append(a) or real(*a))
     out_dir = tmp_path / "work" / "out"

@@ -44,7 +44,7 @@ def sample_array(dtype, shape=(5, 4, 3)):
 
 
 @pytest.mark.parametrize("dtype", DTYPES)
-@pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".rv1"])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
 def test_roundtrip_identity(tmp_path, dtype, suffix):
     data = sample_array(dtype)
     spacing = Spacing(0.5, 1.0, 2.5)
@@ -291,20 +291,21 @@ def test_unsupported_extension(tmp_path):
         write_volume(path, VolumeHeader((1, 1, 1), "uint8", Spacing()), np.zeros((1, 1, 1), np.uint8))
 
 
-def test_rv1_malformed_inputs(tmp_path):
-    path = tmp_path / "bad.rv1"
-    path.write_bytes(b"no newline here")
-    with pytest.raises(FormatError, match="header line"):
+def test_rv1_is_an_unsupported_suffix(tmp_path, capsys):
+    path = tmp_path / "vol.rv1"
+    path.write_bytes(b"RV1 1 1 1 1 1 1 uint8\n\x00")
+    message = f"{path}: unsupported file extension, expected one of .nii, .nii.gz"
+    with pytest.raises(FormatError) as exc:
         read_volume(path)
-    path.write_bytes(b"RV0 1 1 1 1 1 1 uint8\n\x00")
-    with pytest.raises(FormatError, match="malformed RV1"):
-        read_volume(path)
-    path.write_bytes(b"RV1 1 1 1 1 1 1 int64\n" + b"\x00" * 8)
-    with pytest.raises(FormatError, match="datatype"):
-        read_volume(path)
-    path.write_bytes(b"RV1 2 1 1 1 1 1 uint8\n\x00")
-    with pytest.raises(FormatError, match="payload size"):
-        read_volume(path)
+    assert str(exc.value) == message
+    with pytest.raises(FormatError, match="extension"):
+        write_volume(path, VolumeHeader((1, 1, 1), "uint8", Spacing()), np.zeros((1, 1, 1), np.uint8))
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"case_id,reference_path,prediction_path\nc1,{path.name},{path.name}\n")
+    args = ["evaluate", "--manifest", str(manifest), "--out-metrics", str(tmp_path / "o.csv"), "--jobs", "1"]
+    assert main(args) == 4
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]["message"].endswith(message)
 
 
 def test_read_label_volume_validates_codes(tmp_path):
@@ -384,7 +385,7 @@ def test_write_label_volume_roundtrip(tmp_path):
     assert back.spacing == vol.spacing
 
 
-@pytest.mark.parametrize("suffix", [".NII", ".NII.GZ", ".RV1"])
+@pytest.mark.parametrize("suffix", [".NII", ".NII.GZ"])
 def test_upper_case_suffix_roundtrip(tmp_path, suffix):
     data = np.zeros((4, 3, 2), dtype=np.uint8)
     data[1:3, 1:2, :] = 2
@@ -474,7 +475,7 @@ def test_sources_write_files_only_through_write_atomic():
 
 
 @pytest.mark.parametrize("dtype", ["uint8", "int32"])
-@pytest.mark.parametrize("suffix", [".nii", ".nii.gz", ".rv1"])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
 def test_read_label_volume_keeps_the_reader_array(tmp_path, monkeypatch, suffix, dtype):
     data = np.zeros((4, 5, 6), dtype=dtype)
     data[1:3, 1:4, 2:5] = 2
@@ -602,7 +603,7 @@ def test_broken_member_exits_four_in_one_line(tmp_path, capsys, fault, reason):
     assert json.loads(lines[0])["error"]["message"] == prefix + f"not a valid gzip stream ({reason})"
 
 
-@pytest.mark.parametrize("route", ["nii", "nii.gz", "rv1", "big-endian nii", "big-endian nii.gz", "scaled nii"])
+@pytest.mark.parametrize("route", ["nii", "nii.gz", "big-endian nii", "big-endian nii.gz", "scaled nii"])
 def test_read_volume_returns_read_only_arrays_on_every_route(tmp_path, route):
     data = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
     path = tmp_path / f"v.{route.split()[-1]}"
