@@ -2,9 +2,9 @@
 Reading and writing volumes
 ===========================
 
-The package reads and writes a strict subset of NIfTI-1 (.nii, .nii.gz)
-plus a minimal raw sidecar format (.rv1). Every write is deterministic
-and every read validates the header before touching the payload.
+The package reads and writes a strict subset of NIfTI-1 (.nii, .nii.gz).
+Every write is deterministic and every read validates the header before
+touching the payload.
 """
 
 import tempfile
