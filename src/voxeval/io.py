@@ -14,6 +14,8 @@ a time.  :func:`read_volume` reads a whole payload into one buffer.
 :class:`ProbabilityMap` reads a map's header on opening and then its
 voxels in file order, a run of z-planes (the slowest axis) at a time, so
 that many maps can be stepped together without any of them being whole.
+:func:`read_label_volume` reads a label file the same way and keeps only
+the labels in its tumour box.
 """
 
 from __future__ import annotations
@@ -28,7 +30,16 @@ from pathlib import Path
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .volume import _SLAB_BYTES, DEFAULT_CODING, LabelCoding, LabelVolume, Spacing, _check_probabilities
+from .volume import (
+    _SLAB_BYTES,
+    DEFAULT_CODING,
+    LabelCoding,
+    LabelVolume,
+    Spacing,
+    _check_probabilities,
+    _ReadLabelVolume,
+    _TumourScan,
+)
 
 _HEADER_SIZE = 348
 _VOX_OFFSET = 352
@@ -253,6 +264,8 @@ class _VolumeStream:
         self.dtype = np_dtype.newbyteorder(order)
         dims = self.header.dims
         self.nbytes = dims[0] * dims[1] * dims[2] * np_dtype.itemsize
+        #: The z-planes in about ``_SLAB_BYTES`` of the payload, at least one.
+        self.slab_planes = max(1, _SLAB_BYTES // (np_dtype.itemsize * dims[0] * dims[1]))
         if gzipped:
             if self._offset + self.nbytes > _MAX_INFLATE * size:
                 raise FormatError(
@@ -394,27 +407,59 @@ def _bad_float_label(path, data: np.ndarray, coding: LabelCoding) -> ValidationE
 def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume:
     """Read a segmentation file into a validated :class:`LabelVolume`.
 
-    Float payloads (or scaled values) must be integral; label codes must
-    belong to ``coding``.
+    Float payloads (or scaled values) must be integral, and become int32;
+    label codes must belong to ``coding``.  The payload is read a run of
+    z-planes at a time (about ``_SLAB_BYTES``) into one buffer, and each
+    slab's codes are checked and its tumour box recorded as it comes, so
+    the volume holds only the labels of its box.  Its ``data`` is built on
+    first use, equal to the array of :func:`read_volume` or its int32 cast.
+    On any fault the file is read again whole and checked as a whole grid,
+    so the error, and which of two faults is reported, does not depend on
+    where the slabs fall.
     """
+    try:
+        with _VolumeStream(path) as stream:
+            volume = _scan_labels(stream, coding)
+        if volume is not None:
+            return volume
+    except FormatError:
+        pass  # the whole read below raises it again, or a fault it meets first
     header, data = read_volume(path)
     if data.dtype.kind == "f":
-        # Checked and cast slab by slab into the int32 result, in memory
-        # order, so no full-grid temporary is made.  A value in ``coding`` is
-        # finite and integral, and casting one outside int32's range would be
-        # undefined, so each slab is cast only once every value is a code.
-        labels = np.empty_like(data, dtype=np.int32)
-        axes = sorted(range(3), key=lambda axis: -abs(data.strides[axis]))
-        src, dst = data.transpose(axes), labels.transpose(axes)
-        step = max(1, _SLAB_BYTES // (data.itemsize * src.shape[1] * src.shape[2]))
-        for start in range(0, src.shape[0], step):
-            slab = src[start : start + step]
-            if not np.isin(slab, coding.codes).all():
-                raise _bad_float_label(path, data, coding)
-            dst[start : start + step] = slab
-        data = labels
-        data.setflags(write=False)
+        if not np.isin(data, coding.codes).all():
+            raise _bad_float_label(path, data, coding)
+        data = data.astype(np.int32)
     return LabelVolume(data, header.spacing, coding)
+
+
+def _scan_labels(stream: _VolumeStream, coding: LabelCoding) -> LabelVolume | None:
+    """The labels of ``stream``'s payload, read and checked a slab at a time;
+    None when a voxel holds a value that is not one of ``coding``'s codes."""
+    header = stream.header
+    nx, ny, nz = header.dims
+    planes, itemsize = stream.slab_planes, stream.dtype.itemsize
+    scaling = _scaling(stream.path, header)
+    buf = np.empty(planes * ny * nx * itemsize, np.uint8)
+    scan = _TumourScan((nz, ny, nx), planes, coding.codes, keep=True)
+    for start in range(0, nz, planes):
+        n = min(planes, nz - start)
+        slab = stream.read(buf[: n * ny * nx * itemsize])
+        if scaling is not None:
+            slab = slab.astype(np.float64) * scaling[0] + scaling[1]
+        if slab.dtype.kind == "f":
+            # A value in ``coding`` is finite and integral, and casting one
+            # outside int32's range would be undefined, so a slab is cast
+            # only once every value is a code.
+            if not np.isin(slab, coding.codes).all():
+                return None
+            slab = slab.astype(np.int32)
+        if not scan.feed(slab.reshape(n, ny, nx)):
+            return None
+    stream.finish()
+    # NIfTI stores x fastest: memory order is (z, y, x), and each piece's
+    # transpose is F-ordered.
+    pieces = [(corner[::-1], labels.T) for corner, labels in scan.pieces]
+    return _ReadLabelVolume(header.dims, scan.box()[::-1], pieces, slab.dtype, header.spacing, coding)
 
 
 def read_probability_volume(path) -> tuple[np.ndarray, Spacing]:
@@ -447,9 +492,6 @@ class ProbabilityMap(_VolumeStream):
         super()._parse(gzipped)
         self._scaling = _scaling(self.path, self.header)
         self.shape, self.spacing = self.header.dims, self.header.spacing
-        nx, ny, _ = self.shape
-        #: The planes in about ``_SLAB_BYTES`` of the file's payload, at least one.
-        self.slab_planes = max(1, _SLAB_BYTES // (self.dtype.itemsize * nx * ny))
 
     def slab(self, planes: int, buf: np.ndarray) -> np.ndarray:
         """The map's next ``planes`` z-planes, of shape ``(nx, ny, planes)``:

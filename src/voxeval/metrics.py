@@ -429,7 +429,7 @@ def evaluate_case(
     return tuple(  # type: ignore[return-value]
         score_region(name, mask_ref, mask_pred, ref.spacing, policy)
         for name, mask_ref, mask_pred in zip(
-            REGIONS, _region_masks(ref.data[box], coding), _region_masks(pred.data[box], coding)
+            REGIONS, _region_masks(ref._crop(box), coding), _region_masks(pred._crop(box), coding)
         )
     )
 

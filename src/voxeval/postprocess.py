@@ -25,6 +25,7 @@ from .errors import ValidationError
 from .metrics import (
     DEFAULT_POLICY,
     SpecialCasePolicy,
+    _join_boxes,
     check_pair,
     empty_region_record,
     score_region,
@@ -56,8 +57,10 @@ def _removed(volume_mm3, threshold_mm3):
     return (0.0 < volume_mm3) & (volume_mm3 < threshold_mm3)
 
 
-def _et_mask(volume: LabelVolume) -> np.ndarray:
-    return volume.data == volume.coding.enhancing
+def _et_mask(volume: LabelVolume, box: tuple[slice, slice, slice]) -> np.ndarray:
+    """The enhancing-tumour mask of ``volume`` within ``box``, which holds the
+    volume's own box, so every enhancing voxel lies in it."""
+    return volume._crop(box) == volume.coding.enhancing
 
 
 def apply_et_threshold(pred: LabelVolume, threshold_mm3: float) -> LabelVolume:
@@ -76,13 +79,14 @@ def apply_et_threshold(pred: LabelVolume, threshold_mm3: float) -> LabelVolume:
         enough to hold that code.
     """
     threshold_mm3 = validate_threshold(threshold_mm3)
-    et = _et_mask(pred)
+    et = _et_mask(pred, pred._box)
     if not _removed(region_volume_mm3(et, pred.spacing), threshold_mm3):
         return pred
     necrosis = pred.coding.necrosis
     # Widen the dtype when it cannot hold the necrosis code.
     relabeled = pred.data.astype(np.promote_types(pred.data.dtype, np.min_scalar_type(necrosis)))
-    relabeled[et] = necrosis
+    relabeled[pred._box][et] = necrosis
+    relabeled.setflags(write=False)  # so the constructor keeps it without a copy
     return LabelVolume(relabeled, pred.spacing, pred.coding)
 
 
@@ -145,7 +149,7 @@ def default_candidates(
     corresponding prediction gets removed).
     """
     return _candidate_grid(
-        (region_volume_mm3(_et_mask(pred), pred.spacing) for _, pred in cases), epsilon_mm3
+        (region_volume_mm3(_et_mask(pred, pred._box), pred.spacing) for _, pred in cases), epsilon_mm3
     )
 
 
@@ -155,8 +159,9 @@ def _et_outcomes(
     """One case reduced to what a sweep needs: the predicted ET volume, then
     the ET (Dice, HD95) when that ET is kept and when it is removed."""
     check_pair(ref, pred)
-    et_ref = _et_mask(ref)
-    et_pred = _et_mask(pred)
+    box = _join_boxes(ref._box, pred._box)  # exact, as in evaluate_case
+    et_ref = _et_mask(ref, box)
+    et_pred = _et_mask(pred, box)
     kept = score_region("ET", et_ref, et_pred, ref.spacing, policy)
     removed = empty_region_record("ET", not et_ref.any(), True, policy)
     volume = region_volume_mm3(et_pred, pred.spacing)

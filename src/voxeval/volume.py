@@ -48,42 +48,81 @@ _SLAB_BYTES = 256 * 1024
 _EMPTY_BOX = (slice(0, 0),) * 3
 
 
+def _extent(line: np.ndarray) -> slice:
+    """The slice from the first to the last true entry of a bool ``line`` that has one."""
+    idx = np.flatnonzero(line)
+    return slice(int(idx[0]), int(idx[-1]) + 1)
+
+
+class _TumourScan:
+    """The label check and the tumour box of one 3-D array, fed slab by slab.
+
+    The array is given in memory order, slowest-varying axis first: ``shape``
+    is its shape so ordered, and :meth:`feed` takes its next slab of at most
+    ``planes`` rows along that axis.  Each slab's labels are compared with
+    ``codes``, and the rows and the plane that hold a voxel other than the
+    background ``codes[0]`` are recorded; a slab of background needs one
+    compare.  With ``keep``, the labels in each slab's own tumour box are
+    copied into :attr:`pieces`, so that the tumour's labels outlive the slabs.
+    """
+
+    def __init__(self, shape, planes: int, codes, keep: bool = False) -> None:
+        slab = (min(planes, shape[0]),) + tuple(shape[1:])
+        self._tumour, self._invalid = np.empty(slab, dtype=bool), np.empty(slab, dtype=bool)
+        self._rows = np.zeros(shape[0], dtype=bool)
+        self._plane = np.zeros(shape[1:], dtype=bool)
+        self._codes, self._start = codes, 0
+        #: With ``keep``: ``(corner, labels)`` of each slab's tumour box, in memory order.
+        self.pieces = [] if keep else None
+
+    def feed(self, slab: np.ndarray) -> bool:
+        """Scan the next rows; False when a voxel holds none of the codes."""
+        background, first, *others = self._codes
+        n, start = len(slab), self._start
+        self._start += n
+        tumour, invalid, rows = self._tumour[:n], self._invalid[:n], self._rows[start : start + n]
+        np.not_equal(slab, background, out=tumour)
+        np.any(tumour, axis=(1, 2), out=rows)
+        if not rows.any():
+            return True
+        plane = tumour.any(axis=0)
+        self._plane |= plane
+        np.not_equal(slab, first, out=invalid)
+        invalid &= tumour
+        for code in others:  # the tumour mask is spent, so it holds each compare
+            invalid &= np.not_equal(slab, code, out=tumour)
+        if invalid.any():
+            return False
+        if self.pieces is not None:
+            box = (_extent(rows), _extent(plane.any(axis=1)), _extent(plane.any(axis=0)))
+            corner = (start + box[0].start, box[1].start, box[2].start)
+            self.pieces.append((corner, slab[box].copy()))
+        return True
+
+    def box(self) -> tuple[slice, slice, slice]:
+        """The box around the tumour fed so far, in memory order; ``_EMPTY_BOX`` for none."""
+        if not self._rows.any():
+            return _EMPTY_BOX
+        return _extent(self._rows), _extent(self._plane.any(axis=1)), _extent(self._plane.any(axis=0))
+
+
 def _tumour_box(arr: np.ndarray, codes) -> tuple[slice, slice, slice] | None:
     """The box around the voxels of 3-D ``arr`` that are not ``codes[0]``, or
     None when a voxel holds none of ``codes``.
 
-    The labels are compared in slabs of about ``_SLAB_BYTES``, cut along the
-    array's slowest-varying axis; a slab of background only needs one compare.
+    :class:`_TumourScan` is fed slabs of about ``_SLAB_BYTES``, cut along the
+    array's slowest-varying axis.
     """
-    background, *tumour_codes = codes
     axes = sorted(range(3), key=lambda axis: -abs(arr.strides[axis]))
     view = arr.transpose(axes)  # memory order, slowest-varying axis first
     step = max(1, _SLAB_BYTES // max(1, arr.itemsize * view.shape[1] * view.shape[2]))
-    shape = (min(step, view.shape[0]),) + view.shape[1:]
-    tumour, invalid = np.empty(shape, dtype=bool), np.empty(shape, dtype=bool)
-    rows = np.zeros(view.shape[0], dtype=bool)
-    plane = np.zeros(view.shape[1:], dtype=bool)
+    scan = _TumourScan(view.shape, step, codes)
     for start in range(0, view.shape[0], step):
-        slab = view[start : start + step]
-        n = len(slab)
-        np.not_equal(slab, background, out=tumour[:n])
-        np.any(tumour[:n], axis=(1, 2), out=rows[start : start + n])
-        if not rows[start : start + n].any():
-            continue
-        plane |= tumour[:n].any(axis=0)
-        np.not_equal(slab, tumour_codes[0], out=invalid[:n])
-        invalid[:n] &= tumour[:n]
-        for code in tumour_codes[1:]:  # the tumour mask is spent, so it holds each compare
-            invalid[:n] &= np.not_equal(slab, code, out=tumour[:n])
-        if invalid[:n].any():
+        if not scan.feed(view[start : start + step]):
             return None
-    lines = (rows, plane.any(axis=1), plane.any(axis=0))
     box = [None] * 3
-    for axis, line in zip(axes, lines):
-        idx = np.flatnonzero(line)
-        if not idx.size:
-            return _EMPTY_BOX
-        box[axis] = slice(int(idx[0]), int(idx[-1]) + 1)
+    for axis, extent in zip(axes, scan.box()):
+        box[axis] = extent
     return tuple(box)
 
 
@@ -152,6 +191,10 @@ class LabelVolume:
     The voxel array is stored read-only in the caller's memory order (a
     writeable input is copied); operations that change labels return a new
     instance.  A code the array's dtype cannot hold never matches a voxel.
+    Checking the codes records the box around the non-background voxels,
+    to which scoring crops (``_crop``).  A volume that
+    :func:`voxeval.io.read_label_volume` reads holds only that box's labels
+    and builds ``data`` when it is first asked for.
     """
 
     data: np.ndarray
@@ -179,12 +222,46 @@ class LabelVolume:
                 f"is not one of the configured codes {self.coding.codes}"
             )
         object.__setattr__(self, "data", _freeze(arr))
-        # The box around the non-background voxels, which evaluate_case crops to.
         object.__setattr__(self, "_box", box)
 
     @property
     def shape(self) -> tuple[int, int, int]:
         return self.data.shape  # type: ignore[return-value]
+
+    def _crop(self, box: tuple[slice, slice, slice]) -> np.ndarray:
+        """The labels in ``box``, which holds the volume's own box."""
+        return self.data[box]
+
+
+class _ReadLabelVolume(LabelVolume):
+    """A label volume checked as its file was read, slab by slab.  It holds
+    only the labels in each slab's own tumour box, as ``(corner, labels)``
+    pieces that share no voxel, and builds each crop from them, and its
+    whole array the first time ``data`` is asked for: read-only, F-ordered."""
+
+    def __init__(self, shape, box, pieces, dtype, spacing: Spacing, coding: LabelCoding) -> None:
+        for name, value in (("_shape", shape), ("_box", box), ("_pieces", pieces), ("_dtype", dtype),
+                            ("spacing", spacing), ("coding", coding)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return self._shape
+
+    @property
+    def data(self) -> np.ndarray:
+        if "_data" not in self.__dict__:
+            object.__setattr__(self, "_data", self._crop(tuple(slice(0, n) for n in self._shape)))
+        return self.__dict__["_data"]
+
+    def _crop(self, box: tuple[slice, slice, slice]) -> np.ndarray:
+        out = np.empty([s.stop - s.start for s in box], self._dtype, order="F")
+        if sum(labels.size for _, labels in self._pieces) < out.size:
+            out.fill(self.coding.background)  # a voxel is background, so its code fits the dtype
+        for corner, labels in self._pieces:
+            out[tuple(slice(c - s.start, c - s.start + n) for c, s, n in zip(corner, box, labels.shape))] = labels
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 import ast
 import gzip
 import json
+import math
 import os
 import re
 import stat
@@ -14,6 +15,7 @@ import pytest
 
 from voxeval import (
     FormatError,
+    LabelCoding,
     LabelVolume,
     RegionProbSet,
     Spacing,
@@ -29,7 +31,7 @@ import voxeval
 from voxeval.cli import _write_csv, _write_json, leaderboard_add, main
 from voxeval.io import write_atomic
 
-from oracles import nifti_oracle
+from oracles import NIFTI_TYPES, box_oracle, nifti_oracle
 from test_volume_mutations import nifti_bytes
 
 DTYPES = ["uint8", "int16", "int32", "float32", "float64"]
@@ -474,25 +476,28 @@ def test_sources_write_files_only_through_write_atomic():
     assert offenders == []
 
 
+def assert_data_is_the_reader_array(vol, path):
+    """``vol.data`` equals :func:`read_volume`'s array bit for bit, in its
+    dtype and order, read-only, and is the same array on a second access."""
+    _, want = read_volume(path)
+    data = vol.data
+    assert data.dtype == want.dtype and data.shape == want.shape
+    assert data.tobytes(order="A") == want.tobytes(order="A")
+    assert data.flags.f_contiguous and not data.flags.writeable
+    assert vol.data is data
+
+
 @pytest.mark.parametrize("dtype", ["uint8", "int32"])
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
-def test_read_label_volume_keeps_the_reader_array(tmp_path, monkeypatch, suffix, dtype):
+def test_read_label_volume_data_is_the_reader_array_built_once(tmp_path, suffix, dtype):
     data = np.zeros((4, 5, 6), dtype=dtype)
     data[1:3, 1:4, 2:5] = 2
     data[2, 2, 3] = 4
     path = tmp_path / f"seg{suffix}"
     write_volume(path, VolumeHeader(data.shape, dtype, Spacing()), data)
-    read = []
-    real_read_volume = voxeval.io.read_volume
-
-    def spy(path):
-        header, arr = real_read_volume(path)
-        read.append(arr)
-        return header, arr
-
-    monkeypatch.setattr(voxeval.io, "read_volume", spy)
     vol = read_label_volume(path)
-    assert np.shares_memory(vol.data, read[0])
+    assert "_data" not in vol.__dict__  # not built by the read
+    assert_data_is_the_reader_array(vol, path)
     assert np.array_equal(vol.data, data)
 
 
@@ -619,25 +624,16 @@ def test_read_volume_returns_read_only_arrays_on_every_route(tmp_path, route):
 
 
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
-def test_read_label_volume_keeps_a_byte_swapped_reader_array(tmp_path, monkeypatch, suffix):
+def test_read_label_volume_data_is_a_byte_swapped_reader_array_built_once(tmp_path, suffix):
     data = np.zeros((120, 120, 80), np.int16)
     data[30:90, 40:80, 10:70] = 2
     data[50:60, 50:60, 30:40] = 4
     raw = bytes(nifti_bytes(data, 4, ">", (1.0, 1.0, 1.0), 1.0))
     path = tmp_path / f"seg{suffix}"
     path.write_bytes(gzip.compress(raw, mtime=0) if suffix == ".nii.gz" else raw)
-    read = []
-    real_read_volume = voxeval.io.read_volume
-
-    def spy(path):
-        header, arr = real_read_volume(path)
-        read.append(arr)
-        return header, arr
-
-    monkeypatch.setattr(voxeval.io, "read_volume", spy)
     vol = read_label_volume(path)
-    assert vol.data is read[0] and not vol.data.flags.writeable
-    assert np.array_equal(vol.data, data)
+    assert_data_is_the_reader_array(vol, path)
+    assert vol.data.dtype.isnative and np.array_equal(vol.data, data)
 
 
 def test_nii_gz_read_peaks_near_its_payload(tmp_path):
@@ -658,3 +654,184 @@ def test_nii_gz_read_peaks_near_its_payload(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back, data)
     assert peak <= 1.25 * data.nbytes, peak / data.nbytes
+
+
+# --------------------------------------------------------------------------
+# read_label_volume: streamed slab by slab, against the whole-grid read
+
+#: kind -> (NIfTI datatype code, scl_slope); a scaled int16 file stores 2x its labels.
+STREAM_KINDS = {"uint8": (2, 1.0), "int16": (4, 1.0), "int32": (8, 1.0), "float32": (16, 1.0),
+                "float64": (64, 1.0), "scaled int16": (4, 0.5)}
+GAPS = LabelCoding(background=3, necrosis=7, edema=20, enhancing=100)
+STREAM_SHAPE = (23, 19, 29)
+
+
+def label_file(path, labels, kind, order="<", container=".nii.gz"):
+    """``labels`` stored as ``kind`` in byte order ``order``: a ``.nii``, a
+    ``.nii.gz``, or ("members") a ``.nii.gz`` of three gzip members in a row."""
+    datatype, slope = STREAM_KINDS[kind]
+    raw = bytes(nifti_bytes(labels / slope, datatype, order, (1.0, 1.0, 2.5), slope))
+    if container == ".nii":
+        path = path.with_suffix(".nii")
+        path.write_bytes(raw)
+        return path
+    cuts = [0, len(raw) // 3, 2 * len(raw) // 3, len(raw)] if container == "members" else [0, len(raw)]
+    path = path.with_suffix(".nii.gz")
+    path.write_bytes(b"".join(gzip.compress(raw[a:b], mtime=0) + bytes(3) for a, b in zip(cuts, cuts[1:])))
+    return path
+
+
+def whole_read(path, coding):
+    """The label volume of ``read_volume``'s whole array, int32 for floats."""
+    header, data = read_volume(path)
+    if data.dtype.kind == "f":
+        data = data.astype(np.int32)
+    return LabelVolume(data, header.spacing, coding)
+
+
+def slab_planes(kind, slab_bytes=3000):
+    itemsize = np.dtype(NIFTI_TYPES[STREAM_KINDS[kind][0]][1]).itemsize
+    return max(1, slab_bytes // (STREAM_SHAPE[0] * STREAM_SHAPE[1] * itemsize))
+
+
+@pytest.mark.parametrize("container", [".nii", ".nii.gz", "members"])
+@pytest.mark.parametrize("order", ["<", ">"])
+@pytest.mark.parametrize("kind", STREAM_KINDS)
+def test_streamed_label_read_matches_the_whole_read(tmp_path, monkeypatch, kind, order, container):
+    # 3000-byte slabs cut a 23 x 19 x 29 volume into 1 to 6 z-planes a slab,
+    # none a divisor of 29.
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
+    planes = slab_planes(kind)
+    last = (STREAM_SHAPE[2] - 1) // planes  # the last slab
+    rng = np.random.default_rng(2700)
+    for coding in (LabelCoding(), GAPS):
+        background = np.full(STREAM_SHAPE, coding.background, np.int32)
+        volumes = [background]
+        for slab in (0, last // 2, last):  # tumour in that slab only
+            labels = background.copy()
+            z = slice(slab * planes, (slab + 1) * planes)
+            labels[3:17, 2:11, z] = rng.choice(coding.codes, size=labels[3:17, 2:11, z].shape)
+            volumes.append(labels)
+        spread = background.copy()
+        spread[4:20, 1:18, 2:27] = rng.choice(coding.codes, size=(16, 17, 25))
+        apart = background.copy()  # slabs whose own boxes leave background in the joint box
+        apart[1:5, 2:6, 0], apart[15:22, 12:18, -1] = coding.edema, coding.enhancing
+        full = rng.choice(coding.codes[1:], size=STREAM_SHAPE)  # the box is the grid
+        one_gap = background.copy()  # at one plane a slab, the slabs' boxes leave one voxel out
+        one_gap[0, 0, 0], one_gap[0:2, 0, planes] = coding.necrosis, coding.edema
+        volumes += [spread, apart, full, one_gap]
+        for i, labels in enumerate(volumes):
+            path = label_file(tmp_path / f"v{i}", labels, kind, order, container)
+            vol, want = read_label_volume(path, coding), whole_read(path, coding)
+            assert vol._box == want._box == box_oracle(labels != coding.background)
+            assert np.array_equal(vol._crop(vol._box), labels[vol._box])  # what scoring takes
+            assert "_data" not in vol.__dict__
+            if kind in ("uint8", "int16", "int32"):
+                assert_data_is_the_reader_array(vol, path)
+            data = vol.data
+            assert data.dtype == want.data.dtype and data.dtype.isnative
+            assert data.tobytes(order="F") == want.data.tobytes(order="F")
+            assert data.flags.f_contiguous and not data.flags.writeable
+            assert np.array_equal(data, labels)
+
+
+@pytest.mark.parametrize("container", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("kind", ["uint8", "int16", "float32", "scaled int16"])
+def test_streamed_label_read_names_the_first_bad_voxel_in_c_order(tmp_path, monkeypatch, kind, container):
+    # In the F-ordered file the first slab holds z = 0, and the voxel that C
+    # order reaches first lies in the last slab.
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
+    labels = np.zeros(STREAM_SHAPE, np.int32)
+    labels[3:17, 2:11, 4:25] = 2
+    in_first, in_last = (22, 18, 0), (0, 0, 28)
+    floats = kind in ("float32", "scaled int16")
+    for value in ([5, 2.5] if kind == "float32" else [5]):
+        for bad_at in ([in_first], [in_last], [in_first, in_last]):
+            bad = labels.astype(np.float64)
+            for voxel in bad_at:
+                bad[voxel] = value
+            path = label_file(tmp_path / "bad", bad, kind, container=container)
+            with pytest.raises(ValidationError) as exc:
+                read_label_volume(path)
+            where = f"at voxel {min(bad_at)}"
+            if value == 2.5:
+                want = f"{path}: non-integral label value 2.5 {where}"
+            else:
+                want = f"{path}: " * floats + f"label value 5 {where} is not one of the configured codes (0, 1, 2, 4)"
+            assert str(exc.value) == want
+
+
+def test_streamed_label_read_reports_a_bad_crc_before_a_bad_code(tmp_path, monkeypatch):
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
+    labels = np.zeros(STREAM_SHAPE, np.uint8)
+    labels[3:17, 2:11, 4:25] = 2
+    labels[5, 5, 0] = 9  # in the first slab, long before the trailer
+    member = bytearray(gzip.compress(bytes(nifti_bytes(labels, 2, "<", (1.0, 1.0, 1.0), 1.0)), mtime=0))
+    member[-8] ^= 1  # the CRC-32
+    path = tmp_path / "bad.nii.gz"
+    path.write_bytes(bytes(member))
+    with pytest.raises(FormatError) as exc:
+        read_label_volume(path)
+    assert str(exc.value) == f"{path}: not a valid gzip stream (Error -3 while decompressing data: incorrect data check)"
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ("longer", "payload size mismatch, header declares 12673 bytes but file holds more"),
+    ("crc", "not a valid gzip stream (Error -3 while decompressing data: incorrect data check)"),
+    ("truncated", "not a valid gzip stream (Compressed file ended before the end-of-stream marker was reached)"),
+])
+def test_streamed_label_read_checks_the_stream_to_its_end(tmp_path, monkeypatch, fault, reason):
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
+    labels = np.random.default_rng(2702).choice([0, 1, 2, 4], size=STREAM_SHAPE)
+    raw = bytes(nifti_bytes(labels, 2, "<", (1.0, 1.0, 1.0), 1.0))
+    member = bytearray(gzip.compress(raw + bytes(fault == "longer"), mtime=0))
+    if fault == "crc":
+        member[-8] ^= 1
+    if fault == "truncated":
+        del member[-6:]  # the trailer only: every voxel can be inflated
+    path = tmp_path / "seg.nii.gz"
+    path.write_bytes(bytes(member))
+    with pytest.raises(FormatError) as exc:
+        read_label_volume(path)
+    assert str(exc.value) == f"{path}: {reason}"
+
+
+def test_streamed_label_read_peaks_below_half_its_payload(tmp_path):
+    # The file of test_nii_gz_read_peaks_near_its_payload: the tumour box is
+    # about a tenth of the grid, so the read holds a slab and two box copies.
+    shape = (240, 240, 155)
+    data = np.zeros(shape, np.uint8)
+    data[60:180, 70:170, 40:110] = 2
+    data[90:140, 100:140, 60:90] = 1
+    data[100:120, 110:130, 70:80] = 4
+    path = tmp_path / "seg.nii.gz"
+    write_volume(path, VolumeHeader(shape, "uint8", Spacing()), data)
+    tracemalloc.start()
+    try:
+        vol = read_label_volume(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * data.nbytes, peak / data.nbytes
+    assert "_data" not in vol.__dict__
+    assert vol._box == (slice(60, 180), slice(70, 170), slice(40, 110))
+    assert np.array_equal(vol.data, data)
+
+
+def test_streamed_label_read_reports_a_fault_as_the_whole_read_does(tmp_path):
+    # A non-finite scl_slope is seen before the payload is read, but the
+    # whole read meets the truncated stream first, and reports that.
+    labels = np.random.default_rng(2701).choice([0, 1, 2, 4], size=STREAM_SHAPE)
+    stream = gzip.compress(bytes(nifti_bytes(labels, 2, "<", (1.0, 1.0, 1.0), math.nan)), mtime=0)
+    assert len(stream) > 4000  # so the cut leaves the header whole
+    path = tmp_path / "cut.nii.gz"
+    path.write_bytes(stream[: len(stream) // 2])
+    with pytest.raises(FormatError, match="non-finite scaling"):
+        with voxeval.io._VolumeStream(path) as opened:
+            voxeval.io._scaling(path, opened.header)
+    with pytest.raises(FormatError) as exc:
+        read_label_volume(path)
+    assert str(exc.value) == (
+        f"{path}: not a valid gzip stream "
+        "(Compressed file ended before the end-of-stream marker was reached)"
+    )

@@ -7,18 +7,21 @@ from scipy import ndimage
 from voxeval import (
     LabelVolume,
     Spacing,
+    VolumeHeader,
     SpecialCase,
     SpecialCasePolicy,
     ValidationError,
     dice,
     evaluate_case,
     hd95,
+    read_label_volume,
     soft_dice,
     surface_distances,
+    write_volume,
 )
 from voxeval import metrics
 from voxeval.metrics import _union_bbox
-from voxeval.volume import RegionMaskSet, RegionProbSet
+from voxeval.volume import RegionMaskSet, RegionProbSet, _ReadLabelVolume
 from helpers import (
     box_mask,
     label_volume_from_masks,
@@ -295,6 +298,43 @@ def test_evaluate_case_peak_memory_stays_under_twice_the_volumes():
     assert peak < 2 * held, f"peak {peak / 2**20:.1f} MB with {held / 2**20:.1f} MB held"
     assert ref_volume._box == box_oracle(ref != 0)
 
+
+
+def one_focus_labels(shape=(240, 240, 155)):
+    """A reference and a prediction with one BraTS-like lesion each, about
+    57 voxels across; the prediction is shifted and scaled a little."""
+    volumes = []
+    for shift, scale in ((0, 1.0), (2, 1.04)):
+        r = np.sqrt(sum(g.astype(float) ** 2 for g in np.ogrid[-30:31, -30:31, -30:31])) / scale
+        labels = np.zeros(shape, np.uint8)
+        labels[tuple(slice(n // 2 - 30 + shift, n // 2 + 31 + shift) for n in shape)] = np.select(
+            [r <= 10, r <= 18, r <= 28], [1, 4, 2], 0)
+        volumes.append(labels)
+    return volumes
+
+
+def test_evaluate_case_on_read_volumes_never_builds_a_grid(tmp_path, monkeypatch):
+    # Each read volume holds its box's labels only, and evaluate_case crops
+    # both to their joined box without asking for either volume's data, so
+    # a compact pair peaks below one grid.  (The pair of foci 120 mm apart
+    # above does not: its box-sized distance work alone passes a grid.)
+    ref, pred = one_focus_labels()
+    paths = [tmp_path / "ref.nii.gz", tmp_path / "pred.nii.gz"]
+    for path, labels in zip(paths, (ref, pred)):
+        write_volume(path, VolumeHeader(labels.shape, "uint8", Spacing()), labels)
+    want = evaluate_case(LabelVolume(ref, Spacing()), LabelVolume(pred, Spacing()))
+    ref_volume, pred_volume = (read_label_volume(path) for path in paths)
+    assert ref_volume._box != pred_volume._box  # so both crops are padded
+    monkeypatch.setattr(_ReadLabelVolume, "data", property(lambda self: pytest.fail("data was built")))
+    tracemalloc.start()
+    try:
+        records = evaluate_case(ref_volume, pred_volume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert records == want
+    assert "_data" not in ref_volume.__dict__ and "_data" not in pred_volume.__dict__
+    assert peak < ref.nbytes, f"peak {peak / 2**20:.1f} MB against a {ref.nbytes / 2**20:.1f} MB grid"
 
 def test_hd95_symmetry_scale_and_self():
     rng = np.random.default_rng(45)

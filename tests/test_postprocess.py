@@ -14,11 +14,14 @@ from voxeval import (
     evaluate_case,
     labels_to_regions,
     optimize_threshold,
+    read_label_volume,
     region_volume_mm3,
     sweep_thresholds,
+    write_label_volume,
 )
 from voxeval import metrics
 from voxeval.ranking import MetricTable
+from voxeval.volume import _ReadLabelVolume
 from helpers import label_volume_from_masks, random_label_volume
 from oracles import sweep_oracle
 
@@ -389,3 +392,42 @@ def test_apply_widens_the_dtype_for_a_necrosis_code_it_cannot_hold():
     assert not labels_to_regions(cleaned).et.any()
     assert np.array_equal(labels_to_regions(cleaned).tc, data == 4)
     assert np.array_equal(pred.data, data)  # the input is untouched
+
+
+def test_sweep_and_et_counts_on_read_volumes_never_build_a_grid(tmp_path, monkeypatch):
+    # Small tumours in a larger grid, and one empty side, so the boxes differ
+    # and every crop is padded to the joined box or made of background.
+    rng = np.random.default_rng(78)
+    shape, spacing = (12, 10, 9), Spacing(1.0, 0.75, 1.5)  # float32 holds each
+
+    def boxed(empty):
+        data = np.zeros(shape, np.uint8)
+        if not empty:
+            lo = rng.integers(0, 6, 3)
+            box = tuple(slice(a, a + n) for a, n in zip(lo, rng.integers(1, 5, 3)))
+            data[box] = rng.choice([0, 1, 2, 4], size=data[box].shape, p=[0.2, 0.3, 0.2, 0.3])
+        return LabelVolume(data, spacing)
+
+    cases = [(boxed(j == 1), boxed(j == 2)) for j in range(8)]
+    read = []
+    for j, pair in enumerate(cases):
+        paths = [tmp_path / f"{j}{side}.nii.gz" for side in "rp"]
+        for path, volume in zip(paths, pair):
+            write_label_volume(path, volume)
+        read.append(tuple(read_label_volume(path) for path in paths))
+    want = sweep_thresholds(cases)
+    volumes = [et_volume_of(pred) for _, pred in cases]
+    assert 0.0 in volumes and len(set(volumes)) > 2
+    removed = [np.where(pred.data == 4, 1, pred.data) for _, pred in cases]  # every ET voxel to necrosis
+
+    monkeypatch.setattr(_ReadLabelVolume, "data", property(lambda self: pytest.fail("data was built")))
+    assert default_candidates(read) == default_candidates(cases)
+    got = sweep_thresholds(read)
+    assert got.thresholds == want.thresholds and got.n_cases == want.n_cases
+    for name in ("mean_et_dice", "perfect_counts", "worst_counts", "ranking_scores"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    for (_, pred), volume in zip(read, volumes):
+        assert apply_et_threshold(pred, volume) is pred  # counted in the box, kept
+    monkeypatch.undo()
+    for (_, pred), volume, cleaned in zip(read, volumes, removed):
+        assert np.array_equal(apply_et_threshold(pred, volume + 0.5).data, cleaned)
