@@ -689,11 +689,6 @@ def whole_read(path, coding):
     return LabelVolume(data, header.spacing, coding)
 
 
-def slab_planes(kind, slab_bytes=3000):
-    itemsize = np.dtype(NIFTI_TYPES[STREAM_KINDS[kind][0]][1]).itemsize
-    return max(1, slab_bytes // (STREAM_SHAPE[0] * STREAM_SHAPE[1] * itemsize))
-
-
 @pytest.mark.parametrize("container", [".nii", ".nii.gz", "members"])
 @pytest.mark.parametrize("order", ["<", ">"])
 @pytest.mark.parametrize("kind", STREAM_KINDS)
@@ -701,7 +696,8 @@ def test_streamed_label_read_matches_the_whole_read(tmp_path, monkeypatch, kind,
     # 3000-byte slabs cut a 23 x 19 x 29 volume into 1 to 6 z-planes a slab,
     # none a divisor of 29.
     monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
-    planes = slab_planes(kind)
+    itemsize = np.dtype(NIFTI_TYPES[STREAM_KINDS[kind][0]][1]).itemsize
+    planes = max(1, 3000 // (STREAM_SHAPE[0] * STREAM_SHAPE[1] * itemsize))
     last = (STREAM_SHAPE[2] - 1) // planes  # the last slab
     rng = np.random.default_rng(2700)
     for coding in (LabelCoding(), GAPS):
