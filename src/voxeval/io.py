@@ -371,9 +371,9 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
     struct.pack_into("<B", hdr, 123, 2)  # spatial units: millimetres
     hdr[344:348] = _MAGIC_SINGLE
 
-    stream = bytes(hdr)
-    stream += b"\0\0\0\0"  # no header extensions
-    stream += payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).tobytes(order="F")
+    # A 1-D F-order view of an F-contiguous payload, so the join copies it once.
+    payload = payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).ravel(order="F")
+    stream = b"".join((hdr, b"\0\0\0\0", payload))  # no header extensions
     if gzipped:
         stream = gzip.compress(stream, compresslevel=9, mtime=0)
     return stream

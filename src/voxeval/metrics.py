@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import percentile
 from .errors import ValidationError
-from .volume import _EMPTY_BOX, REGIONS, LabelVolume, Spacing, _region_masks
+from .volume import _EMPTY_BOX, REGIONS, LabelVolume, Spacing, _region_mask
 
 # About the float64 elements (2 MB) that one chunk of a distance search
 # keeps per array, so its memory does not grow with the tumour box.
@@ -184,12 +184,20 @@ def surface_distances(a, b, spacing: Spacing) -> tuple[np.ndarray, np.ndarray]:
     a = _as_mask(a, "a")
     b = _as_mask(b, "b")
     _check_same_shape(a, b)
-    # Crop to the union bounding box. Outside the box both masks are
-    # background, and the surface treats the cut edge exactly like
-    # background, so surfaces and distances are unchanged.
+    return _distances(*_surfaces(a, b), spacing)
+
+
+def _surfaces(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The surfaces of same-shape bool masks ``a`` and ``b``, cropped to
+    their union box.  Outside the box both masks are background, and the
+    surface treats the cut edge exactly like background, so surfaces and
+    distances are unchanged."""
     box = _union_bbox(a, b)
-    surf_a = _surface(a[box])
-    surf_b = _surface(b[box])
+    return _surface(a[box]), _surface(b[box])
+
+
+def _distances(surf_a: np.ndarray, surf_b: np.ndarray, spacing: Spacing) -> tuple[np.ndarray, np.ndarray]:
+    """The distances of :func:`surface_distances`, from the masks' surfaces."""
     # A nonempty mask always has surface voxels, so these are the emptiness
     # checks.  flatnonzero gives np.nonzero's C order about ten times faster.
     at_a = np.unravel_index(np.flatnonzero(surf_a), surf_a.shape)
@@ -225,8 +233,8 @@ def _distances_to(surface: np.ndarray, at: tuple[np.ndarray, ...], sampling) -> 
     done; and only axis-2 offsets whose square is at most that bound can
     decide it.  The check runs after each of the offsets 0 to 4, then after
     blocks a quarter as long as the offset reached, so a voxel far from the
-    surface costs few checks.  Box-sized arrays are int32; float arrays hold
-    one chunk of lines.
+    surface costs few checks.  The one box-sized array holds the steps of
+    step 1, mostly uint16; float arrays hold one chunk of lines.
     """
     n0, n1, n2 = surface.shape
     # (i·s)² for each step i along an axis, rounded as the distances are.
@@ -294,21 +302,25 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
 
 
 def _axis0_steps(surface: np.ndarray) -> np.ndarray:
-    """For every voxel, the int32 axis-0 step to the nearest surface voxel of
-    its column; n0 or more where the column holds none.
+    """For every voxel, the axis-0 step to the nearest surface voxel of its
+    column; n0 or more, below 2·n0, where the column holds none.
 
     Two passes over the axis-0 planes: the forward step from the last
     surface voxel at or before each plane, then the least of that and the
-    backward step.  A plane at a time keeps the passes in cache.
+    backward step.  A plane at a time keeps the passes in cache.  The
+    backward pass forms steps up to 2·n0, so they are stored as uint16
+    while that fits, and as int32 beyond.
     """
-    steps = np.empty(surface.shape, dtype=np.int32)
-    steps[0] = len(surface)
+    n0 = len(surface)
+    dtype = np.uint16 if 2 * n0 <= np.iinfo(np.uint16).max else np.int32
+    steps = np.empty(surface.shape, dtype=dtype)
+    steps[0] = n0
     np.copyto(steps[0], 0, where=surface[0])
-    for i in range(1, len(surface)):
+    for i in range(1, n0):
         np.add(steps[i - 1], 1, out=steps[i])
         np.copyto(steps[i], 0, where=surface[i])
     after = np.empty_like(steps[0])
-    for i in range(len(surface) - 2, -1, -1):
+    for i in range(n0 - 2, -1, -1):
         np.add(steps[i + 1], 1, out=after)
         np.minimum(steps[i], after, out=steps[i])
     return steps
@@ -322,7 +334,11 @@ def hd95(a, b, spacing: Spacing) -> float:
     percentile.  Both masks must be nonempty; empty regions are scored
     by :func:`evaluate_case`.
     """
-    d_ab, d_ba = surface_distances(a, b, spacing)
+    return _hd95(*surface_distances(a, b, spacing))
+
+
+def _hd95(d_ab: np.ndarray, d_ba: np.ndarray) -> float:
+    """The larger of the two directed 95th percentiles of distances."""
     return max(percentile(d_ab, 95.0), percentile(d_ba, 95.0))
 
 
@@ -378,19 +394,19 @@ def score_region(
     """Score one region of one case: the empty-region rule, else Dice and HD95.
 
     The masks are bool arrays of one shape, as :func:`evaluate_case` and the
-    threshold sweep derive them.
+    threshold sweep derive them.  Once their counts, their Dice and their
+    two surfaces are known, the masks are let go, so a caller that keeps
+    no reference to them has them freed before the distance search.
     """
     na = int(np.count_nonzero(mask_ref))
     nb = int(np.count_nonzero(mask_pred))
     record = empty_region_record(name, na == 0, nb == 0, policy)
     if record is not None:
         return record
-    return MetricRecord(
-        name,
-        _dice(mask_ref, mask_pred, na, nb),
-        hd95(mask_ref, mask_pred, spacing),
-        SpecialCase.NONE,
-    )
+    overlap = _dice(mask_ref, mask_pred, na, nb)
+    surfaces = _surfaces(mask_ref, mask_pred)
+    del mask_ref, mask_pred
+    return MetricRecord(name, overlap, _hd95(*_distances(*surfaces, spacing)), SpecialCase.NONE)
 
 
 def evaluate_case(
@@ -406,8 +422,11 @@ def evaluate_case(
     Dice and HD95 are computed from the masks.
 
     Both volumes are cropped once, to the box around the non-background
-    voxels of either, before the masks are derived; each volume's box was
-    recorded when its labels were checked.  The crop is exact:
+    voxels of either; each volume's box was recorded when its labels were
+    checked.  A region's two masks are derived from the crops only when
+    that region is scored, and are handed to :func:`score_region`, which
+    drops them before its distance search, so at most one region's masks
+    are held at a time.  The crop is exact:
     outside the box both volumes are background, so every region is empty
     there on both sides and no count changes; the surface treats the cut
     face like the background voxels beyond it, so no
@@ -426,11 +445,11 @@ def evaluate_case(
     check_pair(ref, pred)
     coding = ref.coding
     box = _join_boxes(ref._box, pred._box)
+    ref_labels, pred_labels = ref._crop(box), pred._crop(box)
     return tuple(  # type: ignore[return-value]
-        score_region(name, mask_ref, mask_pred, ref.spacing, policy)
-        for name, mask_ref, mask_pred in zip(
-            REGIONS, _region_masks(ref._crop(box), coding), _region_masks(pred._crop(box), coding)
-        )
+        score_region(name, _region_mask(ref_labels, coding, name), _region_mask(pred_labels, coding, name),
+                     ref.spacing, policy)
+        for name in REGIONS
     )
 
 

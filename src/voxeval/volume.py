@@ -59,16 +59,16 @@ class _TumourScan:
 
     The array is given in memory order, slowest-varying axis first: ``shape``
     is its shape so ordered, and :meth:`feed` takes its next slab of at most
-    ``planes`` rows along that axis.  Each slab's labels are compared with
-    ``codes``, and the rows and the plane that hold a voxel other than the
-    background ``codes[0]`` are recorded; a slab of background needs one
-    compare.  With ``keep``, the labels in each slab's own tumour box are
+    ``planes`` rows along that axis.  The rows and the plane of each slab
+    that hold a voxel other than the background ``codes[0]`` are recorded,
+    and the labels in the slab's own tumour box, the only place where a
+    voxel can be other than background, are compared with ``codes``; a slab
+    of background needs one compare.  With ``keep``, those labels are
     copied into :attr:`pieces`, so that the tumour's labels outlive the slabs.
     """
 
     def __init__(self, shape, planes: int, codes, keep: bool = False) -> None:
-        slab = (min(planes, shape[0]),) + tuple(shape[1:])
-        self._tumour, self._invalid = np.empty(slab, dtype=bool), np.empty(slab, dtype=bool)
+        self._tumour = np.empty((min(planes, shape[0]),) + tuple(shape[1:]), dtype=bool)
         self._rows = np.zeros(shape[0], dtype=bool)
         self._plane = np.zeros(shape[1:], dtype=bool)
         self._codes, self._start = codes, 0
@@ -77,26 +77,24 @@ class _TumourScan:
 
     def feed(self, slab: np.ndarray) -> bool:
         """Scan the next rows; False when a voxel holds none of the codes."""
-        background, first, *others = self._codes
+        background, *codes = self._codes
         n, start = len(slab), self._start
         self._start += n
-        tumour, invalid, rows = self._tumour[:n], self._invalid[:n], self._rows[start : start + n]
+        tumour, rows = self._tumour[:n], self._rows[start : start + n]
         np.not_equal(slab, background, out=tumour)
         np.any(tumour, axis=(1, 2), out=rows)
         if not rows.any():
             return True
         plane = tumour.any(axis=0)
         self._plane |= plane
-        np.not_equal(slab, first, out=invalid)
-        invalid &= tumour
-        for code in others:  # the tumour mask is spent, so it holds each compare
-            invalid &= np.not_equal(slab, code, out=tumour)
+        box = (_extent(rows), _extent(plane.any(axis=1)), _extent(plane.any(axis=0)))
+        labels, invalid = slab[box], tumour[box]  # the tumour mask is spent, so it holds the check
+        for code in codes:
+            invalid &= labels != code
         if invalid.any():
             return False
         if self.pieces is not None:
-            box = (_extent(rows), _extent(plane.any(axis=1)), _extent(plane.any(axis=0)))
-            corner = (start + box[0].start, box[1].start, box[2].start)
-            self.pieces.append((corner, slab[box].copy()))
+            self.pieces.append(((start + box[0].start, box[1].start, box[2].start), labels.copy()))
         return True
 
     def box(self) -> tuple[slice, slice, slice]:
@@ -374,11 +372,16 @@ def _region_masks(
     data: np.ndarray, coding: LabelCoding
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The WT, TC and ET masks of labels ``data``, which nest by construction."""
-    et = data == coding.enhancing
-    masks = data != coding.background, et | (data == coding.necrosis), et
-    for mask in masks:
-        mask.setflags(write=False)  # so a constructor keeps it without a copy
-    return masks
+    return tuple(_region_mask(data, coding, name) for name in REGIONS)  # type: ignore[return-value]
+
+
+def _region_mask(data: np.ndarray, coding: LabelCoding, name: str) -> np.ndarray:
+    """The mask of region ``name`` ("WT", "TC" or "ET") of labels ``data``."""
+    mask = data != coding.background if name == "WT" else data == coding.enhancing
+    if name == "TC":
+        mask |= data == coding.necrosis
+    mask.setflags(write=False)  # so a constructor keeps it without a copy
+    return mask
 
 
 def _label_dtype(coding: LabelCoding) -> type:

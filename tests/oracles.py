@@ -92,6 +92,20 @@ def surface_distances_oracle(a, b, spacing) -> tuple[np.ndarray, np.ndarray]:
     return min_ab, min_ba
 
 
+def axis0_steps_oracle(surface) -> np.ndarray:
+    """Each voxel's step along axis 0 to the nearest true voxel of its
+    column, found column by column over all of them; -1 in a column with none."""
+    surface = np.asarray(surface, dtype=bool)
+    out = np.full(surface.shape, -1, dtype=np.int64)
+    planes = np.arange(surface.shape[0])
+    for j in range(surface.shape[1]):
+        for k in range(surface.shape[2]):
+            at = np.flatnonzero(surface[:, j, k])
+            if at.size:
+                out[:, j, k] = np.abs(planes[:, None] - at[None, :]).min(axis=1)
+    return out
+
+
 def percentile_oracle(values, q: float) -> float:
     """Linear interpolation at position (n-1)q/100, written out by hand."""
     xs = sorted(float(v) for v in np.asarray(values).ravel())

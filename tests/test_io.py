@@ -340,6 +340,28 @@ def test_read_label_volume_accepts_integral_floats(tmp_path):
         read_label_volume(path)
 
 
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_label_volume_bytes_copies_its_payload_once(suffix):
+    # An F-ordered grid, as the thresholding and ET-removal routes build
+    # it: its payload is joined to the header as a view, not copied first.
+    # Copied by tobytes and again by each concatenation, it peaked at 2x.
+    labels = np.zeros((240, 240, 155), np.uint8, order="F")
+    labels[60:180, 70:170, 40:110] = 2
+    labels[90:150, 100:140, 60:90] = 4
+    labels.setflags(write=False)
+    volume = LabelVolume(labels, Spacing(1.0, 1.0, 2.0))
+    tracemalloc.start()
+    try:
+        data = voxeval.io.label_volume_bytes(Path("case" + suffix), volume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.2 * labels.nbytes, peak / labels.nbytes
+    raw = gzip.decompress(data) if suffix == ".nii.gz" else data
+    assert len(raw) == 352 + labels.nbytes
+    assert raw[348:352] == bytes(4) and raw[352:] == labels.tobytes(order="F")
+
+
 def test_scaled_label_read_peaks_below_twice_its_float_payload(tmp_path):
     # Stored as int16 with scl_inter 1, so read_volume returns float64 maps
     # that are checked and cast into the int32 labels a slab at a time.

@@ -30,6 +30,7 @@ from helpers import (
     sphere_mask,
 )
 from oracles import (
+    axis0_steps_oracle,
     box_oracle,
     dice_oracle,
     hd95_oracle,
@@ -247,6 +248,31 @@ def test_surface_matches_the_oracle():
             assert np.array_equal(surface, surface_oracle(mask))
 
 
+@pytest.mark.parametrize(
+    "shape, density, dtype",
+    [
+        ((9, 7, 5), 0.2, np.uint16),
+        ((200, 6, 4), 0.02, np.uint16),  # steps pass 255
+        ((32767, 1, 2), 0.001, np.uint16),  # the largest axis whose steps fit uint16
+        ((32768, 1, 2), 0.001, np.int32),
+    ],
+)
+def test_axis0_steps_match_a_per_column_loop(shape, density, dtype):
+    rng = np.random.default_rng(2911)
+    surface = rng.random(shape) < density
+    surface[:, 0, 0] = False  # a column without surface
+    want = axis0_steps_oracle(surface)
+    steps = metrics._axis0_steps(surface)
+    assert steps.dtype == dtype and steps.shape == shape
+    found = want >= 0
+    assert found.any() and not found.all()
+    assert np.array_equal(steps[found], want[found])
+    # A column without surface steps past the last plane, but stays inside
+    # the table of squared steps, which holds 2 * n0 entries.
+    n0 = shape[0]
+    assert ((steps[~found] >= n0) & (steps[~found] < 2 * n0)).all()
+
+
 def test_union_box_matches_the_box_of_the_union():
     rng = np.random.default_rng(1810)
     for order in ("C", "F"):
@@ -299,6 +325,24 @@ def test_evaluate_case_peak_memory_stays_under_twice_the_volumes():
     assert ref_volume._box == box_oracle(ref != 0)
 
 
+def test_evaluate_case_holds_one_region_at_a_time():
+    # Each region's masks are derived when that region is scored and freed
+    # before its distance search, whose axis-0 steps are uint16.  With all
+    # six masks held through int32 searches this pair peaked at 0.54 times
+    # the volumes' bytes.
+    ref, pred = two_foci_labels()
+    held = ref.nbytes + pred.nbytes
+    ref_volume, pred_volume = LabelVolume(ref, Spacing()), LabelVolume(pred, Spacing())
+    tracemalloc.start()
+    try:
+        records = evaluate_case(ref_volume, pred_volume)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rec.special_case is SpecialCase.NONE for rec in records)
+    assert peak < 0.35 * held, f"peak {peak / held:.2f} times the volumes' bytes"
+
+
 
 def one_focus_labels(shape=(240, 240, 155)):
     """A reference and a prediction with one BraTS-like lesion each, about
@@ -317,7 +361,8 @@ def test_evaluate_case_on_read_volumes_never_builds_a_grid(tmp_path, monkeypatch
     # Each read volume holds its box's labels only, and evaluate_case crops
     # both to their joined box without asking for either volume's data, so
     # a compact pair peaks below one grid.  (The pair of foci 120 mm apart
-    # above does not: its box-sized distance work alone passes a grid.)
+    # above has a box about 30 times larger, and peaks near a quarter of
+    # the two volumes' bytes.)
     ref, pred = one_focus_labels()
     paths = [tmp_path / "ref.nii.gz", tmp_path / "pred.nii.gz"]
     for path, labels in zip(paths, (ref, pred)):

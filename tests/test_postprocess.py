@@ -364,13 +364,13 @@ def test_sweep_computes_distances_once_per_case_with_et_on_both_sides(monkeypatc
     both = sum(1 for ref, _ in cases if labels_to_regions(ref).et.any())
     assert 0 < both < len(cases)
     calls = []
-    original = metrics.surface_distances
+    original = metrics._distances  # the distance search of every scoring route
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(metrics, "surface_distances", counting)
+    monkeypatch.setattr(metrics, "_distances", counting)
     one = sweep_thresholds(cases, candidates=[5.0])
     assert len(one.thresholds) == 1 and len(calls) == both
     calls.clear()
