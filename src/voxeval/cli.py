@@ -657,10 +657,12 @@ def _ensemble_labels(
     case_id: str, configurations: dict[str, list[dict[str, Path]]], threshold: float, coding: LabelCoding
 ) -> LabelVolume:
     """One case's labels.  Every map's header is read and checked first;
-    then all maps are stepped in lockstep, one run of z-planes at a time,
-    through the two-level mean and the label gates into the one whole grid,
-    the labels'.  Each voxel takes the float64 operations of
-    :func:`two_level_ensemble` and :func:`regions_to_labels`, in their order."""
+    then all maps are stepped in lockstep, one run of z-planes at a time.
+    Within a run the regions take turns, WT, then TC, then ET: each region's
+    slab of every member, in manifest order, goes through the two-level mean
+    and then the label gates into the one whole grid, the labels'.  Each
+    voxel takes the float64 operations of :func:`two_level_ensemble` and
+    :func:`regions_to_labels`, in their order."""
     with _case(case_id), ExitStack() as stack:
         opened = _open_case_maps(configurations, stack)
         first = opened[0][0][0]
@@ -668,16 +670,18 @@ def _ensemble_labels(
         planes = first.slab_planes
         labels = np.empty(first.shape, _label_dtype(coding), order="F")
         every = [m for members in opened for maps in members for m in maps]
-        # One member's maps are read at a time, so its three slabs take
-        # three buffers that every member shares; six more take the sums.
-        itemsize = max(m.dtype.itemsize for m in every)
-        raw = [np.empty(nx * ny * planes * itemsize, np.uint8) for _ in REGIONS]
-        sums = [np.empty(nx * ny * planes) for _ in range(6)]
+        # One map's slab is read at a time, into one buffer that every map
+        # shares; two float64 sums of one slab serve every region in turn.
+        raw = np.empty(nx * ny * planes * max(m.dtype.itemsize for m in every), np.uint8)
+        sums = [np.empty(nx * ny * planes) for _ in range(2)]
         for z in range(0, nz, planes):
             k = min(planes, nz - z)
             out = [s[: nx * ny * k].reshape((nx, ny, k), order="F") for s in sums]
-            slabs = ((tuple(m.slab(k, b) for m, b in zip(maps, raw)) for maps in members) for members in opened)
-            _gate_labels(labels[:, :, z : z + k], *_two_level(slabs, out=out), threshold, coding)
+            means = (
+                _two_level((((maps[r].slab(k, raw),) for maps in members) for members in opened), out=out)[0]
+                for r in range(len(REGIONS))
+            )
+            _gate_labels(labels[:, :, z : z + k], means, threshold, coding)
         for prob_map in every:
             prob_map.finish()
         labels.setflags(write=False)  # so the constructor keeps it without a copy

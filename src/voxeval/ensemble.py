@@ -6,20 +6,20 @@ differs from pooling all members into one mean: each configuration keeps
 the same influence on the final prediction regardless of how many models
 it contributed.
 
-One piece of arithmetic serves both levels and every caller, on map
-triples (WT, TC, ET) of any extent: :func:`two_level_ensemble` and
-:func:`average_probs` hand it each member's whole maps, and the
-``ensemble`` command the same z-slab of every member of a case, slab after
-slab.  Members stream: each is added into float64 sums and dropped before
-the next is read.  A configuration's sums start as its first member's maps
-plus 0.0, one cast-add that upcasts float32 and integer maps exactly and
-turns -0.0 into 0.0 as adding them to zeros did.  The first
-configuration's clipped mean, times its weight when weights are given, is
-the ensemble's running sum, and each later configuration's mean is added
-into it.  So three float64 maps are held while the first configuration is
-summed and six while a later one is, whatever the member count: new maps
-laid out like the first member's, or six buffers the caller reuses for
-every slab.
+One piece of arithmetic serves both levels and every caller, on map tuples
+of any length and extent: :func:`two_level_ensemble` and
+:func:`average_probs` hand it each member's whole (WT, TC, ET) maps, and
+the ``ensemble`` command one region's z-slab of every member of a case,
+region after region and slab after slab.  Members stream: each is added
+into float64 sums and dropped before the next is read.  A configuration's
+sums start as its first member's maps plus 0.0, one cast-add that upcasts
+float32 and integer maps exactly and turns -0.0 into 0.0 as adding them to
+zeros did.  The first configuration's clipped mean, times its weight when
+weights are given, is the ensemble's running sum, and each later
+configuration's mean is added into it.  So one float64 map per region is
+held while the first configuration is summed and two while a later one is,
+whatever the member count: new maps laid out like the first member's, or
+buffers the caller reuses, two for each slab of one region.
 """
 
 from __future__ import annotations
@@ -72,22 +72,22 @@ def _divide_clipped(sums: list[np.ndarray], divisor: float) -> None:
         np.clip(acc, 0.0, 1.0, out=acc)
 
 
-def _clipped_mean(triples: Iterable[tuple], empty: str, out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
-    """The clipped mean of each region's map over the map ``triples``, as
+def _clipped_mean(tuples: Iterable[tuple], empty: str, out: Sequence[np.ndarray] | None = None) -> list[np.ndarray]:
+    """The clipped mean of each position's map over the map ``tuples``, as
     writeable float64 maps: ``out`` when given, else new maps laid out like
-    the first triple's.  ``triples`` is consumed once; raises
+    the first tuple's.  ``tuples`` is consumed once; raises
     ``ValidationError(empty)`` when it holds none."""
     sums = None
     count = 0
-    for maps in triples:
+    for maps in tuples:
         if sums is None:
             # One cast-add: float32 maps upcast exactly, and -0.0 becomes 0.0
             # as it did when the map was added to zeros.
-            sums = [np.add(m, 0.0, dtype=np.float64, out=acc) for m, acc in zip(maps, out or (None,) * 3)]
+            sums = [np.add(m, 0.0, dtype=np.float64, out=acc) for m, acc in zip(maps, out or (None,) * len(maps))]
         else:
             sums = [np.add(acc, m, out=acc) for acc, m in zip(sums, maps)]
         count += 1
-        del maps  # the next triple is read with none of this one held
+        del maps  # the next tuple is read with none of this one held
     if sums is None:
         raise ValidationError(empty)
     _divide_clipped(sums, count)
@@ -99,18 +99,20 @@ def _two_level(
     w: np.ndarray | None = None,
     out: Sequence[np.ndarray] | None = None,
 ) -> list[np.ndarray]:
-    """The clipped two-level mean of map triples, one iterable of triples
-    per configuration, times the checked weights ``w`` when given.  Returns
-    writeable float64 maps: ``out[:3]`` when six buffers ``out`` are given,
-    the later configurations' means going to ``out[3:]``."""
+    """The clipped two-level mean of map tuples, one iterable of tuples per
+    configuration, times the checked weights ``w`` when given.  Returns
+    writeable float64 maps: the first half of ``out`` when buffers ``out``,
+    two per map of a tuple, are given, the later configurations' means
+    going to its second half."""
     configurations = iter(configurations)
+    half = None if out is None else len(out) // 2
     total = None
     n = 0
     for members in configurations:
         if w is not None and (w.ndim != 1 or n >= w.size):
             n += 1 + sum(1 for _ in configurations)  # the count, for the message below
             break
-        buffers = None if out is None else out[3:] if total is not None else out[:3]
+        buffers = None if out is None else out[half:] if total is not None else out[:half]
         means = _clipped_mean(members, f"configuration {n} has no members", buffers)
         if w is not None and w[n] != 1.0:
             means = [np.multiply(m, w[n], out=m) for m in means]

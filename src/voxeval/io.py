@@ -20,7 +20,6 @@ the labels in its tumour box.
 
 from __future__ import annotations
 
-import gzip
 import os
 import struct
 import zlib
@@ -371,12 +370,16 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
     struct.pack_into("<B", hdr, 123, 2)  # spatial units: millimetres
     hdr[344:348] = _MAGIC_SINGLE
 
-    # A 1-D F-order view of an F-contiguous payload, so the join copies it once.
+    # A 1-D F-order view of an F-contiguous payload, so it is not copied
+    # before it is joined or deflated.
     payload = payload_arr.astype(np_dtype.newbyteorder("<"), copy=False).ravel(order="F")
-    stream = b"".join((hdr, b"\0\0\0\0", payload))  # no header extensions
-    if gzipped:
-        stream = gzip.compress(stream, compresslevel=9, mtime=0)
-    return stream
+    parts = (hdr, b"\0\0\0\0", payload)  # no header extensions
+    if not gzipped:
+        return b"".join(parts)
+    # One gzip stream fed part by part: the bytes of gzip.compress(...,
+    # mtime=0) of the joined parts, without joining them.
+    deflate = zlib.compressobj(9, zlib.DEFLATED, 31)
+    return b"".join([*map(deflate.compress, parts), deflate.flush()])
 
 
 def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:

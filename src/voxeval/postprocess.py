@@ -160,11 +160,12 @@ def _et_outcomes(
     the ET (Dice, HD95) when that ET is kept and when it is removed."""
     check_pair(ref, pred)
     box = _join_boxes(ref._box, pred._box)  # exact, as in evaluate_case
-    et_ref = _et_mask(ref, box)
-    et_pred = _et_mask(pred, box)
-    kept = score_region("ET", et_ref, et_pred, ref.spacing, policy)
-    removed = empty_region_record("ET", not et_ref.any(), True, policy)
-    volume = region_volume_mm3(et_pred, pred.spacing)
+    masks = [_et_mask(ref, box), _et_mask(pred, box)]
+    removed = empty_region_record("ET", not masks[0].any(), True, policy)
+    volume = region_volume_mm3(masks[1], pred.spacing)
+    # Popped into the call, so no local holds the masks and score_region
+    # frees them before its distance search.
+    kept = score_region("ET", masks.pop(0), masks.pop(), ref.spacing, policy)
     return volume, kept.dice, kept.hd95, removed.dice, removed.hd95
 
 

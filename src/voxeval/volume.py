@@ -390,23 +390,25 @@ def _label_dtype(coding: LabelCoding) -> type:
 
 
 def _gate_labels(
-    labels: np.ndarray, p_wt: np.ndarray, p_tc: np.ndarray, p_et: np.ndarray,
-    threshold: float, coding: LabelCoding,
+    labels: np.ndarray, maps, threshold: float, coding: LabelCoding
 ) -> None:
-    """Write into ``labels`` the labels of the probability maps ``p_wt``,
-    ``p_tc`` and ``p_et`` of the same extent, gated from the outside in."""
+    """Write into ``labels`` the labels of the region probability maps
+    ``maps``, of the same extent and in WT, TC, ET order, gated from the
+    outside in.  Each map is gated before the next is taken, so ``maps`` may
+    fill one buffer again for each region."""
     # A float64 scalar, so that float32 maps are compared in float64: a
     # Python float would be compared in the map's dtype, and float32(0.7)
     # would pass a threshold of 0.7.
     threshold = np.float64(threshold)
     dtype = labels.dtype.type
     labels.fill(coding.background)
-    fires = p_wt >= threshold
-    np.copyto(labels, dtype(coding.edema), where=fires)
-    fires &= p_tc >= threshold
-    np.copyto(labels, dtype(coding.necrosis), where=fires)
-    fires &= p_et >= threshold
-    np.copyto(labels, dtype(coding.enhancing), where=fires)
+    fires = None
+    for code, p in zip((coding.edema, coding.necrosis, coding.enhancing), maps):
+        if fires is None:
+            fires = p >= threshold
+        else:
+            fires &= p >= threshold
+        np.copyto(labels, dtype(code), where=fires)
 
 
 def regions_to_labels(
@@ -436,7 +438,7 @@ def regions_to_labels(
             f"threshold must lie strictly between 0 and 1, got {threshold}"
         )
     labels = np.empty_like(probs.p_wt, dtype=_label_dtype(coding))
-    _gate_labels(labels, probs.p_wt, probs.p_tc, probs.p_et, threshold, coding)
+    _gate_labels(labels, (probs.p_wt, probs.p_tc, probs.p_et), threshold, coding)
     labels.setflags(write=False)  # so the constructor keeps it without a copy
     return LabelVolume(labels, probs.spacing, coding)
 

@@ -865,8 +865,9 @@ def test_ensemble_steps_every_map_in_lockstep_one_slab_at_a_time(tmp_path, monke
     monkeypatch.setattr(voxeval.io.ProbabilityMap, "slab", slab)
     args = ["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "labels"), "--jobs", "1"]
     assert main(args) == 0
-    # Each z-plane of all 15 maps, in manifest order, before the next plane of any.
-    assert steps == [(path, 1) for _ in range(2) for paths in members for path in paths]
+    # Each z-plane of all 15 maps before the next plane of any; within a
+    # plane the WT map of every member in manifest order, then TC, then ET.
+    assert steps == [(paths[r], 1) for _ in range(2) for r in range(3) for paths in members]
 
 
 def test_ensemble_reads_no_map_after_one_that_disagrees(tmp_path, monkeypatch, capsys):
@@ -947,13 +948,15 @@ def ensemble_peak(tmp_path, shape):
         tracemalloc.stop()
 
 
-def test_an_ensemble_case_holds_one_member_and_six_sums(tmp_path):
+def test_an_ensemble_case_holds_one_read_buffer_and_two_sums(tmp_path):
     # 64^3 with members 3 + 2: one member's three float32 maps take 3 MB and
     # six float64 sums of the grid 12 MB, the whole-map route's 15.9 MB peak.
-    # Slab by slab the case holds the 0.25 MB uint8 label grid, one member's
-    # three 256 KiB slabs and six float64 sums of one slab (3 MB).
+    # Slab by slab, one region at a time, the case holds the 0.25 MB uint8
+    # label grid, one 256 KiB read buffer that all 15 maps share and two
+    # float64 sums of one slab (1 MB).  With three read buffers and six sums
+    # it peaked at 5.4 MB.
     peak = ensemble_peak(tmp_path, (64, 64, 64))
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_an_ensemble_case_peak_does_not_grow_with_its_depth(tmp_path):

@@ -340,11 +340,14 @@ def test_read_label_volume_accepts_integral_floats(tmp_path):
         read_label_volume(path)
 
 
-@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
-def test_label_volume_bytes_copies_its_payload_once(suffix):
+@pytest.mark.parametrize("suffix, bound", [(".nii", 1.2), (".nii.gz", 0.2)])
+def test_label_volume_bytes_copies_its_payload_once(suffix, bound):
     # An F-ordered grid, as the thresholding and ET-removal routes build
     # it: its payload is joined to the header as a view, not copied first.
     # Copied by tobytes and again by each concatenation, it peaked at 2x.
+    # A .nii.gz deflates the header and the payload view part by part, so
+    # only its compressed bytes are new; deflating the joined stream
+    # peaked at 1.03x.
     labels = np.zeros((240, 240, 155), np.uint8, order="F")
     labels[60:180, 70:170, 40:110] = 2
     labels[90:150, 100:140, 60:90] = 4
@@ -356,10 +359,12 @@ def test_label_volume_bytes_copies_its_payload_once(suffix):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.2 * labels.nbytes, peak / labels.nbytes
+    assert peak < bound * labels.nbytes, peak / labels.nbytes
     raw = gzip.decompress(data) if suffix == ".nii.gz" else data
     assert len(raw) == 352 + labels.nbytes
     assert raw[348:352] == bytes(4) and raw[352:] == labels.tobytes(order="F")
+    if suffix == ".nii.gz":
+        assert data == gzip.compress(raw, compresslevel=9, mtime=0)
 
 
 def test_scaled_label_read_peaks_below_twice_its_float_payload(tmp_path):

@@ -130,9 +130,12 @@ def test_slab_route_is_bit_identical_to_the_whole_map_route(tmp_path, monkeypatc
     monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", slab_bytes)
     real_gate, gated = voxeval.cli._gate_labels, []
 
-    def gate(labels, *args):
-        gated.append([m.copy() for m in args[:3]])
-        return real_gate(labels, *args)
+    def gate(labels, maps, *args):
+        # Each map is copied as the gate takes it: the slab route fills the
+        # same buffers again for the next region.
+        copies = []
+        gated.append(copies)
+        return real_gate(labels, (copies.append(m.copy()) or m for m in maps), *args)
 
     monkeypatch.setattr(voxeval.cli, "_gate_labels", gate)
     out_dir = tmp_path / "labels"
