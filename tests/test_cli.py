@@ -961,9 +961,10 @@ def test_an_ensemble_case_holds_one_read_buffer_and_two_sums(tmp_path):
 
 def test_an_ensemble_case_peak_does_not_grow_with_its_depth(tmp_path):
     # 64x64x160: 2.5 times the grid of the 64^3 case, which the whole-map
-    # route held at 38.4 MB; the slabs stay 16 planes deep.
+    # route held at 38.4 MB; the slabs stay 16 planes deep, so the bound is
+    # the 64^3 case's.
     peak = ensemble_peak(tmp_path, (64, 64, 160))
-    assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 # --------------------------------------------------------------------------
