@@ -16,6 +16,11 @@ voxels in file order, a run of z-planes (the slowest axis) at a time, so
 that many maps can be stepped together without any of them being whole.
 :func:`read_label_volume` reads a label file the same way and keeps only
 the labels in its tumour box.
+
+A file is read once, and each fault is raised where the read meets it:
+the header's (its scaling included) on opening, then the payload's in
+file order, z slowest.  A bad label names its voxel, and a probability
+map out of range the min and max of the slab that holds it.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from .volume import (
     LabelCoding,
     LabelVolume,
     Spacing,
+    _bad_label,
     _check_probabilities,
     _ReadLabelVolume,
     _TumourScan,
@@ -132,15 +138,14 @@ class _Inflater:
 
     Members in a row are one stream, and zero padding between and after them
     is skipped, as Python's ``gzip`` module reads them.  zlib checks each
-    member's header, CRC-32 and length; its errors are a :class:`FormatError`.
+    member's header (refusing reserved FLG bits, as RFC 1952 asks), CRC-32
+    and length; its errors are a :class:`FormatError`.
     """
 
     def __init__(self, path: Path, read) -> None:
         self._path, self._read = path, read
         self._raw = read(_CHUNK)  # compressed bytes not yet given to zlib
         self._member = None
-        if self._raw[:2] == b"\x1f\x8b" and len(self._raw) > 3 and self._raw[3] & 0xE0:  # RFC 1952
-            raise FormatError(f"{path}: not a valid gzip stream (unknown header flags set)")
 
     def fill(self, view) -> int:
         """Inflate the stream's next bytes into ``view``; returns how many,
@@ -187,7 +192,7 @@ def _scaling(path: Path, header: VolumeHeader) -> tuple[float, float] | None:
 
 class _VolumeStream:
     """A NIfTI-1 file opened for reading: its header, parsed and checked on
-    opening, then its payload read in file order.
+    opening, its :attr:`scaling` included, then its payload read in file order.
 
     The payload's size is checked before any of it is read: a ``.nii``
     against the file's size, and a ``.nii.gz`` against the most its stream
@@ -258,6 +263,9 @@ class _VolumeStream:
             self.header = VolumeHeader(dim[1:4], tag, Spacing(*pixdim[1:4]), slope, intercept)
         except ValidationError as exc:
             raise FormatError(f"{path}: {exc}") from None
+        self.shape, self.spacing = self.header.dims, self.header.spacing
+        #: The ``(slope, intercept)`` applied to each voxel read, or None.
+        self.scaling = _scaling(path, self.header)
         self._offset = int(vox_offset)
         #: The payload's dtype as stored, in the file's byte order.
         self.dtype = np_dtype.newbyteorder(order)
@@ -319,8 +327,7 @@ def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
     with _VolumeStream(path) as stream:
         data = stream.read(np.empty(stream.nbytes, np.uint8))
         stream.finish()
-    header = stream.header
-    scaling = _scaling(stream.path, header)
+    header, scaling = stream.header, stream.scaling
     if scaling is not None:
         data = data.astype(np.float64) * scaling[0] + scaling[1]
     # NIfTI stores the first axis fastest.
@@ -387,97 +394,60 @@ def write_volume(path, header: VolumeHeader, data: np.ndarray) -> None:
     write_atomic(path, volume_bytes(path, header, data))
 
 
-def _bad_float_label(path, data: np.ndarray, coding: LabelCoding) -> ValidationError:
-    """The error for a float label array that holds a value outside
-    ``coding``: non-finite anywhere, else the first non-integral voxel, else
-    the first voxel whose code is not configured, in C order."""
-    if not np.all(np.isfinite(data)):
-        return ValidationError(f"{path}: label volume contains non-finite values")
-    rounded = np.rint(data)
-    if not np.array_equal(rounded, data):
-        idx = np.argwhere(rounded != data)[0]
-        return ValidationError(
-            f"{path}: non-integral label value {float(data[tuple(idx)])} at voxel "
-            f"{tuple(int(i) for i in idx)}"
-        )
-    idx = np.argwhere(~np.isin(rounded, coding.codes))[0]
-    return ValidationError(
-        f"{path}: label value {int(rounded[tuple(idx)])} at voxel "
-        f"{tuple(int(i) for i in idx)} is not one of the configured codes {coding.codes}"
-    )
-
-
 def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume:
     """Read a segmentation file into a validated :class:`LabelVolume`.
 
-    Float payloads (or scaled values) must be integral, and become int32;
-    label codes must belong to ``coding``.  The payload is read a run of
-    z-planes at a time (about ``_SLAB_BYTES``) into one buffer, and each
-    slab's codes are checked and its tumour box recorded as it comes, so
-    the volume holds only the labels of its box.  Its ``data`` is built on
-    first use, equal to the array of :func:`read_volume` or its int32 cast.
-    On any fault the file is read again whole and checked as a whole grid,
-    so the error, and which of two faults is reported, does not depend on
-    where the slabs fall.
+    The payload is read a run of z-planes at a time (about ``_SLAB_BYTES``)
+    into one buffer, and each slab's codes are checked and its tumour box
+    recorded as it comes, so the volume holds only the labels of its box.
+    The first voxel in file order (z slowest) that holds none of
+    ``coding``'s codes, NaN and 2.5 included, is reported.  Float and
+    scaled labels become int32 once every slab has passed.  ``data`` is
+    built on first use, equal to :func:`read_volume`'s array or its int32 cast.
     """
-    try:
-        with _VolumeStream(path) as stream:
-            volume = _scan_labels(stream, coding)
-        if volume is not None:
-            return volume
-    except FormatError:
-        pass  # the whole read below raises it again, or a fault it meets first
-    header, data = read_volume(path)
-    if data.dtype.kind == "f":
-        if not np.isin(data, coding.codes).all():
-            raise _bad_float_label(path, data, coding)
-        data = data.astype(np.int32)
-    return LabelVolume(data, header.spacing, coding)
-
-
-def _scan_labels(stream: _VolumeStream, coding: LabelCoding) -> LabelVolume | None:
-    """The labels of ``stream``'s payload, read and checked a slab at a time;
-    None when a voxel holds a value that is not one of ``coding``'s codes."""
-    header = stream.header
-    nx, ny, nz = header.dims
-    planes, itemsize = stream.slab_planes, stream.dtype.itemsize
-    scaling = _scaling(stream.path, header)
-    buf = np.empty(planes * ny * nx * itemsize, np.uint8)
-    scan = _TumourScan((nz, ny, nx), planes, coding.codes, keep=True)
-    for start in range(0, nz, planes):
-        n = min(planes, nz - start)
-        slab = stream.read(buf[: n * ny * nx * itemsize])
-        if scaling is not None:
-            slab = slab.astype(np.float64) * scaling[0] + scaling[1]
-        if slab.dtype.kind == "f":
-            # A value in ``coding`` is finite and integral, and casting one
-            # outside int32's range would be undefined, so a slab is cast
-            # only once every value is a code.
-            if not np.isin(slab, coding.codes).all():
-                return None
-            slab = slab.astype(np.int32)
-        if not scan.feed(slab.reshape(n, ny, nx)):
-            return None
-    stream.finish()
+    with _VolumeStream(path) as stream:
+        nx, ny, nz = stream.shape
+        planes, itemsize = stream.slab_planes, stream.dtype.itemsize
+        buf = np.empty(planes * ny * nx * itemsize, np.uint8)
+        scan = _TumourScan((nz, ny, nx), planes, coding.codes, keep=True)
+        for start in range(0, nz, planes):
+            n = min(planes, nz - start)
+            slab = stream.read(buf[: n * ny * nx * itemsize])
+            if stream.scaling is not None:
+                slab = slab.astype(np.float64) * stream.scaling[0] + stream.scaling[1]
+            elif slab.dtype == np.float32:  # compared in float64, where every code is exact
+                slab = slab.astype(np.float64)
+            slab = slab.reshape(n, ny, nx)
+            bad = scan.feed(slab)
+            if bad is not None:
+                z, y, x = bad
+                raise ValidationError(f"{path}: {_bad_label(slab[z - start, y, x], (x, y, z), coding.codes)}")
+        stream.finish()
+    dtype = np.dtype(np.int32) if slab.dtype.kind == "f" else slab.dtype
     # NIfTI stores x fastest: memory order is (z, y, x), and each piece's
     # transpose is F-ordered.
-    pieces = [(corner[::-1], labels.T) for corner, labels in scan.pieces]
-    return _ReadLabelVolume(header.dims, scan.box()[::-1], pieces, slab.dtype, header.spacing, coding)
+    pieces = [(corner[::-1], labels.T.astype(dtype, copy=False)) for corner, labels in scan.pieces]
+    return _ReadLabelVolume(stream.shape, scan.box()[::-1], pieces, dtype, stream.spacing, coding)
 
 
 def read_probability_volume(path) -> tuple[np.ndarray, Spacing]:
     """Read one probability map; values must be finite and within [0, 1].
 
-    Float maps keep their dtype, so a float32 file gives a float32 array
-    in the file's memory order; integer maps become float64.  The array is
-    read-only, so :class:`RegionProbSet` keeps it without a copy.
+    Read through :meth:`ProbabilityMap.slab`, so a fault reads as in
+    ``ensemble``.  Float maps keep their dtype, so a float32 file gives a
+    float32 array in the file's memory order; other maps become float64.
+    The array is read-only, so :class:`RegionProbSet` keeps it without a copy.
     """
-    header, data = read_volume(path)
-    if data.dtype.kind != "f":
-        data = data.astype(np.float64)
+    with ProbabilityMap(path) as prob_map:
+        (nx, ny, nz), planes = prob_map.shape, prob_map.slab_planes
+        floats = prob_map.scaling is None and prob_map.dtype.kind == "f"
+        data = np.empty(prob_map.shape, prob_map.dtype.newbyteorder("=") if floats else np.float64, order="F")
+        buf = np.empty(nx * ny * planes * prob_map.dtype.itemsize, np.uint8)
+        for z in range(0, nz, planes):
+            data[:, :, z : z + planes] = prob_map.slab(min(planes, nz - z), buf)
+        prob_map.finish()
     data.setflags(write=False)
-    _check_probabilities(data, f"{path}: probability map")
-    return data, header.spacing
+    return data, prob_map.spacing
 
 
 class ProbabilityMap(_VolumeStream):
@@ -485,16 +455,11 @@ class ProbabilityMap(_VolumeStream):
 
     Opening reads and checks the header, its scaling included.  Then
     :meth:`slab` returns the map's next planes in file order, each checked
-    as :func:`read_probability_volume` checks a whole map, and
+    to lie in [0, 1] (a fault names that slab's min and max), and
     :meth:`finish` checks that the file ends after the last.  Float maps
     keep their dtype, scaled maps are float64, and other integer maps keep
     their integers, which every float64 sum takes exactly.
     """
-
-    def _parse(self, gzipped: bool) -> None:
-        super()._parse(gzipped)
-        self._scaling = _scaling(self.path, self.header)
-        self.shape, self.spacing = self.header.dims, self.header.spacing
 
     def slab(self, planes: int, buf: np.ndarray) -> np.ndarray:
         """The map's next ``planes`` z-planes, of shape ``(nx, ny, planes)``:
@@ -502,14 +467,10 @@ class ProbabilityMap(_VolumeStream):
         a view of it unless the map is scaled."""
         nx, ny, _ = self.shape
         data = self.read(buf[: nx * ny * planes * self.dtype.itemsize])
-        if self._scaling is not None:
-            data = data.astype(np.float64) * self._scaling[0] + self._scaling[1]
+        if self.scaling is not None:
+            data = data.astype(np.float64) * self.scaling[0] + self.scaling[1]
         data = data.reshape((nx, ny, planes), order="F")
-        try:
-            _check_probabilities(data, f"{self.path}: probability map")
-        except ValidationError:
-            read_probability_volume(self.path)  # raises the fault again, naming the whole map's min and max
-            raise
+        _check_probabilities(data, f"{self.path}: probability map")
         return data
 
 

@@ -75,8 +75,9 @@ class _TumourScan:
         #: With ``keep``: ``(corner, labels)`` of each slab's tumour box, in memory order.
         self.pieces = [] if keep else None
 
-    def feed(self, slab: np.ndarray) -> bool:
-        """Scan the next rows; False when a voxel holds none of the codes."""
+    def feed(self, slab: np.ndarray) -> tuple[int, int, int] | None:
+        """Scan the next rows; returns the memory-order index of the first
+        voxel among them that holds none of the codes (NaN, 2.5), or None."""
         background, *codes = self._codes
         n, start = len(slab), self._start
         self._start += n
@@ -84,18 +85,19 @@ class _TumourScan:
         np.not_equal(slab, background, out=tumour)
         np.any(tumour, axis=(1, 2), out=rows)
         if not rows.any():
-            return True
+            return None
         plane = tumour.any(axis=0)
         self._plane |= plane
         box = (_extent(rows), _extent(plane.any(axis=1)), _extent(plane.any(axis=0)))
         labels, invalid = slab[box], tumour[box]  # the tumour mask is spent, so it holds the check
         for code in codes:
             invalid &= labels != code
-        if invalid.any():
-            return False
+        corner = (start + box[0].start, box[1].start, box[2].start)
+        if invalid.any():  # every bad voxel lies in the box, so its first is the slab's
+            return tuple(c + int(i) for c, i in zip(corner, np.argwhere(invalid)[0]))
         if self.pieces is not None:
-            self.pieces.append(((start + box[0].start, box[1].start, box[2].start), labels.copy()))
-        return True
+            self.pieces.append((corner, labels.copy()))
+        return None
 
     def box(self) -> tuple[slice, slice, slice]:
         """The box around the tumour fed so far, in memory order; ``_EMPTY_BOX`` for none."""
@@ -104,24 +106,33 @@ class _TumourScan:
         return _extent(self._rows), _extent(self._plane.any(axis=1)), _extent(self._plane.any(axis=0))
 
 
-def _tumour_box(arr: np.ndarray, codes) -> tuple[slice, slice, slice] | None:
-    """The box around the voxels of 3-D ``arr`` that are not ``codes[0]``, or
-    None when a voxel holds none of ``codes``.
+def _bad_label(value, voxel, codes) -> str:
+    """The message for a bad label ``value``; an integral float prints as an integer."""
+    value = value.item()
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return f"label value {value} at voxel {voxel} is not one of the configured codes {codes}"
+
+
+def _tumour_box(arr: np.ndarray, codes) -> tuple[slice, slice, slice]:
+    """The box around the voxels of 3-D ``arr`` that are not ``codes[0]``.
 
     :class:`_TumourScan` is fed slabs of about ``_SLAB_BYTES``, cut along the
-    array's slowest-varying axis.
+    array's slowest-varying axis.  Raises on the first voxel in memory order
+    (C order for a C-ordered array) that holds none of ``codes``.
     """
     axes = sorted(range(3), key=lambda axis: -abs(arr.strides[axis]))
+    back = [axes.index(axis) for axis in range(3)]  # memory order back to the array's axes
     view = arr.transpose(axes)  # memory order, slowest-varying axis first
     step = max(1, _SLAB_BYTES // max(1, arr.itemsize * view.shape[1] * view.shape[2]))
     scan = _TumourScan(view.shape, step, codes)
     for start in range(0, view.shape[0], step):
-        if not scan.feed(view[start : start + step]):
-            return None
-    box = [None] * 3
-    for axis, extent in zip(axes, scan.box()):
-        box[axis] = extent
-    return tuple(box)
+        bad = scan.feed(view[start : start + step])
+        if bad is not None:
+            voxel = tuple(bad[axis] for axis in back)
+            raise ValidationError(_bad_label(arr[voxel], voxel, codes))
+    box = scan.box()
+    return tuple(box[axis] for axis in back)
 
 
 @dataclass(frozen=True)
@@ -189,10 +200,11 @@ class LabelVolume:
     The voxel array is stored read-only in the caller's memory order (a
     writeable input is copied); operations that change labels return a new
     instance.  A code the array's dtype cannot hold never matches a voxel.
-    Checking the codes records the box around the non-background voxels,
-    to which scoring crops (``_crop``).  A volume that
-    :func:`voxeval.io.read_label_volume` reads holds only that box's labels
-    and builds ``data`` when it is first asked for.
+    The codes are checked in memory order (C order for a C-ordered array),
+    and the first bad voxel met is reported; the check records the box
+    around the non-background voxels, to which scoring crops (``_crop``).
+    A volume that :func:`voxeval.io.read_label_volume` reads holds only
+    that box's labels and builds ``data`` when it is first asked for.
     """
 
     data: np.ndarray
@@ -208,17 +220,6 @@ class LabelVolume:
                 f"label volume must have an integer dtype, got {arr.dtype}"
             )
         box = _tumour_box(arr, self.coding.codes)
-        if box is None:
-            background, *codes = self.coding.codes
-            invalid = arr != background
-            for code in codes:
-                invalid &= arr != code
-            idx = np.argwhere(invalid)[0]
-            value = arr[tuple(idx)]
-            raise ValidationError(
-                f"label value {int(value)} at voxel {tuple(int(i) for i in idx)} "
-                f"is not one of the configured codes {self.coding.codes}"
-            )
         object.__setattr__(self, "data", _freeze(arr))
         object.__setattr__(self, "_box", box)
 

@@ -37,10 +37,11 @@ from voxeval import (
 
 
 def label_check_oracle(data, codes):
-    """The first voxel in C index order whose value is not a code, as
-    ``(value, voxel)``, or None when every voxel holds a code."""
+    """The first voxel in memory order (by its byte offset from the first
+    voxel) whose value is not a code, as ``(value, voxel)``, or None when
+    every voxel holds a code."""
     allowed = {int(code) for code in codes}
-    for voxel in np.ndindex(data.shape):
+    for voxel in sorted(np.ndindex(data.shape), key=lambda v: sum(i * s for i, s in zip(v, data.strides))):
         value = int(data[voxel])
         if value not in allowed:
             return value, voxel

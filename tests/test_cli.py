@@ -423,7 +423,7 @@ def test_apply_postprocess_errors_name_case_and_prediction(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
-    assert message.startswith(f"case 'case7' (prediction {bad}): label value 9 at voxel (1, 1, 1)")
+    assert message.startswith(f"case 'case7' (prediction {bad}): {bad}: label value 9 at voxel (1, 1, 1)")
 
 
 def write_apply_cases(tmp_path, count, bad=None):
@@ -480,7 +480,7 @@ def test_apply_postprocess_stops_at_the_first_bad_case_in_manifest_order(tmp_pat
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     message = json.loads(lines[0])["error"]["message"]
-    assert message.startswith(f"case 'c2' (prediction {bad}): label value 9 at voxel (1, 1, 1)")
+    assert message.startswith(f"case 'c2' (prediction {bad}): {bad}: label value 9 at voxel (1, 1, 1)")
     assert sorted(p.name for p in out_dir.iterdir()) == ["c0.nii.gz", "c1.nii.gz"]
     if threads == 1:
         assert started == ["p0.nii.gz", "p1.nii.gz", "p2.nii.gz"]

@@ -1,5 +1,7 @@
 import ast
+import builtins
 import gzip
+import io
 import json
 import math
 import os
@@ -186,16 +188,20 @@ def test_rejects_corrupt_gzip(tmp_path):
         read_volume(path)
 
 
-def test_rejects_reserved_gzip_header_flags(tmp_path, capsys):
+@pytest.mark.parametrize("member", ["first", "later"])
+def test_rejects_reserved_gzip_header_flags(tmp_path, capsys, member):
     # RFC 1952 asks a reader to refuse a member whose FLG byte sets a
-    # reserved bit; gzip.decompress alone reads such a file.
+    # reserved bit; gzip.decompress alone reads such a file.  The flag is
+    # refused with one message in whichever member it sits.
     ref, pred = tmp_path / "ref.nii.gz", tmp_path / "pred.nii.gz"
     for path in (ref, pred):
         write_label_volume(path, LabelVolume(np.ones((2, 2, 2), np.uint8), Spacing()))
-    raw = bytearray(pred.read_bytes())
-    raw[3] |= 0x20
-    pred.write_bytes(bytes(raw))
-    assert gzip.decompress(bytes(raw)) == gzip.decompress(ref.read_bytes())
+    stream = gzip.decompress(pred.read_bytes())
+    members = [bytearray(gzip.compress(part, mtime=0)) for part in (stream[:200], stream[200:])]
+    members[member == "later"][3] |= 0x20
+    raw = b"".join(members)
+    pred.write_bytes(raw)
+    assert gzip.decompress(raw) == gzip.decompress(ref.read_bytes())
     manifest = tmp_path / "m.csv"
     manifest.write_text("case_id,reference_path,prediction_path\nc1,ref.nii.gz,pred.nii.gz\n")
     args = ["evaluate", "--manifest", str(manifest), "--out-metrics", str(tmp_path / "o.csv"), "--jobs", "1"]
@@ -203,7 +209,8 @@ def test_rejects_reserved_gzip_header_flags(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"]["message"] == (
-        f"case 'c1' (reference {ref}, prediction {pred}): {pred}: not a valid gzip stream (unknown header flags set)"
+        f"case 'c1' (reference {ref}, prediction {pred}): {pred}: not a valid gzip stream "
+        "(Error -3 while decompressing data: unknown header flags set)"
     )
     assert not (tmp_path / "o.csv").exists()
 
@@ -336,8 +343,9 @@ def test_read_label_volume_accepts_integral_floats(tmp_path):
     fractional = data.copy()
     fractional[1, 1, 1] = 0.5
     write_volume(path, VolumeHeader(data.shape, "float32", Spacing()), fractional)
-    with pytest.raises(ValidationError, match="non-integral label value"):
+    with pytest.raises(ValidationError) as exc:
         read_label_volume(path)
+    assert str(exc.value) == f"{path}: label value 0.5 at voxel (1, 1, 1) is not one of the configured codes (0, 1, 2, 4)"
 
 
 @pytest.mark.parametrize("suffix, bound", [(".nii", 1.2), (".nii.gz", 0.2)])
@@ -760,14 +768,14 @@ def test_streamed_label_read_matches_the_whole_read(tmp_path, monkeypatch, kind,
 
 @pytest.mark.parametrize("container", [".nii", ".nii.gz"])
 @pytest.mark.parametrize("kind", ["uint8", "int16", "float32", "scaled int16"])
-def test_streamed_label_read_names_the_first_bad_voxel_in_c_order(tmp_path, monkeypatch, kind, container):
-    # In the F-ordered file the first slab holds z = 0, and the voxel that C
-    # order reaches first lies in the last slab.
+def test_streamed_label_read_names_the_first_bad_voxel_in_file_order(tmp_path, monkeypatch, kind, container):
+    # In the F-ordered file the first slab holds z = 0: the read meets the
+    # bad voxel there first, although C order reaches the one in the last
+    # slab first.
     monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
     labels = np.zeros(STREAM_SHAPE, np.int32)
     labels[3:17, 2:11, 4:25] = 2
     in_first, in_last = (22, 18, 0), (0, 0, 28)
-    floats = kind in ("float32", "scaled int16")
     for value in ([5, 2.5] if kind == "float32" else [5]):
         for bad_at in ([in_first], [in_last], [in_first, in_last]):
             bad = labels.astype(np.float64)
@@ -776,15 +784,13 @@ def test_streamed_label_read_names_the_first_bad_voxel_in_c_order(tmp_path, monk
             path = label_file(tmp_path / "bad", bad, kind, container=container)
             with pytest.raises(ValidationError) as exc:
                 read_label_volume(path)
-            where = f"at voxel {min(bad_at)}"
-            if value == 2.5:
-                want = f"{path}: non-integral label value 2.5 {where}"
-            else:
-                want = f"{path}: " * floats + f"label value 5 {where} is not one of the configured codes (0, 1, 2, 4)"
-            assert str(exc.value) == want
+            first = min(bad_at, key=lambda voxel: voxel[::-1])  # z slowest
+            assert str(exc.value) == (
+                f"{path}: label value {value} at voxel {first} is not one of the configured codes (0, 1, 2, 4)"
+            )
 
 
-def test_streamed_label_read_reports_a_bad_crc_before_a_bad_code(tmp_path, monkeypatch):
+def test_streamed_label_read_reports_a_bad_code_before_a_bad_crc(tmp_path, monkeypatch):
     monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
     labels = np.zeros(STREAM_SHAPE, np.uint8)
     labels[3:17, 2:11, 4:25] = 2
@@ -793,8 +799,11 @@ def test_streamed_label_read_reports_a_bad_crc_before_a_bad_code(tmp_path, monke
     member[-8] ^= 1  # the CRC-32
     path = tmp_path / "bad.nii.gz"
     path.write_bytes(bytes(member))
-    with pytest.raises(FormatError) as exc:
+    with pytest.raises(ValidationError) as exc:  # met in the first slab, before the trailer
         read_label_volume(path)
+    assert str(exc.value) == f"{path}: label value 9 at voxel (5, 5, 0) is not one of the configured codes (0, 1, 2, 4)"
+    with pytest.raises(FormatError) as exc:  # the trailer, which read_volume meets first
+        read_volume(path)
     assert str(exc.value) == f"{path}: not a valid gzip stream (Error -3 while decompressing data: incorrect data check)"
 
 
@@ -841,20 +850,113 @@ def test_streamed_label_read_peaks_below_half_its_payload(tmp_path):
     assert np.array_equal(vol.data, data)
 
 
-def test_streamed_label_read_reports_a_fault_as_the_whole_read_does(tmp_path):
-    # A non-finite scl_slope is seen before the payload is read, but the
-    # whole read meets the truncated stream first, and reports that.
+@pytest.mark.parametrize("read", [read_volume, read_label_volume, read_probability_volume])
+def test_a_non_finite_scaling_is_reported_before_a_truncated_stream(tmp_path, read):
+    # The scaling lives in the header, so every reader meets it on opening,
+    # before the payload whose stream ends early.
     labels = np.random.default_rng(2701).choice([0, 1, 2, 4], size=STREAM_SHAPE)
     stream = gzip.compress(bytes(nifti_bytes(labels, 2, "<", (1.0, 1.0, 1.0), math.nan)), mtime=0)
     assert len(stream) > 4000  # so the cut leaves the header whole
     path = tmp_path / "cut.nii.gz"
     path.write_bytes(stream[: len(stream) // 2])
-    with pytest.raises(FormatError, match="non-finite scaling"):
-        with voxeval.io._VolumeStream(path) as opened:
-            voxeval.io._scaling(path, opened.header)
     with pytest.raises(FormatError) as exc:
-        read_label_volume(path)
+        read(path)
+    assert str(exc.value) == f"{path}: non-finite scaling scl_slope nan, scl_inter 0.0"
+
+
+def test_a_float32_label_is_compared_with_the_codes_exactly(tmp_path):
+    # float32 cannot hold 2**24 + 1: compared in float32, the voxel's
+    # 2**24 would match that code and be cast to a label that is no code.
+    coding = LabelCoding(enhancing=2**24 + 1)
+    labels = np.zeros((3, 2, 2))
+    labels[1, 1, 1] = 2**24
+    path = label_file(tmp_path / "wide", labels, "float32", container=".nii")
+    with pytest.raises(ValidationError) as exc:
+        read_label_volume(path, coding)
     assert str(exc.value) == (
-        f"{path}: not a valid gzip stream "
-        "(Compressed file ended before the end-of-stream marker was reached)"
+        f"{path}: label value 16777216 at voxel (1, 1, 1) is not one of the configured codes (0, 1, 2, 16777217)"
     )
+    labels[1, 1, 1] = 2**24 + 2  # a float32 that is exactly no code, for contrast
+    path = label_file(tmp_path / "wider", labels, "float32", container=".nii")
+    with pytest.raises(ValidationError, match="label value 16777218 at voxel"):
+        read_label_volume(path, coding)
+
+
+def count_opens(monkeypatch, path):
+    """The list of opens of ``path``, by ``open`` or through ``pathlib``, from now on."""
+    opens, real = [], builtins.open
+
+    def counted(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file) == path:
+            opens.append(file)
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counted)
+    monkeypatch.setattr(io, "open", counted)
+    return opens
+
+
+@pytest.mark.parametrize("fault", ["code", "crc", "truncated", "range", "ensemble"])
+def test_a_fault_costs_one_open_of_its_file(tmp_path, monkeypatch, capsys, fault):
+    # A label file with a bad code, a bad CRC or a stream that ends early; a
+    # probability map with 1.5 in it, read alone or as an ensemble member.
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
+    if fault in ("code", "crc", "truncated"):
+        labels = np.zeros(STREAM_SHAPE, np.uint8)
+        labels[3:17, 2:11, 4:25] = 2
+        labels[5, 5, 20] = 9 if fault == "code" else 4
+        member = bytearray(gzip.compress(bytes(nifti_bytes(labels, 2, "<", (1.0, 1.0, 1.0), 1.0)), mtime=0))
+        if fault == "crc":
+            member[-8] ^= 1
+        if fault == "truncated":
+            del member[len(member) * 3 // 4 :]
+        path = tmp_path / "seg.nii.gz"
+        path.write_bytes(bytes(member))
+        opens = count_opens(monkeypatch, path)
+        with pytest.raises(ValidationError if fault == "code" else FormatError, match=re.escape(str(path))):
+            read_label_volume(path)
+        assert opens == [path]
+        return
+    p = np.random.default_rng(2703).random(STREAM_SHAPE).astype(np.float32)
+    paths = [tmp_path / f"{region}.nii.gz" for region in ("wt", "tc", "et")]
+    for path in paths:
+        write_volume(path, VolumeHeader(p.shape, "float32", Spacing()), p)
+    path = paths[-1]
+    p[4, 5, 20] = 1.5
+    write_volume(path, VolumeHeader(p.shape, "float32", Spacing()), p)
+    opens = count_opens(monkeypatch, path)
+    if fault == "range":
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: probability map")):
+            read_probability_volume(path)
+    else:
+        manifest = tmp_path / "ens.csv"
+        manifest.write_text("case_id,configuration,wt_path,tc_path,et_path\nc1,a,wt.nii.gz,tc.nii.gz,et.nii.gz\n")
+        assert main(["ensemble", "--manifest", str(manifest), "--out-dir", str(tmp_path / "out"), "--jobs", "1"]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and str(path) in json.loads(lines[0])["error"]["message"]
+    assert opens == [path]
+
+
+@pytest.mark.parametrize("container", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf"), (2.5, "2.5"), (1e10, "10000000000")])
+def test_a_float_label_that_is_no_code_is_named_with_its_voxel(tmp_path, monkeypatch, capsys, container, value, shown):
+    # The voxel lies in a middle slab of a float32 file; evaluate reports
+    # the reader's message under the case's prefix.
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 3000)
+    labels = np.zeros(STREAM_SHAPE)
+    labels[3:17, 2:11, 4:25] = 2
+    voxel = (7, 4, 15)
+    labels[voxel] = value
+    pred = label_file(tmp_path / "pred", labels, "float32", container=container)
+    want = f"{pred}: label value {shown} at voxel {voxel} is not one of the configured codes (0, 1, 2, 4)"
+    with pytest.raises(ValidationError) as exc:
+        read_label_volume(pred)
+    assert str(exc.value) == want
+    ref = label_file(tmp_path / "ref", np.zeros(STREAM_SHAPE), "uint8", container=".nii")
+    manifest = tmp_path / "m.csv"
+    manifest.write_text(f"case_id,reference_path,prediction_path\nc1,{ref.name},{pred.name}\n")
+    args = ["evaluate", "--manifest", str(manifest), "--out-metrics", str(tmp_path / "o.csv"), "--jobs", "1"]
+    assert main(args) == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["message"] == f"case 'c1' (reference {ref}, prediction {pred}): {want}"

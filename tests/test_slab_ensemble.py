@@ -18,7 +18,7 @@ import voxeval.cli
 import voxeval.io
 from voxeval import RegionProbSet, Spacing, VolumeHeader, regions_to_labels, two_level_ensemble, write_volume
 from voxeval.errors import ValidationError
-from voxeval.io import label_volume_bytes, read_probability_volume
+from voxeval.io import label_volume_bytes, read_probability_volume, read_volume
 
 from oracles import nifti_oracle, two_level_oracle
 from test_cli import ENSEMBLE_COLUMNS, write_manifest
@@ -214,10 +214,10 @@ def test_a_payload_fault_stops_the_case_as_a_whole_map_read_would(tmp_path, monk
     rows = three_cases(tmp_path, np.random.default_rng(27))
     bad = tmp_path / rows[5][4]  # case c1's member of b, its ET map: the case's last map
     break_map(bad, fault)
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 96)  # so that both routes cut the same slabs
     with pytest.raises(Exception) as whole:
         read_probability_volume(bad)
     manifest = write_manifest(tmp_path / "ens.csv", rows, columns=ENSEMBLE_COLUMNS)
-    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 96)
     read = spy_slabs(monkeypatch)
     out_dir = tmp_path / "labels"
     assert voxeval.cli.main(["ensemble", "--manifest", str(manifest), "--out-dir", str(out_dir), "--jobs", jobs]) == code
@@ -227,8 +227,10 @@ def test_a_payload_fault_stops_the_case_as_a_whole_map_read_would(tmp_path, monk
     assert sorted(p.name for p in out_dir.iterdir()) == ["c0.nii.gz"]
     if slabs is not None:
         assert read.count(bad) == slabs
-    if fault == "above":  # the range message names the whole map's min and max
-        assert isinstance(whole.value, ValidationError) and "min=0.0, max=1.5" in str(whole.value)
+    if fault == "above":  # the range message names the last slab's min and max, not the map's 0.0
+        last = read_volume(bad)[1][:, :, -1]
+        assert isinstance(whole.value, ValidationError) and last.min() > 0.0
+        assert str(whole.value).endswith(f"min={float(last.min())}, max=1.5")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
