@@ -130,7 +130,7 @@ def load_config(path: str | None) -> ToolConfig:
     if not path:
         return ToolConfig()
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = json.loads(Path(path).read_bytes().decode("utf-8-sig"))
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise FormatError(f"config {path}: invalid JSON ({exc})")
     if not isinstance(raw, dict):
@@ -290,8 +290,9 @@ def _read_pair(row: ManifestRow, coding: LabelCoding) -> tuple[LabelVolume, Labe
     return ref, pred
 
 
-def _check_out_names(what: str, path, out_dir: Path, names) -> None:
-    """Reject a ``(case_id, suffix)`` output name that cannot name a file
+def _out_paths(what: str, path, out_dir: Path, names: list[tuple[str, str]]) -> list[Path]:
+    """The output files ``out_dir / (case_id + suffix)`` of ``names``, after
+    making ``out_dir``.  First rejects a name that cannot name a file
     directly in ``out_dir``: a case id with a '/' or NUL, or a name longer
     than the file-name limit of ``out_dir`` or of its nearest existing parent."""
     existing = out_dir
@@ -306,6 +307,8 @@ def _check_out_names(what: str, path, out_dir: Path, names) -> None:
                 f"{what} {path}: case_id {case_id!r} makes an output file name "
                 f"longer than the {limit}-byte limit"
             )
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return [out_dir / (case_id + suffix) for case_id, suffix in names]
 
 
 def _evaluate_row(task) -> list[tuple[str, float, float, str]]:
@@ -586,12 +589,8 @@ def _cmd_apply_postprocess(args) -> int:
     config = load_config(args.config)
     threshold = validate_threshold(args.threshold_mm3)
     manifest = parse_manifest(args.manifest)
-    out_dir = Path(args.out_dir)
-    suffixes = [volume_suffix(row.prediction_path) for row in manifest.rows]
-    case_ids = [row.case_id for row in manifest.rows]
-    _check_out_names("manifest", args.manifest, out_dir, zip(case_ids, suffixes))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / (case_id + suffix) for case_id, suffix in zip(case_ids, suffixes)]
+    names = [(row.case_id, volume_suffix(row.prediction_path)) for row in manifest.rows]
+    paths = _out_paths("manifest", args.manifest, Path(args.out_dir), names)
 
     def cleaned(i: int) -> bytes:
         row = manifest.rows[i]
@@ -734,13 +733,9 @@ def _cmd_ensemble(args) -> int:
         )
     jobs = _jobs(args.jobs)
     cases = parse_ensemble_manifest(args.manifest)
-    out_dir = Path(args.out_dir)
-    _check_out_names(
-        "ensemble manifest", args.manifest, out_dir, ((case_id, args.format) for case_id in cases)
-    )
-    out_dir.mkdir(parents=True, exist_ok=True)
+    names = [(case_id, args.format) for case_id in cases]
+    paths = _out_paths("ensemble manifest", args.manifest, Path(args.out_dir), names)
     items = list(cases.items())
-    paths = [out_dir / (case_id + args.format) for case_id in cases]
 
     def labels(i: int) -> bytes:
         return label_volume_bytes(paths[i], _ensemble_labels(*items[i], threshold, config.coding))

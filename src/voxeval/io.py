@@ -10,12 +10,13 @@ vox_offset 352, magic "n+1\\0", gzip applied iff the name ends in ".nii.gz"
 match case-insensitively, and every file is written atomically.
 
 Files are read through an open handle, a ``.nii.gz`` inflated 256 KiB at
-a time.  :func:`read_volume` reads a whole payload into one buffer.
-:class:`ProbabilityMap` reads a map's header on opening and then its
-voxels in file order, a run of z-planes (the slowest axis) at a time, so
-that many maps can be stepped together without any of them being whole.
-:func:`read_label_volume` reads a label file the same way and keeps only
-the labels in its tumour box.
+a time.  Every reader turns payload bytes into voxels through one step,
+:meth:`_VolumeStream.slab`: a run of z-planes (the slowest axis), swapped
+to native byte order and scaled.  :func:`read_volume` takes all the planes
+as one slab.  :class:`ProbabilityMap` reads a map's header on opening and
+then its slabs in file order, so that many maps can be stepped together
+without any of them being whole.  :func:`read_label_volume` reads a label
+file the same way and keeps only the labels in its tumour box.
 
 A file is read once, and each fault is raised where the read meets it:
 the header's (its scaling included) on opening, then the payload's in
@@ -179,20 +180,10 @@ class _Inflater:
         return filled
 
 
-def _scaling(path: Path, header: VolumeHeader) -> tuple[float, float] | None:
-    """The ``(slope, intercept)`` that a NIfTI reader applies, or None when
-    there is none: a zero slope, or the pair 1, 0.  Raises when it is not finite."""
-    slope, intercept = header.slope, header.intercept
-    if slope == 0.0 or (slope == 1.0 and intercept == 0.0):
-        return None
-    if not np.isfinite([slope, intercept]).all():
-        raise FormatError(f"{path}: non-finite scaling scl_slope {slope}, scl_inter {intercept}")
-    return slope, intercept
-
-
 class _VolumeStream:
     """A NIfTI-1 file opened for reading: its header, parsed and checked on
-    opening, its :attr:`scaling` included, then its payload read in file order.
+    opening, its :attr:`scaling` included, then its payload read in file
+    order by :meth:`slab`, the one place where bytes become voxels.
 
     The payload's size is checked before any of it is read: a ``.nii``
     against the file's size, and a ``.nii.gz`` against the most its stream
@@ -264,8 +255,11 @@ class _VolumeStream:
         except ValidationError as exc:
             raise FormatError(f"{path}: {exc}") from None
         self.shape, self.spacing = self.header.dims, self.header.spacing
-        #: The ``(slope, intercept)`` applied to each voxel read, or None.
-        self.scaling = _scaling(path, self.header)
+        #: The ``(slope, intercept)`` applied to each voxel read, or None when
+        #: there is none: a zero slope, or the pair 1, 0.
+        self.scaling = None if slope == 0.0 or (slope, intercept) == (1.0, 0.0) else (slope, intercept)
+        if self.scaling is not None and not np.isfinite(self.scaling).all():
+            raise FormatError(f"{path}: non-finite scaling scl_slope {slope}, scl_inter {intercept}")
         self._offset = int(vox_offset)
         #: The payload's dtype as stored, in the file's byte order.
         self.dtype = np_dtype.newbyteorder(order)
@@ -297,14 +291,21 @@ class _VolumeStream:
         if got < len(view):
             raise self._mismatch(self._held)
 
-    def read(self, buf: np.ndarray) -> np.ndarray:
-        """The payload's next ``len(buf)`` bytes, read into the uint8 array
-        ``buf`` and returned as a flat native-order view of it."""
-        self._read(buf)
-        data = buf.view(self.dtype)
+    def slab(self, planes: int, buf: np.ndarray) -> np.ndarray:
+        """The payload's next ``planes`` z-planes, of shape ``(nx, ny, planes)``
+        in F order: read into the uint8 array ``buf``, which must hold their
+        bytes, in native byte order, and a view of it unless the volume is
+        scaled, when they are float64."""
+        nx, ny, _ = self.shape
+        data = buf[: nx * ny * planes * self.dtype.itemsize]
+        self._read(data)
+        data = data.view(self.dtype)
         if not self.dtype.isnative:
             data = data.byteswap(inplace=True).view(self.dtype.newbyteorder("="))
-        return data
+        if self.scaling is not None:
+            data = data.astype(np.float64) * self.scaling[0] + self.scaling[1]
+        # NIfTI stores the first axis fastest.
+        return data.reshape((nx, ny, planes), order="F")
 
     def finish(self) -> None:
         """Check that the payload read ends the file."""
@@ -315,7 +316,8 @@ class _VolumeStream:
 
 
 def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
-    """Read a ``.nii`` or ``.nii.gz`` volume file.
+    """Read a ``.nii`` or ``.nii.gz`` volume file, its payload as one
+    :meth:`_VolumeStream.slab` of every z-plane.
 
     Data comes back in the file's dtype, except that slope/intercept scaling
     (a nonzero slope, not the identity; both finite, or :class:`FormatError`)
@@ -325,15 +327,10 @@ def read_volume(path) -> tuple[VolumeHeader, np.ndarray]:
         The parsed :class:`VolumeHeader` and the 3-D array, read-only.
     """
     with _VolumeStream(path) as stream:
-        data = stream.read(np.empty(stream.nbytes, np.uint8))
+        data = stream.slab(stream.shape[2], np.empty(stream.nbytes, np.uint8))
         stream.finish()
-    header, scaling = stream.header, stream.scaling
-    if scaling is not None:
-        data = data.astype(np.float64) * scaling[0] + scaling[1]
-    # NIfTI stores the first axis fastest.
-    data = data.reshape(header.dims, order="F")
     data.setflags(write=False)
-    return header, data
+    return stream.header, data
 
 
 def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
@@ -407,17 +404,14 @@ def read_label_volume(path, coding: LabelCoding = DEFAULT_CODING) -> LabelVolume
     """
     with _VolumeStream(path) as stream:
         nx, ny, nz = stream.shape
-        planes, itemsize = stream.slab_planes, stream.dtype.itemsize
-        buf = np.empty(planes * ny * nx * itemsize, np.uint8)
+        planes = stream.slab_planes
+        buf = np.empty(planes * ny * nx * stream.dtype.itemsize, np.uint8)
         scan = _TumourScan((nz, ny, nx), planes, coding.codes, keep=True)
         for start in range(0, nz, planes):
             n = min(planes, nz - start)
-            slab = stream.read(buf[: n * ny * nx * itemsize])
-            if stream.scaling is not None:
-                slab = slab.astype(np.float64) * stream.scaling[0] + stream.scaling[1]
-            elif slab.dtype == np.float32:  # compared in float64, where every code is exact
+            slab = stream.slab(n, buf).T  # (z, y, x), C-ordered
+            if slab.dtype == np.float32:  # compared in float64, where every code is exact
                 slab = slab.astype(np.float64)
-            slab = slab.reshape(n, ny, nx)
             bad = scan.feed(slab)
             if bad is not None:
                 z, y, x = bad
@@ -454,22 +448,17 @@ class ProbabilityMap(_VolumeStream):
     """A probability map opened for reading a run of z-planes at a time.
 
     Opening reads and checks the header, its scaling included.  Then
-    :meth:`slab` returns the map's next planes in file order, each checked
-    to lie in [0, 1] (a fault names that slab's min and max), and
-    :meth:`finish` checks that the file ends after the last.  Float maps
-    keep their dtype, scaled maps are float64, and other integer maps keep
-    their integers, which every float64 sum takes exactly.
+    :meth:`slab` returns the map's next planes in file order, decoded by
+    :meth:`_VolumeStream.slab` and checked to lie in [0, 1] (a fault names
+    that slab's min and max), and :meth:`finish` checks that the file ends
+    after the last.  Float maps keep their dtype, scaled maps are float64,
+    and other integer maps keep their integers, which every float64 sum
+    takes exactly.
     """
 
     def slab(self, planes: int, buf: np.ndarray) -> np.ndarray:
-        """The map's next ``planes`` z-planes, of shape ``(nx, ny, planes)``:
-        read into the uint8 array ``buf``, which must hold their bytes, and
-        a view of it unless the map is scaled."""
-        nx, ny, _ = self.shape
-        data = self.read(buf[: nx * ny * planes * self.dtype.itemsize])
-        if self.scaling is not None:
-            data = data.astype(np.float64) * self.scaling[0] + self.scaling[1]
-        data = data.reshape((nx, ny, planes), order="F")
+        """:meth:`_VolumeStream.slab`, checked to lie in [0, 1]."""
+        data = super().slab(planes, buf)
         _check_probabilities(data, f"{self.path}: probability map")
         return data
 

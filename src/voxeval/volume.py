@@ -366,14 +366,8 @@ def labels_to_regions(volume: LabelVolume) -> RegionMaskSet:
     WT collects every non-background voxel, TC necrosis plus enhancing,
     ET enhancing only.  The nesting invariant holds by construction.
     """
-    return RegionMaskSet(*_region_masks(volume.data, volume.coding), volume.spacing)
-
-
-def _region_masks(
-    data: np.ndarray, coding: LabelCoding
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The WT, TC and ET masks of labels ``data``, which nest by construction."""
-    return tuple(_region_mask(data, coding, name) for name in REGIONS)  # type: ignore[return-value]
+    data, coding = volume.data, volume.coding
+    return RegionMaskSet(*(_region_mask(data, coding, name) for name in REGIONS), volume.spacing)
 
 
 def _region_mask(data: np.ndarray, coding: LabelCoding, name: str) -> np.ndarray:

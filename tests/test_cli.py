@@ -1444,6 +1444,31 @@ def test_config_partial_policy(tmp_path):
     assert config.policy.worst_dice == 0.0
 
 
+def test_config_may_start_with_a_utf8_bom(tmp_path):
+    # As a manifest or a metrics file may: the byte-order mark is dropped.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xef\xbb\xbf" + json.dumps({"label_coding": {"enhancing": 3}}).encode())
+    assert load_config(str(cfg)).coding.enhancing == 3
+
+
+def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # Under the C locale without UTF-8 mode, a locale-decoded read fails on
+    # the first non-ASCII byte; read as UTF-8, the unknown key is named.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes('{"é": 1}'.encode())
+    out = tmp_path / "metrics.csv"
+    done = fresh_python(
+        "-m", "voxeval.cli", "evaluate", "--config", str(cfg),
+        "--manifest", str(perfect_manifest(tmp_path)), "--out-metrics", str(out),
+        LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+    )
+    assert done.returncode == 3, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1, done.stderr
+    assert "unknown keys ['é']" in json.loads(lines[0])["error"]["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "document",
     [

@@ -643,19 +643,38 @@ def test_broken_member_exits_four_in_one_line(tmp_path, capsys, fault, reason):
     assert json.loads(lines[0])["error"]["message"] == prefix + f"not a valid gzip stream ({reason})"
 
 
-@pytest.mark.parametrize("route", ["nii", "nii.gz", "big-endian nii", "big-endian nii.gz", "scaled nii"])
-def test_read_volume_returns_read_only_arrays_on_every_route(tmp_path, route):
-    data = np.arange(24, dtype=np.int16).reshape(2, 3, 4)
-    path = tmp_path / f"v.{route.split()[-1]}"
-    if route.startswith("big-endian"):
-        raw = bytes(nifti_bytes(data, 4, ">", (1.0, 1.0, 1.0), 1.0))
-        path.write_bytes(gzip.compress(raw, mtime=0) if route.endswith("gz") else raw)
+@pytest.mark.parametrize("reader", ["read_volume", "read_probability_volume"])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+@pytest.mark.parametrize("scaling", [(1.0, 0.0), (0.5, 0.25)], ids=["unscaled", "scaled"])
+@pytest.mark.parametrize("order", ["<", ">"], ids=["little", "big"])
+@pytest.mark.parametrize("datatype", sorted(NIFTI_TYPES))
+def test_readers_decode_as_the_oracle_does_on_every_route(tmp_path, monkeypatch, reader, suffix, scaling, order, datatype):
+    # Every reader decodes through one slab step, so a reader checked only
+    # against another checks that step against itself: both are pinned to
+    # the oracle, bit for bit, and read several slabs where they can.
+    monkeypatch.setattr(voxeval.io, "_SLAB_BYTES", 64)
+    dtype = np.dtype(NIFTI_TYPES[datatype][1])
+    rng = np.random.default_rng(datatype)
+    if reader == "read_volume":
+        values = sample_array(dtype, (5, 4, 6))
+    elif dtype.kind == "f":  # stored values that scale into [0, 1]
+        values = (rng.random((5, 4, 6)).astype(dtype) - scaling[1]) / scaling[0]
     else:
-        slope = 2.0 if route == "scaled nii" else 1.0
-        write_volume(path, VolumeHeader(data.shape, "int16", Spacing(), slope=slope), data)
-    _, back = read_volume(path)
-    assert not back.flags.writeable
-    assert np.array_equal(back, data * (2.0 if route == "scaled nii" else 1))
+        values = rng.integers(0, 2, (5, 4, 6)).astype(dtype)
+    raw = nifti_bytes(values, datatype, order, (1.0, 1.0, 1.0), scaling[0])
+    struct.pack_into(order + "f", raw, 116, scaling[1])
+    path = tmp_path / f"v{suffix}"
+    path.write_bytes(gzip.compress(bytes(raw), mtime=0) if suffix == ".nii.gz" else raw)
+    _, want = nifti_oracle(path)
+    if reader == "read_volume":
+        data = read_volume(path)[1]
+    else:  # float maps keep their dtype; the others become float64
+        data = read_probability_volume(path)[0]
+        assert data.dtype == (want.dtype if want.dtype.kind == "f" else np.float64)
+        want = want.astype(data.dtype)
+    assert data.dtype == want.dtype and data.dtype.isnative
+    assert data.tobytes() == want.tobytes()
+    assert not data.flags.writeable
 
 
 @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])

@@ -82,13 +82,13 @@ def test_labels_to_regions_single_enhancing_voxel():
 
 def test_labels_to_regions_keeps_the_masks_without_a_copy(monkeypatch):
     built = []
-    real = voxeval.volume._region_masks
+    real = voxeval.volume._region_mask
 
-    def spy(data, coding):
-        built.extend(real(data, coding))
-        return tuple(built)
+    def spy(data, coding, name):
+        built.append(real(data, coding, name))
+        return built[-1]
 
-    monkeypatch.setattr(voxeval.volume, "_region_masks", spy)
+    monkeypatch.setattr(voxeval.volume, "_region_mask", spy)
     rng = np.random.default_rng(8)
     regions = labels_to_regions(random_label_volume(rng, (6, 5, 4)))
     for got, mask in zip((regions.wt, regions.tc, regions.et), built):
