@@ -35,7 +35,7 @@ from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from io import StringIO
-from itertools import islice, zip_longest
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -57,6 +57,7 @@ from .metrics import (
     MetricRecord,
     SpecialCase,
     SpecialCasePolicy,
+    _scores_in_bounds,
     check_pair,
     evaluate_case,
 )
@@ -170,33 +171,41 @@ class Manifest:
     rows: tuple[ManifestRow, ...]
 
 
-def _csv_rows(path: Path, required: Sequence[str], what: str) -> Iterator[tuple[str, str, dict]]:
-    """Yield ``(where, stripped case_id, row)`` for each data row of a CSV file.
+def _csv_rows(path: Path, required: Sequence[str], what: str) -> tuple[dict, Iterator[tuple[str, str, dict]]]:
+    """The columns of a CSV file, each header name and its values, and a
+    walk that yields ``(where, stripped case_id, row)`` for each data row.
 
-    ``where`` reads "<what> <path> row <n>", where n is the file's line
-    number (the header is row 1; blank lines are skipped but counted), and
-    prefixes every row error.  Missing columns, an empty case_id and a
-    file without data rows are rejected here.  The file is read as UTF-8;
-    a leading byte-order mark is dropped.
+    The file is opened once and parsed whole as UTF-8, so a file that is
+    not UTF-8 or not CSV (:class:`FormatError`) is reported before missing
+    columns, a file without data rows, or any row fault.  Rows read as the
+    csv module's ``DictReader`` reads them: a leading byte-order mark and
+    blank lines skipped, missing fields empty, fields past the header
+    dropped, and a column named twice taken at its last occurrence.
+    ``where`` reads "<what> <path> row <n>", n the file's line number (the
+    header is row 1; blank lines count), and prefixes every row error; the
+    walk raises an empty case_id at its row.
     """
-    where = None
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in required if c not in (reader.fieldnames or [])]
-            if missing:
-                raise ValidationError(f"{what} {path}: missing columns {missing}")
-            for row in reader:
-                # DictReader.line_num is not advanced past skipped blank lines.
-                where = f"{what} {path} row {reader.reader.line_num}"
-                case_id = (row.get("case_id") or "").strip()
-                if not case_id:
-                    raise ValidationError(f"{where}: empty case_id")
-                yield where, case_id, row
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            lines = [(reader.line_num, row) for row in reader if row]
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{what} {path}: not a readable CSV file ({exc})") from None
-    if where is None:
+    if missing := [c for c in required if c not in header]:
+        raise ValidationError(f"{what} {path}: missing columns {missing}")
+    if not lines:
         raise ValidationError(f"{what} {path}: no data rows")
+    rows = [row + [""] * (len(header) - len(row)) for _, row in lines]  # zip drops the excess
+
+    def walk():
+        for (line, _), row in zip(lines, rows):
+            where, row = f"{what} {path} row {line}", dict(zip(header, row))
+            if not (case_id := row["case_id"].strip()):
+                raise ValidationError(f"{where}: empty case_id")
+            yield where, case_id, row
+
+    return dict(zip(header, zip(*rows))), walk()
 
 
 def _resolve(base: Path, value: str | None, where: str, column: str) -> Path:
@@ -222,7 +231,7 @@ def parse_manifest(path) -> Manifest:
     rows: list[ManifestRow] = []
     seen: set[str] = set()
     required = ("case_id", "reference_path", "prediction_path")
-    for where, case_id, row in _csv_rows(path, required, "manifest"):
+    for where, case_id, row in _csv_rows(path, required, "manifest")[1]:
         if case_id in seen:
             raise ValidationError(f"{where}: duplicate case_id {case_id!r}")
         seen.add(case_id)
@@ -379,7 +388,7 @@ def _record(where: str, region, dice, hd95, special) -> tuple[float, float]:
             MetricRecord(region, dice, hd95, SpecialCase(special))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    if not (0.0 <= dice <= 1.0 and 0.0 <= hd95 < np.inf):
+    if not _scores_in_bounds(dice, hd95):
         raise ValidationError(
             f"{where}: {region} needs dice in [0, 1] and a finite nonnegative hd95, "
             f"got dice {dice!r}, hd95 {hd95!r}"
@@ -397,19 +406,11 @@ def read_metrics_csv(path) -> dict[str, list[MetricRecord]]:
     """Read a metrics.csv produced by `evaluate` back into records, each row
     checked by :func:`_record`."""
     per_case: dict[str, list[MetricRecord]] = {}
-    for where, case_id, row in _csv_rows(Path(path), _METRICS_COLUMNS, "metrics file"):
+    for where, case_id, row in _csv_rows(Path(path), _METRICS_COLUMNS, "metrics file")[1]:
         special = row.get("special_case") or "none"
         dice, hd95 = _record(where, row["region"], row["dice"], row["hd95"], special)
         per_case.setdefault(case_id, []).append(MetricRecord(row["region"], dice, hd95, SpecialCase(special)))
     return per_case
-
-
-def _valid_scores(dice: np.ndarray, hd95: np.ndarray, specials: set) -> bool:
-    """Whether every special_case is known, every Dice lies in [0, 1] and
-    every HD95 is finite and nonnegative."""
-    return specials <= _SPECIAL_CASES and bool(
-        ((dice >= 0) & (dice <= 1)).all() and ((hd95 >= 0) & (hd95 < np.inf)).all()
-    )
 
 
 #: A metrics file's sorted case ids, its (2, cases, regions) Dice and HD95
@@ -421,27 +422,18 @@ _Scores = tuple[list[str], np.ndarray, Iterator[tuple[str, str, float, float, st
 def _read_scores(path) -> _Scores:
     """Read and check a metrics file.
 
-    The file is parsed once with :func:`csv.reader` and its rows are read
-    as :class:`csv.DictReader` reads them: blank lines skipped, missing
-    fields empty, extra fields dropped, and a column named twice taken at
-    its last occurrence.  All rows are checked at once.  Only a file that
-    fails is walked row by row through :func:`_record`, to raise the error
-    that names the file: a bad row first (by row), then a repeated (case,
-    region) (by row), then a missing region (by case).
+    The file is read once, by :func:`_csv_rows`, and all its rows are
+    checked at once, column by column.  Only a file that fails is walked
+    row by row through :func:`_record`, to raise the error that names the
+    file: a bad row first (by row), then a repeated (case, region) (by
+    row), then a missing region (by case).
     """
     path = Path(path)
-    header, rows = [], []
+    columns, walk = _csv_rows(path, _METRICS_COLUMNS, "metrics file")
+    case_ids = list(map(str.strip, columns["case_id"]))
+    cases = sorted(set(case_ids))
+    specials = columns.get("special_case", ("",) * len(case_ids))
     try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            rows = [row for row in reader if row]  # DictReader skips blank lines
-    except (csv.Error, UnicodeDecodeError):
-        pass  # the walk below names the fault
-    columns = dict(zip(header, zip_longest(*rows, fillvalue="")))  # without rows, no columns
-    try:
-        case_ids = list(map(str.strip, columns["case_id"]))
-        cases = sorted(set(case_ids))
         first = {case_id: j * len(REGIONS) for j, case_id in enumerate(cases)}
         slots = np.add(
             list(map(first.__getitem__, case_ids)),
@@ -450,13 +442,13 @@ def _read_scores(path) -> _Scores:
         dice = list(map(float, columns["dice"]))
         hd95 = list(map(float, columns["hd95"]))
         scores = np.array([dice, hd95])
-    except (KeyError, ValueError):  # a missing column, an unknown region or a bad score
+    except (KeyError, ValueError):  # an unknown region or a bad score
         slots = None
-    specials = columns.get("special_case", ("",) * len(rows))
     if (
         slots is not None
         and all(case_ids)
-        and _valid_scores(*scores, set(specials) - {""})
+        and set(specials) - {""} <= _SPECIAL_CASES
+        and _scores_in_bounds(*scores).all()
         and (np.bincount(slots, minlength=len(cases) * len(REGIONS)) == 1).all()
     ):
         block = np.empty_like(scores)
@@ -465,7 +457,7 @@ def _read_scores(path) -> _Scores:
         return cases, block.reshape(2, len(cases), len(REGIONS)), rows
     per_case: dict[str, set[str]] = {}
     repeats = []
-    for where, case_id, row in _csv_rows(path, _METRICS_COLUMNS, "metrics file"):
+    for where, case_id, row in walk:
         _record(where, row["region"], row["dice"], row["hd95"], row.get("special_case") or "none")
         regions = per_case.setdefault(case_id, set())
         if row["region"] in regions:
@@ -611,8 +603,8 @@ def parse_ensemble_manifest(path) -> dict[str, dict[str, list[dict[str, Path]]]]
     path = Path(path)
     cases: dict[str, dict[str, list[dict[str, Path]]]] = {}
     required = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
-    for where, case_id, row in _csv_rows(path, required, "ensemble manifest"):
-        configuration = (row.get("configuration") or "").strip()
+    for where, case_id, row in _csv_rows(path, required, "ensemble manifest")[1]:
+        configuration = row["configuration"].strip()
         if not configuration:
             raise ValidationError(f"{where}: empty configuration")
         member = {

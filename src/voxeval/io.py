@@ -103,7 +103,9 @@ def write_atomic(path, data: bytes) -> None:
 
 @dataclass(frozen=True)
 class VolumeHeader:
-    """Shape, datatype, spacing and value scaling of a stored volume."""
+    """Shape, datatype, spacing and value scaling of a stored volume: its
+    voxels are the stored values times ``slope`` plus ``intercept``, a pair
+    kept as float32 fields hold it, and finite when the header scales."""
 
     dims: tuple[int, int, int]
     dtype: str
@@ -121,8 +123,19 @@ class VolumeHeader:
                 f"{sorted(_DTYPES)}"
             )
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "slope", float(self.slope))
-        object.__setattr__(self, "intercept", float(self.intercept))
+        with np.errstate(over="ignore"):  # a pair past float32's range is infinite, as stored
+            slope, intercept = map(float, np.float32([self.slope, self.intercept]))
+        object.__setattr__(self, "slope", slope)
+        object.__setattr__(self, "intercept", intercept)
+        if self.scaling is not None and not np.isfinite(self.scaling).all():
+            raise ValidationError(f"non-finite scaling scl_slope {self.slope}, scl_inter {self.intercept}")
+
+    @property
+    def scaling(self) -> tuple[float, float] | None:
+        """``(slope, intercept)``, or None when there is no scaling: a zero slope, or the pair 1, 0."""
+        if self.slope == 0.0 or (self.slope, self.intercept) == (1.0, 0.0):
+            return None
+        return self.slope, self.intercept
 
 
 #: Bytes inflated per zlib call, and compressed bytes read per file read.
@@ -254,12 +267,7 @@ class _VolumeStream:
             self.header = VolumeHeader(dim[1:4], tag, Spacing(*pixdim[1:4]), slope, intercept)
         except ValidationError as exc:
             raise FormatError(f"{path}: {exc}") from None
-        self.shape, self.spacing = self.header.dims, self.header.spacing
-        #: The ``(slope, intercept)`` applied to each voxel read, or None when
-        #: there is none: a zero slope, or the pair 1, 0.
-        self.scaling = None if slope == 0.0 or (slope, intercept) == (1.0, 0.0) else (slope, intercept)
-        if self.scaling is not None and not np.isfinite(self.scaling).all():
-            raise FormatError(f"{path}: non-finite scaling scl_slope {slope}, scl_inter {intercept}")
+        self.shape, self.spacing, self.scaling = self.header.dims, self.header.spacing, self.header.scaling
         self._offset = int(vox_offset)
         #: The payload's dtype as stored, in the file's byte order.
         self.dtype = np_dtype.newbyteorder(order)
@@ -337,9 +345,11 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
     """The bytes of a volume file in the format chosen by the extension of
     ``path``, which is not touched.
 
-    The payload must be exactly representable in the header's datatype;
-    values that would be clipped, wrapped or rounded raise instead of
-    being silently quantized.  NIfTI output is always little-endian with
+    ``data`` holds voxels as :func:`read_volume` returns them, and a header
+    that scales stores ``(data - intercept) / slope``.  The stored values
+    must decode, in float64 as the reader decodes them, to ``data`` exactly:
+    values that would be clipped, wrapped or rounded raise instead of being
+    silently quantized.  NIfTI output is always little-endian with
     a 348-byte header and vox_offset 352; a ``.nii.gz`` suffix gzips the
     stream with zeroed timestamp so equal volumes produce equal bytes.
     """
@@ -349,18 +359,21 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
             f"data shape {data.shape} does not match header dims {header.dims}"
         )
     code, bits, np_dtype = _DTYPES[header.dtype]
-    if data.dtype == np_dtype:
+    scaling = header.scaling
+    if data.dtype == np_dtype and scaling is None:
         payload_arr = data
     else:
-        payload_arr = data.astype(np_dtype)
-        if data.dtype.kind == "f" and np_dtype.kind == "f":
-            exact = np.array_equal(payload_arr, data, equal_nan=True)
-        else:
-            exact = np.array_equal(payload_arr, data)
-        if not exact:
+        with np.errstate(all="ignore"):  # a value that overflows or does not cast fails the check
+            if scaling is None:
+                payload_arr = decoded = data.astype(np_dtype)
+            else:
+                slope, intercept = scaling
+                payload_arr = ((data.astype(np.float64) - intercept) / slope).astype(np_dtype)
+                decoded = payload_arr.astype(np.float64) * slope + intercept
+        if not np.array_equal(decoded, data, equal_nan=decoded.dtype.kind == data.dtype.kind == "f"):
             raise ValidationError(
-                f"data of dtype {data.dtype} is not exactly representable "
-                f"as {header.dtype}; refusing to quantize silently"
+                f"data of dtype {data.dtype} is not exactly representable as {header.dtype}"
+                f"{'' if scaling is None else f' scaled by {scaling}'}; refusing to quantize silently"
             )
 
     gzipped = volume_suffix(path) == ".nii.gz"

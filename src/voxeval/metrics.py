@@ -10,7 +10,7 @@ same worst pair, since neither metric is otherwise defined there.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import percentile
 from .errors import ValidationError
-from .volume import _EMPTY_BOX, REGIONS, LabelVolume, Spacing, _region_mask
+from .volume import _EMPTY_BOX, REGIONS, LabelVolume, Spacing, _extent, _region_mask
 
 # About the float64 elements (2 MB) that one chunk of a distance search
 # keeps per array, so its memory does not grow with the tumour box.
@@ -34,6 +34,13 @@ class SpecialCase(str, Enum):
     REF_NONEMPTY_PRED_EMPTY = "ref_nonempty_pred_empty"
 
 
+def _scores_in_bounds(dice, hd95):
+    """Whether Dice lies in [0, 1] and HD95 is finite (an int too) and
+    nonnegative, for numbers or elementwise for arrays; NaN fails.  Plain
+    operators, so that a pair of Python floats costs no array."""
+    return (0 <= dice) & (dice <= 1) & (0 <= hd95) & (hd95 <= sys.float_info.max)
+
+
 @dataclass(frozen=True)
 class SpecialCasePolicy:
     """Score pairs substituted when a region is empty on either side."""
@@ -44,20 +51,13 @@ class SpecialCasePolicy:
     perfect_hd95: float = 0.0
 
     def __post_init__(self) -> None:
-        # The same bounds MetricTable enforces, so a policy cannot write
-        # scores that ranking later refuses.
-        dices = (self.worst_dice, self.perfect_dice)
-        hd95s = (self.worst_hd95, self.perfect_hd95)
+        pairs = ((self.worst_dice, self.worst_hd95), (self.perfect_dice, self.perfect_hd95))
         try:
-            finite = all(math.isfinite(v) for v in dices + hd95s)
-        except (TypeError, OverflowError):
-            finite = False
-        if not finite:
-            raise ValidationError(f"special-case policy values must be finite: {self}")
-        if not all(0.0 <= v <= 1.0 for v in dices):
-            raise ValidationError(f"special-case policy Dice must lie in [0, 1]: {self}")
-        if min(hd95s) < 0.0:
-            raise ValidationError(f"special-case policy HD95 must be nonnegative: {self}")
+            valid = all(_scores_in_bounds(*pair) for pair in pairs)
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValidationError(f"special-case policy needs Dice in [0, 1] and a finite nonnegative HD95: {self}")
 
 
 DEFAULT_POLICY = SpecialCasePolicy()
@@ -128,12 +128,10 @@ def _union_bbox(a: np.ndarray, b: np.ndarray) -> tuple[slice, slice, slice]:
     """
     union = a | b
     plane = union.any(axis=0)
-    ys, zs = np.flatnonzero(plane.any(axis=1)), np.flatnonzero(plane.any(axis=0))
-    if not ys.size:
+    if not plane.any():
         return _EMPTY_BOX
-    y, z = slice(int(ys[0]), int(ys[-1]) + 1), slice(int(zs[0]), int(zs[-1]) + 1)
-    xs = np.flatnonzero(union[:, y, z].any(axis=(1, 2)))
-    return slice(int(xs[0]), int(xs[-1]) + 1), y, z
+    y, z = _extent(plane.any(axis=1)), _extent(plane.any(axis=0))
+    return _extent(union[:, y, z].any(axis=(1, 2))), y, z
 
 
 def _join_boxes(a: tuple[slice, ...], b: tuple[slice, ...]) -> tuple[slice, ...]:

@@ -31,7 +31,7 @@ from .metrics import (
     score_region,
 )
 from .ranking import MetricTable, brats_ranking
-from .volume import LabelVolume, _freeze, region_volume_mm3
+from .volume import LabelVolume, _freeze, _region_mask, region_volume_mm3
 
 #: Added to each observed ET volume when building default candidates, so the
 #: sweep contains a threshold just above every achievable removal pattern.
@@ -60,7 +60,7 @@ def _removed(volume_mm3, threshold_mm3):
 def _et_mask(volume: LabelVolume, box: tuple[slice, slice, slice]) -> np.ndarray:
     """The enhancing-tumour mask of ``volume`` within ``box``, which holds the
     volume's own box, so every enhancing voxel lies in it."""
-    return volume._crop(box) == volume.coding.enhancing
+    return _region_mask(volume._crop(box), volume.coding, "ET")
 
 
 def apply_et_threshold(pred: LabelVolume, threshold_mm3: float) -> LabelVolume:

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .metrics import MetricRecord
+from .metrics import MetricRecord, _scores_in_bounds
 from .volume import REGIONS, _freeze
 
 @dataclass(frozen=True, eq=False)
@@ -52,13 +52,9 @@ class MetricTable:
                     f"{name} array has shape {arr.shape}, expected "
                     f"(algorithms, cases, regions) = {shape}"
                 )
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError(f"{name} array contains non-finite values")
             object.__setattr__(self, name, _freeze(arr))
-        if self.dice.min() < 0.0 or self.dice.max() > 1.0:
-            raise ValidationError("dice values must lie in [0, 1]")
-        if self.hd95.min() < 0.0:
-            raise ValidationError("hd95 values must be nonnegative")
+        if not _scores_in_bounds(self.dice, self.hd95).all():
+            raise ValidationError("metric table needs Dice in [0, 1] and a finite nonnegative HD95")
 
     @classmethod
     def from_records(

@@ -8,12 +8,13 @@ scipy.stats.rankdata, the challenge ranking and jackknife as plain loops
 over columns, pools and pairs, and the threshold sweep by applying and
 rescoring every candidate on every case, the two-level ensemble mean
 voxel by voxel in Python floats, NIfTI-1 files field by field and voxel
-by voxel with zlib's own gzip wrapper, and a leaderboard store's check by
-building a record for every entry.
+by voxel with zlib's own gzip wrapper, a leaderboard store's check by
+building a record for every entry, and CSV inputs through ``csv.DictReader``.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 import struct
 import zlib
@@ -34,6 +35,7 @@ from voxeval import (
     apply_et_threshold,
     evaluate_case,
 )
+from voxeval.errors import FormatError, ValidationError
 
 
 def label_check_oracle(data, codes):
@@ -490,3 +492,34 @@ def store_walk_oracle(path, submissions) -> str | None:
                 return (f"{where} case {case_id}: needs one entry per region "
                         f"{list(REGIONS)}, got {sorted(regions)}")
     return None
+
+
+def csv_rows_oracle(path, required, what):
+    """Yield ``(where, stripped case_id, row)`` for each data row of a CSV
+    input, as the CLI's reader does, by a ``csv.DictReader`` whose missing
+    fields read as empty.
+
+    The whole file is read before any fault is raised, so a file that is
+    not UTF-8 or not CSV (:class:`FormatError`) comes first, then missing
+    columns, then a file without data rows; an empty case_id is raised at
+    its row.  ``where`` reads "<what> <path> row <n>", n the line number
+    after the row (blank lines are skipped but counted).
+    """
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh, restval="")
+            fieldnames = reader.fieldnames or []
+            rows = [(reader.reader.line_num, row) for row in reader]
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise FormatError(f"{what} {path}: not a readable CSV file ({exc})") from None
+    missing = [c for c in required if c not in fieldnames]
+    if missing:
+        raise ValidationError(f"{what} {path}: missing columns {missing}")
+    if not rows:
+        raise ValidationError(f"{what} {path}: no data rows")
+    for line, row in rows:
+        where = f"{what} {path} row {line}"
+        case_id = row["case_id"].strip()
+        if not case_id:
+            raise ValidationError(f"{where}: empty case_id")
+        yield where, case_id, row

@@ -234,13 +234,47 @@ def test_reads_big_endian_files(tmp_path):
 
 
 def test_slope_intercept_scaling(tmp_path):
-    data = np.arange(8, dtype=np.int16).reshape(2, 2, 2)
+    stored = np.arange(8, dtype=np.int16).reshape(2, 2, 2)
     path = tmp_path / "scaled.nii"
-    write_volume(path, VolumeHeader(data.shape, "int16", Spacing(), slope=2.0, intercept=-1.0), data)
+    write_volume(path, VolumeHeader(stored.shape, "int16", Spacing(), slope=2.0, intercept=-1.0), stored * 2.0 - 1.0)
     header, back = read_volume(path)
     assert header.slope == 2.0 and header.intercept == -1.0
     assert back.dtype == np.float64
-    assert np.array_equal(back, data * 2.0 - 1.0)
+    assert np.array_equal(back, stored * 2.0 - 1.0)
+    raw = path.read_bytes()
+    assert np.array_equal(np.frombuffer(raw, "<i2", offset=352).reshape(2, 2, 2, order="F"), stored)
+
+
+@pytest.mark.parametrize("dtype", ["int16", "float32"])
+@pytest.mark.parametrize("slope, intercept", [(2.0, 0.0), (0.5, -3.0), (-1.0, 10.0), (1.0, 0.25), (0.1, 0.3), (0.0, 7.0)])
+@pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+def test_write_volume_writes_what_read_volume_returns(tmp_path, dtype, slope, intercept, suffix):
+    stored = np.arange(-6, 18, dtype=dtype).reshape(2, 3, 4)
+    header = VolumeHeader(stored.shape, dtype, Spacing(), slope, intercept)
+    # The header keeps the pair as its float32 fields hold it, as the reader applies it.
+    voxels = stored if header.scaling is None else stored.astype(np.float64) * header.slope + header.intercept
+    path = tmp_path / f"scaled{suffix}"
+    write_volume(path, header, voxels)
+    raw = path.read_bytes()
+    back_header, back = read_volume(path)
+    assert back_header == header
+    assert back.dtype == voxels.dtype and np.array_equal(back, voxels)
+    write_volume(path, back_header, back)  # a read volume writes back to the same bytes
+    assert path.read_bytes() == raw
+
+
+def test_a_scaled_write_refuses_what_the_reader_cannot_return(tmp_path):
+    header = VolumeHeader((2, 2, 2), "int16", Spacing(), slope=2.0)
+    with pytest.raises(ValidationError, match=re.escape("not exactly representable as int16 scaled by (2.0, 0.0)")):
+        write_volume(tmp_path / "odd.nii", header, np.full((2, 2, 2), 3.0))
+    assert not (tmp_path / "odd.nii").exists()
+
+
+@pytest.mark.parametrize("slope, intercept", [(math.nan, 0.0), (2.0, math.inf), (1e39, 0.0)])
+def test_a_header_that_scales_needs_a_finite_pair(slope, intercept):
+    with pytest.raises(ValidationError, match="non-finite scaling scl_slope"):
+        VolumeHeader((2, 2, 2), "int16", Spacing(), slope, intercept)
+    VolumeHeader((2, 2, 2), "int16", Spacing(), 0.0, intercept)  # a zero slope does not scale
 
 
 def test_zero_slope_means_no_scaling(tmp_path):
@@ -383,7 +417,7 @@ def test_scaled_label_read_peaks_below_twice_its_float_payload(tmp_path):
     labels[16:48, 16:48, 16:48] = 1
     labels[24:40, 24:40, 24:40] = 4
     path = tmp_path / "scaled.nii"
-    write_volume(path, VolumeHeader(labels.shape, "int16", Spacing(), intercept=1.0), labels - 1)
+    write_volume(path, VolumeHeader(labels.shape, "int16", Spacing(), intercept=1.0), labels)
     tracemalloc.start()
     try:
         vol = read_label_volume(path)

@@ -1,15 +1,18 @@
-"""The metrics.csv reader of the CLI against the record route.
+"""The CSV inputs of the CLI against the record route and a DictReader oracle.
 
 ``rank``, ``stability`` and ``leaderboard add`` read each metrics file once,
 column by column, and check all rows at once; only a file that fails is walked
 row by row, to name its fault.  They must give the table that
 ``read_metrics_csv`` and ``MetricTable.from_records`` build from records, bit
-for bit, and the same store bytes, or fail in one line naming the file.
+for bit, and the same store bytes, or fail in one line naming the file.  The
+record route's rows come from ``csv_rows_oracle``, so the CLI's one CSV
+reader is checked against ``csv.DictReader``, for metrics files and manifests.
 """
 
 import csv
 import json
 from io import StringIO
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,12 +23,15 @@ from voxeval.cli import (
     _read_scores,
     leaderboard_add,
     main,
+    parse_ensemble_manifest,
+    parse_manifest,
     read_metrics_csv,
 )
 from voxeval.errors import FormatError, ValidationError
 from voxeval.metrics import SpecialCase
 from voxeval.ranking import MetricTable
 
+from oracles import csv_rows_oracle
 from test_leaderboard_store import EPOCH, canonical, expected_after_add
 
 REGIONS = ("WT", "TC", "ET")
@@ -89,10 +95,18 @@ def assert_same_table(got: MetricTable, want: MetricTable) -> None:
         assert np.array_equal(np.signbit(a), np.signbit(b))
 
 
+def through_oracle(parse, path):
+    """``parse(path)`` with its CSV rows read by :func:`csv_rows_oracle`."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(voxeval.cli, "_csv_rows", lambda *args: (None, csv_rows_oracle(*args)))
+        return parse(path)
+
+
 def both_routes(path):
-    """``_read_scores`` and the record route's (cases, block, sorted rows) of one file."""
+    """``_read_scores`` and the record route's (cases, block, sorted rows) of
+    one file, the record route's rows read by the oracle."""
     cases, block, rows = _read_scores(path)
-    records = read_metrics_csv(path)
+    records = through_oracle(read_metrics_csv, path)
     table = MetricTable.from_records({"A": records})
     want = [(c, r.region, r.dice, r.hd95, r.special_case.value) for c in sorted(records) for r in records[c]]
     return [
@@ -176,11 +190,15 @@ EDITS = ["score", "case", "region", "special", "delete", "repeat", "truncate", "
 
 
 def mutated_metrics(rng, cases) -> bytes:
-    """A file of ``random_metrics_text`` with 1-3 random edits: a bad,
-    non-finite or out-of-range score, a blank case id, an unknown region or
-    special_case, a deleted, repeated or truncated row, an extra field, an
-    undecodable byte or a quote that opens a row."""
-    text = random_metrics_text(rng, cases)
+    """A file of ``random_metrics_text`` with 1-3 random edits of ``EDITS``."""
+    return mutated_csv(rng, random_metrics_text(rng, cases), EDITS)
+
+
+def mutated_csv(rng, text, kinds) -> bytes:
+    """CSV ``text`` with 1-3 random edits of ``kinds``: a bad, non-finite or
+    out-of-range score, a blank case id, an unknown region or special_case,
+    a deleted, repeated or truncated row, an extra field, an undecodable
+    byte or a quote that opens a row."""
     bom = "\ufeff" if text.startswith("\ufeff") else ""
     header, *rows = csv.reader(StringIO(text[len(bom):], newline=""))
 
@@ -189,7 +207,7 @@ def mutated_metrics(rng, cases) -> bytes:
         if k < len(row):
             row[k] = value
 
-    edits = [str(edit) for edit in rng.choice(EDITS, size=int(rng.integers(1, 4)))]
+    edits = [str(edit) for edit in rng.choice(kinds, size=int(rng.integers(1, 4)))]
     for edit in edits:
         full = [i for i, row in enumerate(rows) if len(row) > 1]
         if not full:
@@ -237,7 +255,7 @@ def test_mutated_metrics_files_read_as_the_record_route_or_fail_in_one_line(tmp_
         code = main(["rank", f"A={path}", f"B={path}", "--out", str(tmp_path / "rank.json")])
         lines = capsys.readouterr().err.splitlines()
         try:
-            MetricTable.from_records({"A": read_metrics_csv(path)})
+            MetricTable.from_records({"A": through_oracle(read_metrics_csv, path)})
         except (ValidationError, FormatError) as exc:
             rejected += 1
             assert code == (4 if isinstance(exc, FormatError) else 3)
@@ -251,3 +269,86 @@ def test_mutated_metrics_files_read_as_the_record_route_or_fail_in_one_line(tmp_
         fast, slow = both_routes(path)
         assert fast == slow
     assert 0 < rejected < 50
+
+
+#: Each manifest kind's columns, its parser and the command that reads it.
+MANIFESTS = {
+    "manifest": (("case_id", "reference_path", "prediction_path"), parse_manifest, "evaluate"),
+    "ensemble manifest": (("case_id", "configuration", "wt_path", "tc_path", "et_path"), parse_ensemble_manifest, "ensemble"),
+}
+#: The edits of ``mutated_csv`` that apply to a manifest.
+MANIFEST_EDITS = ["case", "repeat", "truncate", "extra", "byte", "quote"]
+
+
+def random_manifest_text(rng, what, files) -> str:
+    """A valid manifest of kind ``what`` whose paths name ``files``: columns
+    in random order with a "note" column, perhaps a decoy repeat of one
+    required name first, padded ids, one or two members per case in an
+    ensemble manifest, random quoting, blank lines, CRLF or LF, and perhaps
+    a byte-order mark."""
+    required = MANIFESTS[what][0]
+    columns = [str(c) for c in rng.permutation([*required, "note"])]
+    decoys = rng.random() < 0.5
+    if decoys:
+        columns.insert(0, str(rng.choice(required)))
+    rows = []
+    for case in rng.choice(CASE_IDS, size=int(rng.integers(1, 5)), replace=False):
+        for _ in range(1 if what == "manifest" else int(rng.integers(1, 3))):
+            values = {column: str(rng.choice(files)) for column in required}
+            values["case_id"] = str(case) if rng.random() < 0.7 else f"  {case} "
+            values["configuration"] = str(rng.choice(["2d", "3d_fullres", " 3d "]))
+            values["note"] = "x,y" if rng.random() < 0.5 else ""
+            rows.append(["junk"] * decoys + [values[c] for c in columns[decoys:]])
+    text = StringIO()
+    terminator = ["\n", "\r\n"][rng.integers(2)]
+    writer = csv.writer(text, quoting=[csv.QUOTE_MINIMAL, csv.QUOTE_ALL][rng.integers(2)], lineterminator=terminator)
+    writer.writerow(columns)
+    for row in rows:
+        if rng.random() < 0.15:
+            text.write(terminator)
+        writer.writerow(row)
+    return ("\ufeff" if rng.random() < 0.3 else "") + text.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("what", list(MANIFESTS))
+def test_mutated_manifests_parse_as_the_oracle_or_fail_in_one_line(tmp_path, capsys, what, seed):
+    rng = np.random.default_rng(4000 + seed)
+    for name in ("ref.nii", "pred.nii", "p.nii.gz"):
+        (tmp_path / name).write_bytes(b"")  # the parsers only check that each file exists
+    files = ["ref.nii", "pred.nii", "p.nii.gz", str(tmp_path / "ref.nii")]
+    _, parse, command = MANIFESTS[what]
+    path = tmp_path / "manifest.csv"
+    rejected = 0
+    for _ in range(50):
+        path.write_bytes(mutated_csv(rng, random_manifest_text(rng, what, files), MANIFEST_EDITS))
+        try:
+            want = through_oracle(parse, path)
+        except (ValidationError, FormatError) as exc:
+            rejected += 1
+            out = ["--out-metrics", str(tmp_path / "m.csv")] if command == "evaluate" else ["--out-dir", str(tmp_path / "out")]
+            code = main([command, "--manifest", str(path), *out])
+            lines = capsys.readouterr().err.splitlines()
+            assert code == (4 if isinstance(exc, FormatError) else 3)
+            assert len(lines) == 1
+            message = json.loads(lines[0])["error"]["message"]
+            assert message.startswith(f"{what} {path}")
+            if " row " in str(exc):  # a row fault names its row, as the oracle does
+                assert message == str(exc)
+            continue
+        assert parse(path) == want
+    assert 0 < rejected < 50
+
+
+@pytest.mark.parametrize(
+    "text",
+    [HEADER + "c1,WT,1,0,none\nc1,TC,1,0,none\nc1,ET,1,0,none\n", HEADER + "c1,WT,1,0,none\nc1,TC,high,0,none\n"],
+    ids=["valid", "bad-row"],
+)
+def test_a_metrics_file_is_opened_once(tmp_path, monkeypatch, capsys, text):
+    path = tmp_path / "m.csv"
+    path.write_text(text)
+    opened = []
+    monkeypatch.setattr(voxeval.cli, "open", lambda file, *args, **kwargs: opened.append(Path(file)) or open(file, *args, **kwargs), raising=False)
+    main(["leaderboard", "add", "--store", str(tmp_path / "store.json"), "--metrics", str(path), "--algorithm", "A"])
+    assert opened.count(path) == 1
