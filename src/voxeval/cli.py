@@ -35,7 +35,7 @@ from contextlib import ExitStack, closing, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from io import StringIO
-from itertools import islice
+from itertools import islice, zip_longest
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -196,16 +196,17 @@ def _csv_rows(path: Path, required: Sequence[str], what: str) -> tuple[dict, Ite
         raise ValidationError(f"{what} {path}: missing columns {missing}")
     if not lines:
         raise ValidationError(f"{what} {path}: no data rows")
-    rows = [row + [""] * (len(header) - len(row)) for _, row in lines]  # zip drops the excess
 
     def walk():
-        for (line, _), row in zip(lines, rows):
-            where, row = f"{what} {path} row {line}", dict(zip(header, row))
+        for line, row in lines:
+            where, row = f"{what} {path} row {line}", dict(zip(header, row + [""] * (len(header) - len(row))))
             if not (case_id := row["case_id"].strip()):
                 raise ValidationError(f"{where}: empty case_id")
             yield where, case_id, row
 
-    return dict(zip(header, zip(*rows))), walk()
+    # A last row as wide as the header makes every column reach it; [:-1] drops it.
+    padded = zip_longest(*[row for _, row in lines], [""] * len(header), fillvalue="")
+    return {name: values[:-1] for name, values in zip(header, padded)}, walk()
 
 
 def _resolve(base: Path, value: str | None, where: str, column: str) -> Path:

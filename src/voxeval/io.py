@@ -359,21 +359,20 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
             f"data shape {data.shape} does not match header dims {header.dims}"
         )
     code, bits, np_dtype = _DTYPES[header.dtype]
-    scaling = header.scaling
-    if data.dtype == np_dtype and scaling is None:
+    if data.dtype == np_dtype and header.scaling is None:
         payload_arr = data
     else:
         with np.errstate(all="ignore"):  # a value that overflows or does not cast fails the check
-            if scaling is None:
+            if header.scaling is None:
                 payload_arr = decoded = data.astype(np_dtype)
             else:
-                slope, intercept = scaling
+                slope, intercept = header.scaling
                 payload_arr = ((data.astype(np.float64) - intercept) / slope).astype(np_dtype)
                 decoded = payload_arr.astype(np.float64) * slope + intercept
         if not np.array_equal(decoded, data, equal_nan=decoded.dtype.kind == data.dtype.kind == "f"):
             raise ValidationError(
                 f"data of dtype {data.dtype} is not exactly representable as {header.dtype}"
-                f"{'' if scaling is None else f' scaled by {scaling}'}; refusing to quantize silently"
+                f"{'' if header.scaling is None else f' scaled by {header.scaling}'}; refusing to quantize silently"
             )
 
     gzipped = volume_suffix(path) == ".nii.gz"
