@@ -189,7 +189,10 @@ def _csv_rows(path: Path, required: Sequence[str], what: str) -> tuple[dict, Ite
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
-            lines = [(reader.line_num, row) for row in reader if row]
+            rows, lines = [], []  # not a tuple per row, which the garbage collector would track
+            for row in filter(None, reader):
+                rows.append(row)
+                lines.append(reader.line_num)
     except (csv.Error, UnicodeDecodeError) as exc:
         raise FormatError(f"{what} {path}: not a readable CSV file ({exc})") from None
     if missing := [c for c in required if c not in header]:
@@ -198,18 +201,18 @@ def _csv_rows(path: Path, required: Sequence[str], what: str) -> tuple[dict, Ite
         raise ValidationError(f"{what} {path}: no data rows")
 
     def walk():
-        for line, row in lines:
+        for line, row in zip(lines, rows):
             where, row = f"{what} {path} row {line}", dict(zip(header, row + [""] * (len(header) - len(row))))
             if not (case_id := row["case_id"].strip()):
                 raise ValidationError(f"{where}: empty case_id")
             yield where, case_id, row
 
-    # A last row as wide as the header makes every column reach it; [:-1] drops it.
-    padded = zip_longest(*[row for _, row in lines], [""] * len(header), fillvalue="")
-    return {name: values[:-1] for name, values in zip(header, padded)}, walk()
+    columns = list(zip_longest(*rows, fillvalue=""))
+    columns += [("",) * len(rows)] * (len(header) - len(columns))  # header columns no row reaches
+    return dict(zip(header, columns)), walk()
 
 
-def _resolve(base: Path, value: str | None, where: str, column: str) -> Path:
+def _resolve(base: Path, value: str, where: str, column: str) -> Path:
     if not value:
         raise ValidationError(f"{where}: empty {column}")
     path = Path(value)
@@ -236,8 +239,7 @@ def parse_manifest(path) -> Manifest:
         if case_id in seen:
             raise ValidationError(f"{where}: duplicate case_id {case_id!r}")
         seen.add(case_id)
-        ref = _resolve(path.parent, row["reference_path"], where, "reference_path")
-        pred = _resolve(path.parent, row["prediction_path"], where, "prediction_path")
+        ref, pred = (_resolve(path.parent, row[column], where, column) for column in required[1:])
         rows.append(ManifestRow(case_id, ref, pred))
     return Manifest(tuple(rows))
 
@@ -605,8 +607,7 @@ def parse_ensemble_manifest(path) -> dict[str, dict[str, list[dict[str, Path]]]]
     cases: dict[str, dict[str, list[dict[str, Path]]]] = {}
     required = ("case_id", "configuration", "wt_path", "tc_path", "et_path")
     for where, case_id, row in _csv_rows(path, required, "ensemble manifest")[1]:
-        configuration = row["configuration"].strip()
-        if not configuration:
+        if not (configuration := row["configuration"].strip()):
             raise ValidationError(f"{where}: empty configuration")
         member = {
             region: _resolve(path.parent, row[column], where, column)

@@ -133,9 +133,8 @@ class VolumeHeader:
     @property
     def scaling(self) -> tuple[float, float] | None:
         """``(slope, intercept)``, or None when there is no scaling: a zero slope, or the pair 1, 0."""
-        if self.slope == 0.0 or (self.slope, self.intercept) == (1.0, 0.0):
-            return None
-        return self.slope, self.intercept
+        scales = self.slope != 0.0 and (self.slope, self.intercept) != (1.0, 0.0)
+        return (self.slope, self.intercept) if scales else None
 
 
 #: Bytes inflated per zlib call, and compressed bytes read per file read.
@@ -366,9 +365,8 @@ def volume_bytes(path, header: VolumeHeader, data: np.ndarray) -> bytes:
             if header.scaling is None:
                 payload_arr = decoded = data.astype(np_dtype)
             else:
-                slope, intercept = header.scaling
-                payload_arr = ((data.astype(np.float64) - intercept) / slope).astype(np_dtype)
-                decoded = payload_arr.astype(np.float64) * slope + intercept
+                payload_arr = ((data.astype(np.float64) - header.intercept) / header.slope).astype(np_dtype)
+                decoded = payload_arr.astype(np.float64) * header.slope + header.intercept
         if not np.array_equal(decoded, data, equal_nan=decoded.dtype.kind == data.dtype.kind == "f"):
             raise ValidationError(
                 f"data of dtype {data.dtype} is not exactly representable as {header.dtype}"

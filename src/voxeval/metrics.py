@@ -23,6 +23,7 @@ from .volume import _EMPTY_BOX, REGIONS, LabelVolume, Spacing, _extent, _region_
 # About the float64 elements (2 MB) that one chunk of a distance search
 # keeps per array, so its memory does not grow with the tumour box.
 _CHUNK = 1 << 18
+_FLOAT_MAX = sys.float_info.max  # the bound of a finite HD95
 
 
 class SpecialCase(str, Enum):
@@ -38,7 +39,7 @@ def _scores_in_bounds(dice, hd95):
     """Whether Dice lies in [0, 1] and HD95 is finite (an int too) and
     nonnegative, for numbers or elementwise for arrays; NaN fails.  Plain
     operators, so that a pair of Python floats costs no array."""
-    return (0 <= dice) & (dice <= 1) & (0 <= hd95) & (hd95 <= sys.float_info.max)
+    return (0 <= dice) & (dice <= 1) & (0 <= hd95) & (hd95 <= _FLOAT_MAX)
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,9 @@ def test_write_rejects_unrepresentable_values(tmp_path):
     precise = np.full((2, 2, 2), 0.1, dtype=np.float64)
     with pytest.raises(ValidationError, match="not exactly representable"):
         write_volume(path, VolumeHeader(precise.shape, "float32", Spacing()), precise)
+    for uncastable in (np.nan, 1e10):  # refused without numpy's cast warning
+        with pytest.raises(ValidationError, match="not exactly representable"):
+            write_volume(path, VolumeHeader((2, 2, 2), "uint8", Spacing()), np.full((2, 2, 2), uncastable))
 
 
 def test_write_allows_exact_cross_dtype(tmp_path):
